@@ -18,6 +18,9 @@ Execution rules, pinned by the hand-walked scenarios in the tests:
 
 The engine consumes a precomputed surprise array (`run_backtest_signals`)
 so tests can script signals directly; `run_backtest` wires a predictor in.
+A run is linear in ticks plus trades: each tick is scanned by at most one
+open position, whose exit search reads at most twice its holding time
+plus EXIT_BLOCK ticks.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ REASON_TAKE_PROFIT = "take_profit"
 REASON_STOP_LOSS = "stop_loss"
 REASON_SIGNAL_FLIP = "signal_flip"
 REASON_END_OF_DATA = "end_of_data"
+
+# ticks in the first block of the exit scan; later blocks double
+EXIT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -138,24 +144,8 @@ def run_backtest_signals(series: TickSeries, surprise: np.ndarray,
         entry_px = float(ask[fi]) if side > 0 else float(bid[fi])
         fills.append(Fill(int(ts[fi]), SIDE_BUY if side > 0 else SIDE_SELL,
                           entry_px, REASON_ENTRY))
-        # exit trigger scan over ticks [fi, n-2]; a trigger at u fills at u+1
-        pnl = side * (midv[fi:n - 1] / entry_px - 1.0)
-        tp_hit = pnl >= tp
-        sl_hit = pnl <= -sl
-        flip = (flip_long if side > 0 else flip_short)[fi:n - 1]
-        trig = tp_hit | sl_hit | flip
-        off2 = int(trig.argmax())
-        if trig.size and trig[off2]:
-            ei = fi + off2 + 1
-            if tp_hit[off2]:
-                reason = REASON_TAKE_PROFIT
-            elif sl_hit[off2]:
-                reason = REASON_STOP_LOSS
-            else:
-                reason = REASON_SIGNAL_FLIP
-        else:
-            ei = n - 1
-            reason = REASON_END_OF_DATA
+        ei, reason = _find_exit(midv, flip_long if side > 0 else flip_short,
+                                fi, side, entry_px, tp, sl)
         exit_px = float(bid[ei]) if side > 0 else float(ask[ei])
         fills.append(Fill(int(ts[ei]), SIDE_SELL if side > 0 else SIDE_BUY,
                           exit_px, reason))
@@ -167,16 +157,54 @@ def run_backtest_signals(series: TickSeries, surprise: np.ndarray,
         exit_ticks.append(ei)
         t = ei  # flat again as of the exit fill tick
 
-    n_periods = -(-n // cfg.period_ticks)
-    period_returns = np.zeros(n_periods)
-    for ei, ret in zip(exit_ticks, trade_returns):
-        period_returns[ei // cfg.period_ticks] += ret
+    # bincount adds each period's trade returns in exit order, from 0.0
+    period_returns = np.bincount(
+        np.array(exit_ticks, dtype=np.intp) // cfg.period_ticks,
+        weights=np.array(trade_returns), minlength=-(-n // cfg.period_ticks))
     return BacktestResult(period_returns=period_returns,
                           mean=float(period_returns.mean()),
                           stdev=float(period_returns.std()),
                           n_trades=len(trade_returns),
                           fills=tuple(fills),
                           trade_returns=np.array(trade_returns))
+
+
+def _find_exit(midv: np.ndarray, flip: np.ndarray, fi: int, side: int,
+               entry_px: float, tp: float, sl: float) -> Tuple[int, str]:
+    """Exit fill tick and reason for a position filled at tick fi.
+
+    Scans ticks [fi, n-2] for the first trigger (a trigger at u fills at
+    u+1), falling back to the final tick. The first EXIT_BLOCK ticks are
+    walked in Python, which is cheapest for the short holds most trades
+    have; after that numpy scans blocks that double in size, so a trade
+    costs O(its holding time) either way. Both compute the same float
+    expression, so they agree bit for bit.
+    """
+    end = midv.size - 1
+    hi = min(fi + EXIT_BLOCK, end)
+    for u, (m, f) in enumerate(zip(midv[fi:hi].tolist(),
+                                   flip[fi:hi].tolist()), fi):
+        pnl = side * (m / entry_px - 1.0)
+        if pnl >= tp:
+            return u + 1, REASON_TAKE_PROFIT
+        if pnl <= -sl:
+            return u + 1, REASON_STOP_LOSS
+        if f:
+            return u + 1, REASON_SIGNAL_FLIP
+    lo, width = hi, 2 * EXIT_BLOCK
+    while lo < end:
+        hi = min(lo + width, end)
+        pnl = side * (midv[lo:hi] / entry_px - 1.0)
+        tp_hit = pnl >= tp
+        sl_hit = pnl <= -sl
+        trig = tp_hit | sl_hit | flip[lo:hi]
+        k = int(trig.argmax())
+        if trig[k]:
+            return lo + k + 1, (REASON_TAKE_PROFIT if tp_hit[k] else
+                                REASON_STOP_LOSS if sl_hit[k] else
+                                REASON_SIGNAL_FLIP)
+        lo, width = hi, 2 * width
+    return end, REASON_END_OF_DATA
 
 
 def sharpe(result: BacktestResult, r_f_per_period: float = 0.0) -> Optional[float]:
@@ -192,14 +220,3 @@ def annualized_sharpe(result: BacktestResult, r_f_per_period: float = 0.0,
     if s is None:
         return None
     return s * math.sqrt(periods_per_year)
-
-
-def result_to_dict(result: BacktestResult) -> dict:
-    """JSON-ready summary (period returns and fills export as CSV instead)."""
-    return {
-        "mean": result.mean,
-        "stdev": result.stdev,
-        "n_trades": result.n_trades,
-        "n_periods": int(result.period_returns.size),
-        "total_return": float(result.trade_returns.sum()),
-    }

@@ -70,6 +70,11 @@ EXIT_NUMERIC = 4
 
 _REQUIRED = object()
 
+# every file `run` may write; a rerun clears them all so an out-dir never
+# mixes files from two runs
+_RUN_ARTIFACTS = ("points.csv", "mc.json", "pml.json", "correlation.csv",
+                  "rolling.csv", "manifest.json")
+
 
 # ---------------------------------------------------------------- config
 
@@ -540,6 +545,8 @@ def _load_series(exp: Experiment) -> TickSeries:
 def _cmd_run(args) -> None:
     exp = load_experiment(args.config)
     out_dir = _resolve_out_dir(args.out_dir, exp.out_dir)
+    for name in _RUN_ARTIFACTS:
+        (out_dir / name).unlink(missing_ok=True)
     jobs = args.jobs if args.jobs is not None else exp.jobs
     series = _load_series(exp)
     cut = int(len(series) * exp.train.split)

@@ -111,14 +111,6 @@ class TickSeries:
                           self.ask[start:stop])
 
 
-def series_from_ticks(symbol: str, resolution_ns: int,
-                      ticks: List[BboTick]) -> TickSeries:
-    ts = np.array([t.ts for t in ticks], dtype=np.int64)
-    bid = np.array([t.bid for t in ticks], dtype=np.float64)
-    ask = np.array([t.ask for t in ticks], dtype=np.float64)
-    return TickSeries(symbol, resolution_ns, ts, bid, ask)
-
-
 def _infer_resolution(ts: np.ndarray) -> int:
     if ts.size < 2:
         return 1

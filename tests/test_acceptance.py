@@ -443,3 +443,17 @@ def test_criterion_12_million_tick_throughput():
     _report(12, "one million ticks backtested in under five seconds",
             elapsed < 5.0 and len(result.period_returns) == 1000,
             f"{elapsed:.2f}s, {result.n_trades} trades")
+
+
+def test_million_tick_trade_heavy_throughput():
+    # criterion 12's persistence predictor never trades, so it never runs
+    # the exit scan; the leaked one opens a trade about every 24 ticks
+    series = gen_synthetic(SyntheticSpec(n_ticks=1_000_000, sigma_noise=5e-4,
+                                         spread_bps=1.0, seed=99))
+    cfg = StrategyConfig(threshold_bps=10.0, stop_loss_bps=50.0,
+                         take_profit_bps=50.0, fee_bps=1.0, period_ticks=1000)
+    t0 = time.perf_counter()
+    result = run_backtest(series, make_leaked(1), cfg)
+    elapsed = time.perf_counter() - t0
+    assert result.n_trades > 0
+    assert elapsed < 5.0, f"{elapsed:.2f}s for {result.n_trades} trades"

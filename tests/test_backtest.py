@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from risklab import SyntheticSpec, TickSeries, ValidationError, gen_synthetic
-from risklab.backtest import (BacktestResult, Fill, StrategyConfig,
-                              annualized_sharpe, run_backtest,
+from risklab.backtest import (EXIT_BLOCK, BacktestResult, Fill,
+                              StrategyConfig, annualized_sharpe, run_backtest,
                               run_backtest_signals, sharpe)
 from risklab.predictor import make_leaked, make_persistence
 
@@ -86,8 +87,49 @@ class TestHandScenarios:
         assert list(res2.trade_returns) == want2
 
 
+def grid_series(n, rng):
+    """Quotes on a coarse half-unit grid between 98 and 102, so few distinct
+    P&L values occur and take-profit/stop-loss levels can equal them."""
+    level = np.clip(np.cumsum(rng.integers(-1, 2, n)), -4, 4)
+    bid = 100.0 + 0.5 * level
+    ask = bid + 0.5 * rng.integers(1, 3, n)
+    return TickSeries("GRID", SEC, SEC * np.arange(1, n + 1), bid, ask)
+
+
+def exact_bps(x):
+    """A bps level whose bps * 1e-4 is exactly x, or None."""
+    b = x / 1e-4
+    for cand in (b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf)):
+        if float(cand) * 1e-4 == x:
+            return float(cand)
+    return None
+
+
+def one_sign_signal(n, rng, sign):
+    """Signal of one sign with NaN runs: it never flips a position."""
+    signal = sign * np.abs(rng.normal(0.0, 20e-4, n))
+    for _ in range(int(rng.integers(1, 6))):
+        start = int(rng.integers(0, n))
+        signal[start:start + int(rng.integers(1, n // 3 + 2))] = np.nan
+    return signal
+
+
 class TestEngineVsOracle:
-    """Randomized cross-validation against the independent walk."""
+    """Randomized cross-validation against the independent walk. The families
+    after the first assert that they reach the cases they are built for."""
+
+    def check(self, s, signal, cfg, label):
+        res = run_backtest_signals(s, signal, cfg)
+        want_tr, want_fills, want_pr = walk_backtest(
+            list(s.bid), list(s.ask), list(signal),
+            cfg.threshold_bps, cfg.stop_loss_bps, cfg.take_profit_bps,
+            cfg.fee_bps, cfg.allow_short, cfg.period_ticks)
+        assert list(res.trade_returns) == want_tr, label
+        got_fills = [(int(np.searchsorted(s.ts, f.ts)), f.side, f.price,
+                      f.reason) for f in res.fills]
+        assert got_fills == want_fills, label
+        assert list(res.period_returns) == want_pr, label
+        return want_fills
 
     def test_random_scenarios_match_exactly(self):
         rng = np.random.default_rng(2024)
@@ -103,16 +145,104 @@ class TestEngineVsOracle:
                 fee_bps=float(rng.choice([0.0, 2.0, 10.0])),
                 allow_short=bool(rng.random() < 0.7),
                 period_ticks=int(rng.integers(1, 40)))
-            res = run_backtest_signals(s, signal, cfg)
-            want_tr, want_fills, want_pr = walk_backtest(
-                list(s.bid), list(s.ask), list(signal),
-                cfg.threshold_bps, cfg.stop_loss_bps, cfg.take_profit_bps,
-                cfg.fee_bps, cfg.allow_short, cfg.period_ticks)
-            assert list(res.trade_returns) == want_tr, f"trial {trial}"
-            got_fills = [(int(np.searchsorted(s.ts, f.ts)), f.side, f.price,
-                          f.reason) for f in res.fills]
-            assert got_fills == want_fills, f"trial {trial}"
-            assert list(res.period_returns) == want_pr, f"trial {trial}"
+            self.check(s, signal, cfg, f"trial {trial}")
+
+    def test_long_holds_cross_scan_blocks(self):
+        # holds of hundreds of ticks run through several doubling blocks of
+        # the exit scan; sparse flips land deep inside them
+        rng = np.random.default_rng(7)
+        holds, reasons = [], set()
+        for trial in range(30):
+            n = int(rng.integers(500, 3000))
+            s = random_walk(n, seed=int(rng.integers(0, 1 << 31)))
+            signal = one_sign_signal(n, rng, float(rng.choice([-1.0, 1.0])))
+            if trial % 3 == 0:
+                flips = rng.random(n) < 0.002
+                signal[flips] = -signal[flips]
+            cfg = StrategyConfig(
+                threshold_bps=float(rng.uniform(0, 10)),
+                stop_loss_bps=float(rng.uniform(50, 400)),
+                take_profit_bps=float(rng.uniform(50, 400)),
+                fee_bps=float(rng.choice([0.0, 2.0])),
+                allow_short=True,
+                period_ticks=int(rng.integers(1, 200)))
+            fills = self.check(s, signal, cfg, f"trial {trial}")
+            for entry, exit_ in zip(fills[::2], fills[1::2]):
+                holds.append(exit_[0] - entry[0])
+                if exit_[0] - entry[0] > EXIT_BLOCK:
+                    reasons.add(exit_[3])
+        assert max(holds) > 1000
+        assert reasons == {"take_profit", "stop_loss", "signal_flip",
+                           "end_of_data"}
+
+    def test_grid_prices_hit_levels_exactly(self):
+        # ties counted apart for triggers in the first scan block and after
+        rng = np.random.default_rng(11)
+        ties = {False: 0, True: 0}
+        for trial in range(40):
+            n = int(rng.integers(50, 1500))
+            s = grid_series(n, rng)
+            pnls = {float(m) / float(p) - 1.0
+                    for m in np.unique(s.mid)
+                    for p in np.unique(np.concatenate([s.bid, s.ask]))}
+            tps = [b for b in map(exact_bps, (v for v in pnls if v > 0)) if b]
+            sls = [b for b in map(exact_bps, (-v for v in pnls if v < 0)) if b]
+            cfg = StrategyConfig(
+                threshold_bps=float(rng.uniform(0, 10)),
+                stop_loss_bps=float(rng.choice(sls)),
+                take_profit_bps=float(rng.choice(tps)),
+                allow_short=bool(rng.random() < 0.5),
+                period_ticks=int(rng.integers(1, 100)))
+            if trial % 2:
+                signal = one_sign_signal(n, rng, 1.0)
+            else:
+                signal = rng.normal(0.0, 20e-4, n)
+                signal[rng.random(n) < 0.5] = np.nan
+            fills = self.check(s, signal, cfg, f"trial {trial}")
+            mids = (s.bid + s.ask) / 2.0
+            for entry, exit_ in zip(fills[::2], fills[1::2]):
+                side = 1 if entry[1] == "BUY" else -1
+                pnl = side * (mids[exit_[0] - 1] / entry[2] - 1.0)
+                if pnl in (cfg.take_profit_bps * 1e-4,
+                           -cfg.stop_loss_bps * 1e-4):
+                    ties[exit_[0] - 1 - entry[0] >= EXIT_BLOCK] += 1
+        assert ties[False] > 0 and ties[True] > 0, ties
+
+    def test_long_only_ignores_short_signals(self):
+        rng = np.random.default_rng(13)
+        for trial in range(20):
+            n = int(rng.integers(100, 3000))
+            s = random_walk(n, seed=int(rng.integers(0, 1 << 31)))
+            signal = rng.normal(0.0, 20e-4, n)
+            signal[rng.random(n) < 0.3] = np.nan
+            cfg = StrategyConfig(
+                threshold_bps=float(rng.uniform(0, 25)),
+                stop_loss_bps=float(rng.uniform(5, 200)),
+                take_profit_bps=float(rng.uniform(5, 200)),
+                allow_short=False,
+                period_ticks=int(rng.integers(1, 100)))
+            fills = self.check(s, signal, cfg, f"trial {trial}")
+            assert fills and all(f[1] == "BUY" for f in fills[::2])
+            shorts_only = one_sign_signal(n, rng, -1.0)
+            assert self.check(s, shorts_only, cfg, f"short {trial}") == []
+
+    def test_exits_on_period_boundaries(self):
+        # period lengths taken from the exit ticks themselves, so an exit
+        # is the first tick of a period or the last one of the one before
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            n = int(rng.integers(200, 3000))
+            s = random_walk(n, seed=int(rng.integers(0, 1 << 31)))
+            signal = rng.normal(0.0, 20e-4, n)
+            signal[rng.random(n) < 0.1] = np.nan
+            base = StrategyConfig(threshold_bps=5.0, stop_loss_bps=30.0,
+                                  take_profit_bps=30.0, fee_bps=1.0)
+            exits = [f[0] for f in self.check(s, signal, base,
+                                              f"trial {trial}")[1::2]]
+            for ei in rng.choice(exits, 3):
+                for p in (int(ei), int(ei) + 1):
+                    cfg = dataclasses.replace(base, period_ticks=p)
+                    self.check(s, signal, cfg, f"trial {trial} period {p}")
 
 
 class TestResultInvariants:

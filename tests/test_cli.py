@@ -61,6 +61,23 @@ ARTIFACTS = ("points.csv", "pml.json", "mc.json", "correlation.csv",
              "rolling.csv", "manifest.json")
 
 
+ZERO_TRADE_CONFIG = """\
+[data]
+kind = synthetic
+n_ticks = 500
+
+[train]
+kind = persistence
+
+[sweep]
+n_configs = 2
+threshold_lo = 5000
+threshold_hi = 5000
+k = 1
+period_ticks = 64
+"""
+
+
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -263,21 +280,7 @@ def test_run_emits_all_artifacts_and_is_reproducible(tmp_path, capsys):
 
 
 def test_run_zero_trade_sweep_exits_4(tmp_path, capsys):
-    config = _write(tmp_path / "exp.ini", """\
-[data]
-kind = synthetic
-n_ticks = 500
-
-[train]
-kind = persistence
-
-[sweep]
-n_configs = 2
-threshold_lo = 5000
-threshold_hi = 5000
-k = 1
-period_ticks = 64
-""")
+    config = _write(tmp_path / "exp.ini", ZERO_TRADE_CONFIG)
     out = tmp_path / "out"
     assert main(["run", "--config", config,
                  "--out-dir", str(out)]) == EXIT_NUMERIC
@@ -285,6 +288,18 @@ period_ticks = 64
     # the diagnostics that exist before the failure are still on disk
     assert (out / "points.csv").is_file()
     assert not (out / "pml.json").exists()
+
+
+def test_failed_rerun_leaves_no_artifact_of_the_earlier_run(tmp_path):
+    out = tmp_path / "out"
+    good = _write(tmp_path / "good.ini", RUN_CONFIG)
+    assert main(["run", "--config", good, "--out-dir", str(out)]) == EXIT_OK
+    assert all((out / name).is_file() for name in ARTIFACTS)
+    bad = _write(tmp_path / "bad.ini", ZERO_TRADE_CONFIG)
+    assert main(["run", "--config", bad, "--out-dir", str(out)]) == EXIT_NUMERIC
+    # only the rerun's own diagnostics are left, none of the first run's files
+    assert sorted(p.name for p in out.iterdir()) == ["mc.json", "points.csv"]
+    assert len((out / "points.csv").read_text(encoding="utf-8").splitlines()) == 3
 
 
 def test_run_config_errors_exit_2(tmp_path, capsys):
