@@ -8,21 +8,20 @@ score for comparing risk-return point clusters.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from .backtest import BacktestResult, StrategyConfig, run_backtest_signals
+from .backtest import (
+    BacktestResult,
+    StrategyConfig,
+    run_backtest_signals,
+    run_backtest_variants,
+)
 from .errors import ValidationError
 from .market_data import TickSeries
-from .predictor import (
-    Predictor,
-    sample_variants,
-    surprise_series,
-    variant_surprise_series,
-)
+from .predictor import Predictor, sample_variants, surprise_series
 from .uncertainty import McEstimate, estimate_from_matrix, mc_disentangle
 
 # child-stream tags: config draws must not share a stream with mask seeds
@@ -82,44 +81,32 @@ def sweep_configs(spec: SweepSpec) -> List[StrategyConfig]:
             for i in range(spec.n_configs)]
 
 
-def sweep(series: TickSeries, predictor: Predictor, spec: SweepSpec,
-          jobs: int = 1) -> List[Tuple[StrategyConfig, BacktestResult,
-                                       McEstimate]]:
+def sweep(series: TickSeries, predictor: Predictor,
+          spec: SweepSpec) -> List[Tuple[StrategyConfig, BacktestResult,
+                                         McEstimate]]:
     """Backtest n_configs random strategies and variant-spread each one.
 
     Every config is evaluated on the same base surprise series and gets
     its own K dropout variants of the same base predictor. K=1 skips
-    variant sampling and reports zero cross-variant variance. Configs
-    evaluate independently, so jobs > 1 fans them out over a thread
-    pool; the output order is by config index either way.
+    variant sampling and reports zero cross-variant variance. The output
+    is ordered by config index.
     """
-    if jobs < 1:
-        raise ValidationError("jobs must be at least 1")
     configs = sweep_configs(spec)
     seed_rng = np.random.default_rng(np.random.SeedSequence([spec.seed,
                                                              _VARIANT_STREAM]))
     variant_seeds = seed_rng.integers(0, 2 ** 63 - 1, size=spec.n_configs)
     base_surprise = surprise_series(predictor, series)
-
-    def _evaluate(i: int) -> Tuple[StrategyConfig, BacktestResult, McEstimate]:
-        cfg = configs[i]
+    triples = []
+    for cfg, variant_seed in zip(configs, variant_seeds):
         result = run_backtest_signals(series, base_surprise, cfg)
         if spec.K == 1:
             mc = estimate_from_matrix(result.period_returns[np.newaxis, :])
         else:
             variants = sample_variants(predictor, spec.K,
-                                       seed=int(variant_seeds[i]))
-            rows = [run_backtest_signals(
-                        series, variant_surprise_series(variants, k, series),
-                        cfg)
-                    for k in range(spec.K)]
-            mc = mc_disentangle(rows)
-        return cfg, result, mc
-
-    if jobs == 1:
-        return [_evaluate(i) for i in range(spec.n_configs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_evaluate, range(spec.n_configs)))
+                                       seed=int(variant_seed))
+            mc = mc_disentangle(run_backtest_variants(series, variants, cfg))
+        triples.append((cfg, result, mc))
+    return triples
 
 
 @dataclass(frozen=True)

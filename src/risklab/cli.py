@@ -2,8 +2,8 @@
 
 Subcommands wire the library into reproducible experiments driven by an
 INI config (sections of key-value pairs). Every artifact is a pure
-function of (config, seed): reruns are byte-identical, and --jobs only
-changes how fast the answer arrives, never what it is.
+function of (config, seed): reruns are byte-identical. Every job runs
+serially; --jobs and [output] jobs are accepted for compatibility only.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 I/O failure,
 4 numerical degeneracy (nothing traded, or the fit had no spread).
@@ -20,7 +20,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -37,12 +37,13 @@ from .pml import (
     DEFAULT_RF_ANNUAL,
     INTERCEPT_FIXED,
     INTERCEPT_FREE,
+    RiskReturnPoint,
     RollingPmlResult,
     fit_pml,
-    pml_fit_to_dict,
-    priced_point,
     load_points_csv,
+    pml_fit_to_dict,
     rolling_pml,
+    sweep_points,
     trend_tau,
     write_points_csv,
 )
@@ -289,7 +290,6 @@ class Experiment:
     rolling: Optional[RollingParams]
     max_lag: int
     out_dir: Optional[str]
-    jobs: int
     seed: int
     echo: dict
 
@@ -377,7 +377,7 @@ def load_experiment(path) -> Experiment:
     return Experiment(data_kind=data_kind, synthetic=synthetic,
                       data_path=data_path, train=train_setup,
                       sweep=sweep_spec, pml=pml_params, rolling=rolling,
-                      max_lag=max_lag, out_dir=out_dir, jobs=jobs, seed=seed,
+                      max_lag=max_lag, out_dir=out_dir, seed=seed,
                       echo=echo)
 
 
@@ -429,15 +429,17 @@ def _strategy_dict(cfg: StrategyConfig) -> dict:
             "period_ticks": cfg.period_ticks}
 
 
-def _points_and_mc(triples):
-    points = [priced_point(result, mc, config_id=f"cfg{i:03d}")
-              for i, (_, result, mc) in enumerate(triples)]
-    mc_doc = [{"config_id": f"cfg{i:03d}",
+def _write_sweep(triples, out_dir: Path) -> List[RiskReturnPoint]:
+    """Write a sweep's points.csv and mc.json; returns its priced points."""
+    points = sweep_points(triples)
+    write_points_csv(points, out_dir / "points.csv")
+    mc_doc = [{"config_id": point.config_id,
                "strategy": _strategy_dict(cfg),
                "n_trades": result.n_trades,
                **mc_estimate_to_dict(mc)}
-              for i, (cfg, result, mc) in enumerate(triples)]
-    return points, mc_doc
+              for point, (cfg, result, mc) in zip(points, triples)]
+    _write_text(out_dir / "mc.json", _json_text(mc_doc))
+    return points
 
 
 # --------------------------------------------------------------- commands
@@ -486,11 +488,9 @@ def _cmd_sweep(args) -> None:
     predictor = load_predictor(args.predictor)
     spec = _sweep_spec(_section(_read_ini(args.config), "sweep"),
                        default_seed=0)
-    triples = sweep(series, predictor, spec, jobs=args.jobs)
-    points, mc_doc = _points_and_mc(triples)
+    triples = sweep(series, predictor, spec)
     out_dir = _resolve_out_dir(args.out_dir, None)
-    write_points_csv(points, out_dir / "points.csv")
-    _write_text(out_dir / "mc.json", _json_text(mc_doc))
+    points = _write_sweep(triples, out_dir)
     print(_json_text({"n_configs": len(triples),
                       "n_clamped": sum(1 for p in points if p.clamped),
                       "out_dir": str(out_dir)}), end="")
@@ -521,14 +521,7 @@ def _cmd_decay(args) -> None:
     exp = load_experiment(args.config)
     if exp.rolling is None:
         raise ValidationError("decay needs a [rolling] section")
-    series = _load_series(exp)
-    jobs = args.jobs if args.jobs is not None else exp.jobs
-    result = rolling_pml(series, exp.train.spec, exp.sweep,
-                         window=exp.rolling.window, step=exp.rolling.step,
-                         r_f_per_period=exp.pml.r_f_per_period,
-                         train_frac=exp.rolling.train_frac,
-                         intercept_mode=exp.pml.intercept_mode,
-                         risk_axis=exp.pml.risk_axis, jobs=jobs)
+    result = _rolling(exp, _load_series(exp))
     out_dir = _resolve_out_dir(args.out_dir, exp.out_dir)
     _write_text(out_dir / "rolling.csv", _rolling_csv(result))
     print(_json_text({"n_windows": len(result),
@@ -542,21 +535,27 @@ def _load_series(exp: Experiment) -> TickSeries:
     return load_csv(exp.data_path)
 
 
+def _rolling(exp: Experiment, series: TickSeries) -> RollingPmlResult:
+    return rolling_pml(series, exp.train.spec, exp.sweep,
+                       window=exp.rolling.window, step=exp.rolling.step,
+                       r_f_per_period=exp.pml.r_f_per_period,
+                       train_frac=exp.rolling.train_frac,
+                       intercept_mode=exp.pml.intercept_mode,
+                       risk_axis=exp.pml.risk_axis)
+
+
 def _cmd_run(args) -> None:
     exp = load_experiment(args.config)
     out_dir = _resolve_out_dir(args.out_dir, exp.out_dir)
     for name in _RUN_ARTIFACTS:
         (out_dir / name).unlink(missing_ok=True)
-    jobs = args.jobs if args.jobs is not None else exp.jobs
     series = _load_series(exp)
     cut = int(len(series) * exp.train.split)
     predictor = _build_predictor(exp.train, series.window(0, cut))
     evaluation = series.window(cut, len(series))
 
-    triples = sweep(evaluation, predictor, exp.sweep, jobs=jobs)
-    points, mc_doc = _points_and_mc(triples)
-    write_points_csv(points, out_dir / "points.csv")
-    _write_text(out_dir / "mc.json", _json_text(mc_doc))
+    triples = sweep(evaluation, predictor, exp.sweep)
+    points = _write_sweep(triples, out_dir)
     if all(result.n_trades == 0 for _, result, _ in triples):
         raise DegenerateError(
             "degenerate sweep: no strategy traded in any configuration")
@@ -576,14 +575,8 @@ def _cmd_run(args) -> None:
     _write_text(out_dir / "correlation.csv", _correlation_csv(curve))
 
     if exp.rolling is not None:
-        rolling = rolling_pml(series, exp.train.spec, exp.sweep,
-                              window=exp.rolling.window,
-                              step=exp.rolling.step,
-                              r_f_per_period=exp.pml.r_f_per_period,
-                              train_frac=exp.rolling.train_frac,
-                              intercept_mode=exp.pml.intercept_mode,
-                              risk_axis=exp.pml.risk_axis, jobs=jobs)
-        _write_text(out_dir / "rolling.csv", _rolling_csv(rolling))
+        _write_text(out_dir / "rolling.csv",
+                    _rolling_csv(_rolling(exp, series)))
 
     manifest = {
         "command": "run",
@@ -607,6 +600,8 @@ def _cmd_run(args) -> None:
 
 
 # ------------------------------------------------------------------ main
+
+_JOBS_HELP = "accepted for compatibility; runs are serial"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -656,8 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None,
                    help=f"output directory (default ${ENV_OUT_DIR} or "
                         "./risklab-out)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel config evaluations")
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit-pml",
@@ -692,15 +686,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="rolling refit: rolling.csv + trend summary")
     p.add_argument("--config", required=True, help="experiment INI")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel windows (default from config)")
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_decay)
 
     p = sub.add_parser("run", help="full experiment: all artifacts")
     p.add_argument("--config", required=True, help="experiment INI")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel sweep configs (default from config)")
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_run)
     return parser
 
@@ -708,6 +700,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", None) is not None and args.jobs < 1:
+            raise ValidationError("--jobs must be at least 1")
         args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

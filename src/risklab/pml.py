@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.stats import kendalltau
 
 from .analysis import SweepSpec, sweep
-from .backtest import BacktestResult, sharpe
+from .backtest import BacktestResult, StrategyConfig, sharpe
 from .errors import DegenerateError, ValidationError
 from .market_data import TickSeries
 from .predictor import TrainSpec, train
@@ -77,6 +76,13 @@ def priced_point(result: BacktestResult, mc: McEstimate,
                            clamped=bool(diff < 0.0))
 
 
+def sweep_points(triples: Sequence[Tuple[StrategyConfig, BacktestResult,
+                                         McEstimate]]) -> List[RiskReturnPoint]:
+    """Priced points of a sweep, config ids cfg000, cfg001, ... in order."""
+    return [priced_point(result, mc, config_id=f"cfg{i:03d}")
+            for i, (_, result, mc) in enumerate(triples)]
+
+
 @dataclass(frozen=True)
 class PmlFit:
     """Least-squares market line over risk-return points.
@@ -100,17 +106,6 @@ class PmlFit:
     risk_axis: str
     fitted_intercept: Optional[float] = None
     stderr_bootstrap: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.intercept_mode not in (INTERCEPT_FIXED, INTERCEPT_FREE):
-            raise ValidationError(
-                f"unknown intercept_mode '{self.intercept_mode}'")
-        if self.n_points < (2 if self.intercept_mode == INTERCEPT_FIXED else 3):
-            raise ValidationError("too few points for the intercept mode")
-        if self.stderr < 0:
-            raise ValidationError("stderr must be nonnegative")
-        if self.r2 > 1.0 + 1e-12:
-            raise ValidationError("r2 cannot exceed 1")
 
 
 def _risk_coordinate(points: Sequence[RiskReturnPoint],
@@ -245,25 +240,21 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
                 r_f_per_period: float = DEFAULT_RF_PER_PERIOD,
                 train_frac: float = 0.5,
                 intercept_mode: str = INTERCEPT_FIXED,
-                risk_axis: str = AXIS_PRICED,
-                jobs: int = 1) -> RollingPmlResult:
+                risk_axis: str = AXIS_PRICED) -> RollingPmlResult:
     """Refit predictor and market line on sliding windows.
 
     Each window is split into a leading training slice (train_frac of the
     ticks) and a trailing evaluation slice that receives the sweep. The
     observed Sharpe tracks the first drawn sweep config. Windows whose
-    sweep cannot support a fit (all points on one risk value, or a
-    strategy that never trades) record NaN rather than aborting the run.
-    Windows are independent; jobs > 1 evaluates them on a thread pool
-    with output ordered by window start regardless.
+    training diverges, or whose sweep cannot support a fit (all points on
+    one risk value, or a strategy that never trades), record NaN rather
+    than aborting the run. Windows are evaluated in order of start.
     """
     n = len(series)
     if not 0.0 < train_frac < 1.0:
         raise ValidationError("train_frac must lie in (0, 1)")
     if step < 1:
         raise ValidationError("step must be at least 1")
-    if jobs < 1:
-        raise ValidationError("jobs must be at least 1")
     if window > n:
         raise ValidationError(f"window {window} exceeds series length {n}")
     train_len = int(window * train_frac)
@@ -277,24 +268,19 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
 
     def _one_window(start: int) -> Tuple[float, float]:
         chunk = series.window(start, start + window)
-        predictor = train(chunk.window(0, train_len), train_spec)
-        evaluation = chunk.window(train_len, window)
-        triples = sweep(evaluation, predictor, sweep_spec)
-        points = [priced_point(r, mc, config_id=f"cfg{j:03d}")
-                  for j, (_, r, mc) in enumerate(triples)]
         try:
-            fit = fit_pml(points, r_f_per_period=r_f_per_period,
+            predictor = train(chunk.window(0, train_len), train_spec)
+            triples = sweep(chunk.window(train_len, window), predictor,
+                            sweep_spec)
+            fit = fit_pml(sweep_points(triples),
+                          r_f_per_period=r_f_per_period,
                           intercept_mode=intercept_mode, risk_axis=risk_axis)
         except DegenerateError:
             return np.nan, np.nan
         observed = sharpe(triples[0][1], r_f_per_period)
         return fit.sr_theta, np.nan if observed is None else observed
 
-    if jobs == 1:
-        rows = [_one_window(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_one_window, starts))
+    rows = [_one_window(s) for s in starts]
     sr_theta = np.array([r[0] for r in rows], dtype=np.float64)
     sr_obs = np.array([r[1] for r in rows], dtype=np.float64)
     return RollingPmlResult(window_starts=np.array(starts, dtype=np.int64),

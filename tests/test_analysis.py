@@ -87,20 +87,6 @@ def test_sweep_is_deterministic_and_sized():
         assert ma.sigma2_mc == mb.sigma2_mc
 
 
-def test_sweep_parallel_matches_serial():
-    series = gen_synthetic(SIGNAL_SPEC)
-    spec = _mini_spec(n_configs=5)
-    serial = sweep(series, make_leaked(1), spec, jobs=1)
-    parallel = sweep(series, make_leaked(1), spec, jobs=3)
-    assert len(serial) == len(parallel)
-    for (ca, ra, ma), (cb, rb, mb) in zip(serial, parallel):
-        assert ca == cb
-        assert np.array_equal(ra.period_returns, rb.period_returns)
-        assert ma.sigma2_mc == mb.sigma2_mc
-    with pytest.raises(ValidationError, match="jobs"):
-        sweep(series, make_leaked(1), spec, jobs=0)
-
-
 def test_sweep_config_draws_do_not_depend_on_series():
     spec = _mini_spec(n_configs=4)
     s1 = gen_synthetic(SIGNAL_SPEC)

@@ -325,6 +325,20 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.ini"
     assert main(["run", "--config", str(missing),
                  "--out-dir", str(tmp_path / "o5")]) == EXIT_IO
+    capsys.readouterr()
+    # a nonpositive jobs count is rejected before any work is done
+    good = _write(tmp_path / "e.ini", RUN_CONFIG)
+    for command in ("run", "decay"):
+        out = tmp_path / f"o6-{command}"
+        assert main([command, "--config", good, "--out-dir", str(out),
+                     "--jobs", "0"]) == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+    zero_jobs = _write(tmp_path / "f.ini", RUN_CONFIG + "\n[output]\njobs = 0\n")
+    assert main(["run", "--config", zero_jobs,
+                 "--out-dir", str(tmp_path / "o7")]) == EXIT_CONFIG
+    assert "[output] jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o7").exists()
 
 
 def test_decay_command(tmp_path, capsys):

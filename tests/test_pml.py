@@ -5,6 +5,8 @@ statsmodels run (both intercept modes); the frozen constants below came
 from that run, and a live statsmodels comparison repeats it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from risklab.pml import (
     AXIS_MC,
     DEFAULT_RF_PER_PERIOD,
     INTERCEPT_FREE,
-    PmlFit,
     RiskReturnPoint,
     fit_pml,
     load_points_csv,
@@ -26,6 +27,7 @@ from risklab.pml import (
     rolling_pml,
     rolling_to_dict,
     sr_theta_line,
+    sweep_points,
     trend_tau,
     write_points_csv,
 )
@@ -92,6 +94,17 @@ def test_priced_point_period_mismatch():
     mc = estimate_from_matrix(np.zeros((2, 3)))
     with pytest.raises(ValidationError, match="period mismatch"):
         priced_point(_result([0.0, 0.0]), mc)
+
+
+def test_sweep_points_number_configs_in_order():
+    mc = estimate_from_matrix(np.zeros((2, 1)))
+    results = [_result([0.0], mean=1e-4 * i, stdev=2e-4) for i in range(12)]
+    triples = [(None, r, mc) for r in results]
+    points = sweep_points(triples)
+    assert [p.config_id for p in points] == [f"cfg{i:03d}" for i in range(12)]
+    assert points == [priced_point(r, mc, f"cfg{i:03d}")
+                      for i, r in enumerate(results)]
+    assert sweep_points([]) == []
 
 
 def test_risk_return_point_validation():
@@ -216,17 +229,6 @@ def test_slope_within_three_stderr_coverage():
     assert hits >= 0.95 * trials
 
 
-def test_pml_fit_record_validation():
-    with pytest.raises(ValidationError, match="intercept_mode"):
-        PmlFit(1.0, 1.0, 0.0, 1.0, RF, 5, 0, "banana", "priced")
-    with pytest.raises(ValidationError, match="too few points"):
-        PmlFit(1.0, 1.0, 0.0, 1.0, RF, 1, 0, "fixed", "priced")
-    with pytest.raises(ValidationError, match="stderr"):
-        PmlFit(1.0, 1.0, -0.1, 1.0, RF, 5, 0, "fixed", "priced")
-    with pytest.raises(ValidationError, match="r2"):
-        PmlFit(1.0, 1.0, 0.0, 1.1, RF, 5, 0, "fixed", "priced")
-
-
 def test_points_csv_round_trip(tmp_path):
     x, y = _oracle_fixture()
     pts = _points(x, y)[:7]
@@ -303,26 +305,21 @@ def test_rolling_windows_advance_by_step():
     assert len(d["sr_theta_series"]) == 3
 
 
-def test_rolling_parallel_matches_serial():
-    series = gen_synthetic(SIGNAL)
-    a = rolling_pml(series, TRAIN, SWEEP, window=1200, step=900, jobs=1)
-    b = rolling_pml(series, TRAIN, SWEEP, window=1200, step=900, jobs=2)
-    assert np.array_equal(a.window_starts, b.window_starts)
-    assert np.array_equal(a.sr_theta_series, b.sr_theta_series, equal_nan=True)
-    assert np.array_equal(a.sr_observed_series, b.sr_observed_series,
-                          equal_nan=True)
-
-
 def test_rolling_degenerate_window_records_nan():
     series = gen_synthetic(SIGNAL).window(0, 1200)
     never_trades = SweepSpec(n_configs=3, threshold_range=(5000.0, 6000.0),
                              stop_loss_range=(20.0, 80.0),
                              take_profit_range=(20.0, 80.0), fee_bps=0.2,
                              seed=1, K=1, period_ticks=32)
-    r = rolling_pml(series, TRAIN, never_trades, window=1200, step=1200)
-    assert len(r) == 1
-    assert np.isnan(r.sr_theta_series[0])
-    assert rolling_to_dict(r)["sr_theta_series"] == [None]
+    # training that diverges (non-finite loss) loses the window, not the run
+    diverges = dataclasses.replace(TRAIN, learning_rate=1e3)
+    for train_spec, sweep_spec in ((TRAIN, never_trades), (diverges, SWEEP)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = rolling_pml(series, train_spec, sweep_spec, window=1200,
+                            step=1200)
+        assert len(r) == 1
+        assert np.isnan(r.sr_theta_series[0])
+        assert rolling_to_dict(r)["sr_theta_series"] == [None]
 
 
 def test_rolling_validation():
