@@ -6,7 +6,10 @@ function of (config, seed): reruns are byte-identical. Every job runs
 serially; --jobs and [output] jobs are accepted for compatibility only.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 I/O failure,
-4 numerical degeneracy (nothing traded, or the fit had no spread).
+4 numerical degeneracy (nothing traded, the fit had no spread, or a
+forecast was not finite). Once `run` has its out-dir it writes
+manifest.json last, also when it fails; a failed run's manifest records
+the error class, its message and the exit code.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .pml import (
     DEFAULT_RF_ANNUAL,
     INTERCEPT_FIXED,
     INTERCEPT_FREE,
+    PmlFit,
     RiskReturnPoint,
     RollingPmlResult,
     fit_pml,
@@ -372,7 +376,7 @@ def load_experiment(path) -> Experiment:
         "pml": dataclasses.asdict(pml_params),
         "rolling": dataclasses.asdict(rolling) if rolling else None,
         "correlation": {"max_lag": max_lag},
-        "output": {"dir": out_dir, "jobs": jobs},
+        "output": {"dir": out_dir},
     }
     return Experiment(data_kind=data_kind, synthetic=synthetic,
                       data_path=data_path, train=train_setup,
@@ -549,6 +553,39 @@ def _cmd_run(args) -> None:
     out_dir = _resolve_out_dir(args.out_dir, exp.out_dir)
     for name in _RUN_ARTIFACTS:
         (out_dir / name).unlink(missing_ok=True)
+    manifest = {
+        "command": "run",
+        "artifact": {"name": "risklab", "version": __version__},
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+        "config": exp.echo,
+        "seeds": {"experiment": exp.seed,
+                  "data": exp.synthetic.seed if exp.synthetic else None,
+                  "train": exp.train.spec.seed if exp.train.spec else None,
+                  "sweep": exp.sweep.seed,
+                  "bootstrap": exp.pml.bootstrap_seed},
+    }
+    # the manifest is written last, on failure too, so it records how the
+    # run ended
+    try:
+        fit, n_trades = _run_artifacts(exp, out_dir)
+    except Exception as e:
+        manifest.update(status="failed", error=type(e).__name__,
+                        message=str(e), exit_code=_exit_code(e))
+        _write_text(out_dir / "manifest.json", _json_text(manifest))
+        raise
+    manifest.update(fit={"n_points": fit.n_points, "n_clamped": fit.n_clamped},
+                    n_trades_total=n_trades)
+    _write_text(out_dir / "manifest.json", _json_text(manifest))
+    print(_json_text({"out_dir": str(out_dir),
+                      "sr_theta": fit.sr_theta,
+                      "r2": fit.r2}), end="")
+
+
+def _run_artifacts(exp: Experiment, out_dir: Path) -> Tuple[PmlFit, int]:
+    """Write every `run` artifact but the manifest; returns the fit and the
+    total trade count."""
     series = _load_series(exp)
     cut = int(len(series) * exp.train.split)
     predictor = _build_predictor(exp.train, series.window(0, cut))
@@ -577,26 +614,7 @@ def _cmd_run(args) -> None:
     if exp.rolling is not None:
         _write_text(out_dir / "rolling.csv",
                     _rolling_csv(_rolling(exp, series)))
-
-    manifest = {
-        "command": "run",
-        "artifact": {"name": "risklab", "version": __version__},
-        "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__,
-                     "scipy": scipy.__version__},
-        "config": exp.echo,
-        "seeds": {"experiment": exp.seed,
-                  "data": exp.synthetic.seed if exp.synthetic else None,
-                  "train": exp.train.spec.seed if exp.train.spec else None,
-                  "sweep": exp.sweep.seed,
-                  "bootstrap": exp.pml.bootstrap_seed},
-        "fit": {"n_points": fit.n_points, "n_clamped": fit.n_clamped},
-        "n_trades_total": int(sum(r.n_trades for _, r, _ in triples)),
-    }
-    _write_text(out_dir / "manifest.json", _json_text(manifest))
-    print(_json_text({"out_dir": str(out_dir),
-                      "sr_theta": fit.sr_theta,
-                      "r2": fit.r2}), end="")
+    return fit, int(sum(r.n_trades for _, r, _ in triples))
 
 
 # ------------------------------------------------------------------ main
@@ -697,21 +715,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = ((ValidationError, EXIT_CONFIG), (DegenerateError, EXIT_NUMERIC),
+               (OSError, EXIT_IO))
+
+
+def _exit_code(error: Exception) -> int:
+    """The code `main` exits with; 1 (a traceback) for an unexpected error."""
+    for cls, code in _EXIT_CODES:
+        if isinstance(error, cls):
+            return code
+    return 1
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "jobs", None) is not None and args.jobs < 1:
             raise ValidationError("--jobs must be at least 1")
         args.func(args)
-    except ValidationError as e:
+    except (ValidationError, DegenerateError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return _exit_code(e)
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ Four kinds share one interface:
   persistence   predicts the current mid (surprise identically zero)
   leaked        predicts the mid `horizon` ticks ahead by reading it; the
                 deliberately impossible upper baseline
-  noise         current mid times exp of a seeded gaussian draw
+  noise         current mid times exp of a counter-based gaussian of
+                (seed, ts): one hash per tick, no generator state
 
 Variants: `sample_variants` freezes K dropout masks; each variant applies
 its mask at inference across all timesteps, so variant k is a deterministic
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import DegenerateError, ValidationError
 from .market_data import BboTick, TickSeries
@@ -219,9 +221,35 @@ def _history_features(p: Predictor, history: Sequence[BboTick],
     return np.diff(np.log(mids)) / p.scale
 
 
-def _noise_eps(seed: int, ts: int) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, int(ts)]))
-    return float(rng.standard_normal())
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_TOP_HALF = np.uint64(1 << 52)
+_MASK53 = np.uint64((1 << 53) - 1)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer: a uint64 bijection with full avalanche."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def eps(seed: int, ts: np.ndarray) -> np.ndarray:
+    """Standard normal draw per timestamp, a pure function of (seed, ts).
+
+    Counter-based (Salmon et al., SC 2011): each (seed, ts) pair is hashed
+    to 64 bits, the top 53 give u = (k + 1/2) / 2**53 in (0, 1), and the
+    draw is ndtri(u). Upper-half u are reflected, ndtri(u) = -ndtri(1 - u),
+    so u is formed exactly and never rounds onto 1.
+    """
+    key = _mix64(np.array([seed % (1 << 64)], dtype=np.uint64) + _GOLDEN)
+    ts_bits = np.ascontiguousarray(ts, dtype=np.int64).view(np.uint64)
+    k = _mix64(_mix64(ts_bits) + key) >> np.uint64(11)
+    draw = ndtri((np.minimum(k, k ^ _MASK53) + 0.5) * 2.0 ** -53)
+    return np.where(k >= _TOP_HALF, -draw, draw)
+
+
+def _noise_surprise(p: Predictor, ts: np.ndarray) -> np.ndarray:
+    return np.exp(p.noise_scale * eps(p.noise_seed, ts)) - 1.0
 
 
 def predict(p: Predictor, history: Sequence[BboTick], now: BboTick,
@@ -235,8 +263,8 @@ def predict(p: Predictor, history: Sequence[BboTick], now: BboTick,
                 f"leaked predictor needs {p.horizon} future ticks")
         return future[p.horizon - 1].mid
     if p.kind == KIND_NOISE:
-        eps = p.noise_scale * _noise_eps(p.noise_seed, now.ts)
-        return now.mid * math.exp(eps)
+        # mid * (1 + surprise): bitwise what surprise_series implies
+        return now.mid * (1.0 + float(_noise_surprise(p, np.array([now.ts]))[0]))
     x = _history_features(p, history, now)[None, :]
     y = _forward(x, p.weights, p.biases)[0] * p.scale
     return now.mid * math.exp(y)
@@ -268,8 +296,7 @@ def surprise_series(p: Predictor, series: TickSeries) -> np.ndarray:
             out[:n - h] = midv[h:] / midv[:n - h] - 1.0
         return out
     if p.kind == KIND_NOISE:
-        eps = np.array([_noise_eps(p.noise_seed, t) for t in series.ts])
-        return np.exp(p.noise_scale * eps) - 1.0
+        return _noise_surprise(p, series.ts)
     return _net_surprise(p, series, None, 1.0)
 
 
@@ -284,7 +311,10 @@ def _net_surprise(p: Predictor, series: TickSeries,
     r = np.diff(np.log(series.mid))
     x = np.lib.stride_tricks.sliding_window_view(r, w) / p.scale
     y = _forward(x, p.weights, p.biases, masks, keep_scale) * p.scale
-    out[w:] = np.exp(y) - 1.0
+    with np.errstate(over="ignore"):
+        out[w:] = np.exp(y) - 1.0
+    if not np.isfinite(out[w:]).all():
+        raise DegenerateError("non-finite forecast")
     return out
 
 

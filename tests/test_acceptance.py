@@ -457,3 +457,15 @@ def test_million_tick_trade_heavy_throughput():
     elapsed = time.perf_counter() - t0
     assert result.n_trades > 0
     assert elapsed < 5.0, f"{elapsed:.2f}s for {result.n_trades} trades"
+
+
+def test_million_tick_noise_surprise_throughput():
+    # the noise baseline draws one gaussian per tick; it must stay a bulk
+    # array computation, not one generator per tick
+    series = gen_synthetic(SyntheticSpec(n_ticks=1_000_000, sigma_noise=5e-4,
+                                         spread_bps=1.0, seed=99))
+    t0 = time.perf_counter()
+    surprise = surprise_series(make_noise(3e-4, seed=1), series)
+    elapsed = time.perf_counter() - t0
+    assert np.isfinite(surprise).all() and surprise.std() > 0
+    assert elapsed < 2.0, f"{elapsed:.2f}s for {len(series)} ticks"

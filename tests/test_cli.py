@@ -297,9 +297,31 @@ def test_failed_rerun_leaves_no_artifact_of_the_earlier_run(tmp_path):
     assert all((out / name).is_file() for name in ARTIFACTS)
     bad = _write(tmp_path / "bad.ini", ZERO_TRADE_CONFIG)
     assert main(["run", "--config", bad, "--out-dir", str(out)]) == EXIT_NUMERIC
-    # only the rerun's own diagnostics are left, none of the first run's files
-    assert sorted(p.name for p in out.iterdir()) == ["mc.json", "points.csv"]
+    # only the rerun's own files are left, none of the first run's
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "mc.json",
+                                                     "points.csv"]
     assert len((out / "points.csv").read_text(encoding="utf-8").splitlines()) == 3
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "DegenerateError"
+    assert manifest["exit_code"] == EXIT_NUMERIC
+    assert "no strategy traded" in manifest["message"]
+    assert manifest["config"]["sweep"]["n_configs"] == 2
+    assert "fit" not in manifest
+
+
+def test_manifest_ignores_jobs(tmp_path, capsys):
+    # --jobs and [output] jobs change nothing, so the manifest cannot show them
+    plain = _write(tmp_path / "plain.ini", RUN_CONFIG)
+    jobs = _write(tmp_path / "jobs.ini", RUN_CONFIG + "\n[output]\njobs = 4\n")
+    runs = (([plain], "a"), ([jobs], "b"), ([plain, "--jobs", "2"], "c"))
+    manifests = []
+    for args, name in runs:
+        out = tmp_path / name
+        assert main(["run", "--config", *args, "--out-dir", str(out)]) == EXIT_OK
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1] == manifests[2]
+    assert "status" not in json.loads(manifests[0])
 
 
 def test_run_config_errors_exit_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from risklab import (BboTick, SyntheticSpec, TickSeries, ValidationError,
                      gen_synthetic, load_csv, mid, resample, write_csv)
+from risklab import market_data
 from risklab.market_data import format_price, signal_vol_schedule
 
 
@@ -70,6 +71,155 @@ class TestLoadCsv:
         write_csv(load_csv(canon), again)
         assert again.read_bytes() == canon_bytes
         assert b"100.0000000001" in canon_bytes
+
+
+HEAD = "ts_ns,bid,ask\n"
+
+# (file name, body bytes): each is loaded by the bulk path and by the scan
+EDGE_FILES = (
+    ("blank_mid", HEAD + "1,99.0,101.0\n\n2,99.5,100.5\n"),
+    ("blank_first", HEAD + "\n1,99.0,101.0\n"),
+    ("blank_trailing", HEAD + "1,99.0,101.0\n2,99.5,100.5\n\n"),
+    ("blank_only", HEAD + "\n\n"),
+    ("whitespace_line", HEAD + "1,99.0,101.0\n \n2,99.5,100.5\n"),
+    ("no_final_newline", HEAD + "1,99.0,101.0\n2,99.5,100.5"),
+    ("crlf", "ts_ns,bid,ask\r\n1,99.0,101.0\r\n2,99.5,100.5\r\n"),
+    ("crlf_body", HEAD + "1,99.0,101.0\r\n2,99.5,100.5\r\n"),
+    ("lone_cr", HEAD + "1,99.0\r,101.0\n2,99.5,100.5\n"),
+    ("cr_splits_row", HEAD + "1,99.0,101.0\r2,99.5,100.5\n\n"),
+    ("spaces", HEAD + " 1 , 99.0 ,101.0 \n2,\t99.5,100.5\xa0\n"),
+    ("ts_nan", HEAD + "nan,99.0,101.0\n"),
+    ("ts_inf", HEAD + "1,99.0,101.0\ninf,99.0,101.0\n"),
+    ("ts_plus", HEAD + "+5,99.0,101.0\n6,99.0,101.0\n"),
+    ("ts_underscore", HEAD + "1_000,99.0,101.0\n1_001,99.0,101.0\n"),
+    ("ts_exponent", HEAD + "1,99.0,101.0\n1e3,99.0,101.0\n"),
+    ("ts_decimal", HEAD + "1.0,99.0,101.0\n"),
+    ("ts_negative", HEAD + "-5,99.0,101.0\n-4,99.0,101.0\n"),
+    ("price_underscore", HEAD + "1,9_9.0,101.0\n"),
+    ("price_nan", HEAD + "1,99.0,101.0\n2,nan,101.0\n"),
+    ("price_inf", HEAD + "1,99.0,inf\n"),
+    ("price_empty", HEAD + "1,,101.0\n"),
+    ("comment", HEAD + "1,99.0,101.0 # note\n"),
+    ("extra_column", HEAD + "1,99.0,101.0\n2,99.5,100.5,7\n"),
+    ("short_row", HEAD + "1,99.0,101.0\n2,99.5\n"),
+    ("bom", "\ufeff" + HEAD + "1,99.0,101.0\n"),
+    ("header_only", HEAD),
+    ("header_no_newline", "ts_ns,bid,ask"),
+    ("empty", ""),
+    ("one_row", HEAD + "7,99.0,101.0\n"),
+    ("nonpositive", HEAD + "1,99.0,101.0\n2,0.0,1.0\n"),
+    ("crossed", HEAD + "1,99.0,101.0\n2,101.0,99.0\n"),
+    ("equal_ts", HEAD + "1,99.0,101.0\n1,99.0,101.0\n"),
+    ("two_errors", HEAD + "2,99.0,101.0\n1,99.0,101.0\n3,0.0,1.0\n"),
+)
+
+
+def _outcome(path):
+    """Loaded columns, or the ValidationError text."""
+    try:
+        s = load_csv(path)
+    except ValidationError as e:
+        return str(e)
+    return s.ts.tolist(), s.bid.tolist(), s.ask.tolist(), s.resolution_ns
+
+
+def _scan_outcome(path):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(market_data, "_parse_bulk", lambda path, body: None)
+        return _outcome(path)
+
+
+def _bulk_outcome(path):
+    def no_scan(path, body):
+        raise AssertionError("the per-row scan ran")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(market_data, "_scan_rows", no_scan)
+        return _outcome(path)
+
+
+def _random_series(rng):
+    n = int(rng.integers(1, 400))
+    ts = np.cumsum(rng.integers(1, 5 * SEC, n)) - int(rng.integers(0, SEC))
+    bid = np.round(rng.uniform(0.5, 500.0, n), int(rng.integers(0, 12)))
+    bid = np.maximum(bid, 1e-10)
+    ask = bid + np.round(rng.exponential(0.05, n), int(rng.integers(0, 12)))
+    return TickSeries("R", 1, ts, bid, ask)
+
+
+def _corrupt(rng, lines):
+    """Break one data line (index >= 1) in a way the loader must reject."""
+    i = int(rng.integers(1, len(lines)))
+    t, b, a = lines[i].split(",")
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        lines[i] = f"{t},{a},{b}" if a != b else f"{t},{b},{b}x"
+    elif kind == 1:
+        lines[i] = f"{t},-{b},{a}"
+    elif kind == 2:
+        lines[i] = lines[i - 1] if i > 1 else f"{t},{b}"
+    elif kind == 3:
+        lines[i] = ""
+    else:
+        lines[i] = f"{t},{b},{a},0"
+
+
+class TestBulkMatchesScan:
+    @pytest.mark.parametrize("name,text", EDGE_FILES,
+                             ids=[name for name, _ in EDGE_FILES])
+    def test_edge_files(self, tmp_path, name, text):
+        p = tmp_path / f"{name}.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert _outcome(p) == _scan_outcome(p)
+
+    def test_edge_outcomes(self, tmp_path):
+        # a few pinned outcomes, so both paths cannot drift together
+        want = {"blank_mid": "malformed row at line 3",
+                "blank_trailing": "malformed row at line 4",
+                "lone_cr": "malformed row at line 2",
+                "cr_splits_row": "malformed row at line 4",
+                "bom": "malformed header",
+                "header_only": "empty file",
+                "ts_exponent": "malformed row at line 3",
+                "ts_inf": "malformed row at line 3",
+                "extra_column": "malformed row at line 3",
+                "two_errors": "non-monotone timestamp at line 3"}
+        files = dict(EDGE_FILES)
+        for name, message in want.items():
+            p = tmp_path / f"{name}.csv"
+            p.write_bytes(files[name].encode("utf-8"))
+            assert message in _outcome(p), name
+        accepted = {"no_final_newline": [1, 2], "crlf": [1, 2],
+                    "crlf_body": [1, 2],
+                    "spaces": [1, 2], "ts_plus": [5, 6],
+                    "ts_underscore": [1000, 1001], "ts_negative": [-5, -4]}
+        for name, ts in accepted.items():
+            p = tmp_path / f"{name}.csv"
+            p.write_bytes(files[name].encode("utf-8"))
+            assert _outcome(p)[0] == ts, name
+
+    def test_compressed_suffix_is_still_plain_text(self, tmp_path):
+        for suffix in (".gz", ".bz2", ".xz"):
+            p = tmp_path / f"ticks{suffix}"
+            p.write_text(HEAD + "1,99.0,101.0\n2,99.5,100.5\n", encoding="utf-8")
+            assert _bulk_outcome(p) == _scan_outcome(p), suffix
+
+    def test_random_round_trips(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        for trial in range(40):
+            p = tmp_path / f"r{trial}.csv"
+            write_csv(_random_series(rng), p)
+            # the canonical form never needs the scan
+            assert _bulk_outcome(p) == _scan_outcome(p)
+            again = tmp_path / f"r{trial}b.csv"
+            write_csv(load_csv(p), again)
+            assert again.read_bytes() == p.read_bytes()
+            lines = p.read_text(encoding="utf-8").split("\n")[:-1]
+            if len(lines) > 1:
+                _corrupt(rng, lines)
+                p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                got = _outcome(p)
+                assert isinstance(got, str), trial
+                assert got == _scan_outcome(p), trial
 
 
 class TestFormatPrice:

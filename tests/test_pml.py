@@ -31,7 +31,7 @@ from risklab.pml import (
     trend_tau,
     write_points_csv,
 )
-from risklab.predictor import TrainSpec
+from risklab.predictor import TrainSpec, surprise_series, train
 from risklab.uncertainty import estimate_from_matrix
 
 RF = 0.05 / 252
@@ -320,6 +320,20 @@ def test_rolling_degenerate_window_records_nan():
         assert len(r) == 1
         assert np.isnan(r.sr_theta_series[0])
         assert rolling_to_dict(r)["sr_theta_series"] == [None]
+
+
+def test_unstable_fit_raises_instead_of_trading_inf_surprises():
+    # training stays finite but the forecasts overflow exp: such a fit
+    # must not reach the engine as +inf long signals
+    series = gen_synthetic(SIGNAL).window(0, 1200)
+    unstable = dataclasses.replace(TRAIN, learning_rate=1e2)
+    predictor = train(series.window(0, 600), unstable)
+    assert np.isfinite(predictor.final_loss)
+    with pytest.raises(DegenerateError, match="non-finite forecast"):
+        surprise_series(predictor, series.window(600, 1200))
+    r = rolling_pml(series, unstable, SWEEP, window=1200, step=1200)
+    assert len(r) == 1
+    assert np.isnan(r.sr_theta_series[0])
 
 
 def test_rolling_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from risklab import SyntheticSpec, TickSeries, ValidationError, gen_synthetic
-from risklab.predictor import (TrainSpec, load_predictor, make_leaked,
+from risklab.predictor import (TrainSpec, eps, load_predictor, make_leaked,
                                make_noise, make_persistence, predict,
                                predict_variant, sample_variants,
                                save_predictor, surprise, surprise_series,
@@ -107,6 +107,28 @@ class TestPredict:
         assert predict(p, [], now) == predict(p, [], now)
         other = BboTick(2 * SEC, 99.0, 101.0)
         assert predict(p, [], now) != predict(p, [], other)
+
+    def test_noise_draws_are_pinned(self):
+        # a change to the (seed, ts) hash or to the gaussian map shows here
+        got = eps(5, SEC * np.arange(1, 6))
+        want = [-0.30318183951831096, -0.7799233783785192, 1.7711333622123893,
+                0.4320873708155903, 0.43924866017929787]
+        assert got.tolist() == pytest.approx(want, rel=1e-12)
+
+    def test_noise_predict_matches_series_bitwise(self):
+        s = planted_series(3000)
+        p = make_noise(1e-3, seed=5)
+        sp = surprise_series(p, s)
+        for i in range(len(s)):
+            now = s.tick(i)
+            assert predict(p, [], now) == now.mid * (1.0 + sp[i]), i
+
+    def test_noise_draws_are_standard_normal(self):
+        e = eps(1, SEC * np.arange(1, 1_000_001))
+        assert abs(e.mean()) < 5e-3
+        assert abs(e.std() - 1.0) < 5e-3
+        assert abs(np.corrcoef(e[:-1], e[1:])[0, 1]) < 5e-3
+        assert np.isfinite(e).all()
 
     def test_dropout_off_at_inference(self):
         s = planted_series(4000)
