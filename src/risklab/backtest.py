@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,8 +70,9 @@ class StrategyConfig:
             raise ValidationError("period_ticks must be at least 1")
 
 
-@dataclass(frozen=True)
-class Fill:
+class Fill(NamedTuple):
+    """One execution; a named tuple because the engine builds two per trade."""
+
     ts: int
     side: str
     price: float

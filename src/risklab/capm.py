@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ValidationError
 
@@ -108,6 +107,8 @@ def min_variance_portfolio(universe: AssetUniverse,
     return; the target is then only attainable if it equals that value,
     in which case the global minimum-variance portfolio is returned.
     """
+    from scipy.linalg import cho_factor, cho_solve  # off the CLI's import path
+
     cho = cho_factor(universe.sigma, lower=True)
     ones = np.ones(universe.n)
     sinv_one = cho_solve(cho, ones)
@@ -133,6 +134,8 @@ def tangency_portfolio(universe: AssetUniverse, r_f: float) -> Portfolio:
     excess = universe.mu - r_f
     if float(np.abs(excess).max()) == 0.0:
         raise ValidationError("no tangency: all excess returns are zero")
+    from scipy.linalg import cho_factor, cho_solve
+
     cho = cho_factor(universe.sigma, lower=True)
     z = cho_solve(cho, excess)
     total = float(z.sum())

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .analysis import SweepSpec, sweep
 from .backtest import BacktestResult, StrategyConfig, sharpe
@@ -203,14 +202,32 @@ def sr_theta_line(fit: PmlFit, sigma: float) -> float:
 
 
 def trend_tau(values: Sequence[float]) -> float:
-    """Kendall tau of a series against time; NaN entries are skipped."""
+    """Kendall's tau-b of a series against time; NaN entries are skipped.
+
+    Time has no ties, so tau-b = S / sqrt(tot) / sqrt(tot - ytie), with S
+    the concordant minus discordant pairs, tot = n(n-1)/2 and ytie the
+    pairs of equal values, all counted in integers. That is the float
+    expression of `scipy.stats.kendalltau`, clamped to [-1, 1] as there,
+    so the result is scipy's bit for bit without importing scipy.stats.
+    Raises DegenerateError when fewer than 2 values are finite or all of
+    them are equal (scipy would give NaN).
+    """
     v = np.asarray(values, dtype=np.float64)
-    t = np.arange(v.size)
-    ok = np.isfinite(v)
-    if ok.sum() < 2:
+    v = v[np.isfinite(v)]
+    n = v.size
+    if n < 2:
         raise DegenerateError("trend needs at least 2 finite values")
-    tau = kendalltau(t[ok], v[ok]).statistic
-    return float(tau)
+    s = 0
+    for i in range(n - 1):
+        later = v[i + 1:]
+        s += int((later > v[i]).sum()) - int((later < v[i]).sum())
+    counts = np.unique(v, return_counts=True)[1]
+    ytie = sum(c * (c - 1) // 2 for c in counts.tolist())
+    tot = n * (n - 1) // 2
+    if ytie == tot:
+        raise DegenerateError(f"trend undefined: all {n} finite values are equal")
+    tau = s / np.sqrt(tot) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
 
 
 @dataclass(frozen=True)

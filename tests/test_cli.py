@@ -1,12 +1,18 @@
 """End-to-end command-line tests: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import risklab
+from risklab import cli
 from risklab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-from risklab.pml import write_points_csv
+from risklab.pml import RollingPmlResult, write_points_csv
 from risklab.market_data import load_csv
 
 GEN_SPEC = """\
@@ -60,6 +66,8 @@ step = 900
 ARTIFACTS = ("points.csv", "pml.json", "mc.json", "correlation.csv",
              "rolling.csv", "manifest.json")
 
+
+GOOD_CSV = "ts_ns,bid,ask\n1,99.0,101.0\n2,99.5,100.5\n3,99.0,101.0\n"
 
 ZERO_TRADE_CONFIG = """\
 [data]
@@ -157,6 +165,19 @@ def test_backtest_persistence_never_trades(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["n_trades"] == 0
     assert report["sharpe"] is None
+
+
+def test_backtest_timestamp_beyond_int64_exits_2(tmp_path, capsys):
+    data = _write(tmp_path / "ticks.csv", "ts_ns,bid,ask\n"
+                  "1,99.0,101.0\n99999999999999999999,99.0,101.0\n")
+    model = tmp_path / "model.json"
+    config = _write(tmp_path / "train.ini", "[train]\nkind = persistence\n")
+    assert main(["train", "--data", _write(tmp_path / "ok.csv", GOOD_CSV),
+                 "--config", config, "--out", str(model)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["backtest", "--data", data,
+                 "--predictor", str(model)]) == EXIT_CONFIG
+    assert "malformed row at line 3" in capsys.readouterr().err
 
 
 def test_sweep_command_writes_points_and_mc(tmp_path, capsys):
@@ -376,6 +397,36 @@ def test_decay_command(tmp_path, capsys):
     assert main(["decay", "--config", no_rolling,
                  "--out-dir", str(out)]) == EXIT_CONFIG
     assert "rolling" in capsys.readouterr().err
+
+
+def test_decay_with_all_tied_windows_exits_4(tmp_path, capsys, monkeypatch):
+    # two finite windows with one sr_theta: Kendall's tau is undefined
+    def tied(series, *args, **kwargs):
+        theta = np.array([0.5, np.nan, 0.5])
+        return RollingPmlResult(window_starts=np.array([0, 900, 1800]),
+                                sr_theta_series=theta,
+                                sr_observed_series=theta.copy(),
+                                gap_series=np.zeros(3))
+
+    monkeypatch.setattr(cli, "rolling_pml", tied)
+    config = _write(tmp_path / "exp.ini", RUN_CONFIG)
+    out = tmp_path / "decay-out"
+    assert main(["decay", "--config", config,
+                 "--out-dir", str(out)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "equal" in captured.err
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    code = ("import sys, risklab.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', "
+            "'scipy.linalg') if m in sys.modules))")
+    src = str(Path(risklab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=src,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 def test_out_dir_falls_back_to_environment(tmp_path, capsys, monkeypatch):

@@ -95,6 +95,15 @@ EDGE_FILES = (
     ("ts_exponent", HEAD + "1,99.0,101.0\n1e3,99.0,101.0\n"),
     ("ts_decimal", HEAD + "1.0,99.0,101.0\n"),
     ("ts_negative", HEAD + "-5,99.0,101.0\n-4,99.0,101.0\n"),
+    ("ts_int64_min", HEAD + "-9223372036854775808,99.0,101.0\n"
+                            "-9223372036854775807,99.0,101.0\n"),
+    ("ts_int64_max", HEAD + "9223372036854775806,99.0,101.0\n"
+                            "9223372036854775807,99.0,101.0\n"),
+    ("ts_above_int64", HEAD + "1,99.0,101.0\n9223372036854775808,99.0,101.0\n"),
+    ("ts_below_int64", HEAD + "-9223372036854775809,99.0,101.0\n"),
+    ("ts_huge", HEAD + "99999999999999999999,99.0,101.0\n"),
+    ("ts_wraps", HEAD + "9223372036854775807,99.0,101.0\n"
+                        "-9223372036854775808,99.0,101.0\n"),
     ("price_underscore", HEAD + "1,9_9.0,101.0\n"),
     ("price_nan", HEAD + "1,99.0,101.0\n2,nan,101.0\n"),
     ("price_inf", HEAD + "1,99.0,inf\n"),
@@ -182,7 +191,11 @@ class TestBulkMatchesScan:
                 "ts_exponent": "malformed row at line 3",
                 "ts_inf": "malformed row at line 3",
                 "extra_column": "malformed row at line 3",
-                "two_errors": "non-monotone timestamp at line 3"}
+                "two_errors": "non-monotone timestamp at line 3",
+                "ts_above_int64": "malformed row at line 3",
+                "ts_below_int64": "malformed row at line 2",
+                "ts_huge": "malformed row at line 2",
+                "ts_wraps": "non-monotone timestamp at line 3"}
         files = dict(EDGE_FILES)
         for name, message in want.items():
             p = tmp_path / f"{name}.csv"
@@ -191,6 +204,8 @@ class TestBulkMatchesScan:
         accepted = {"no_final_newline": [1, 2], "crlf": [1, 2],
                     "crlf_body": [1, 2],
                     "spaces": [1, 2], "ts_plus": [5, 6],
+                    "ts_int64_min": [-2**63, 1 - 2**63],
+                    "ts_int64_max": [2**63 - 2, 2**63 - 1],
                     "ts_underscore": [1000, 1001], "ts_negative": [-5, -4]}
         for name, ts in accepted.items():
             p = tmp_path / f"{name}.csv"
@@ -375,6 +390,36 @@ class TestGenSynthetic:
         r = np.diff(np.log(gen_synthetic(spec).mid))
         head, tail = r[:4000], r[-4000:]
         assert tail.var() < 0.25 * head.var()
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n_ticks=5000, sigma_noise=4e-4, phi=0.0,
+                      sigma_signal=2e-4, seed=1),
+        SyntheticSpec(n_ticks=5000, sigma_noise=4e-4, phi=0.9,
+                      sigma_signal=2e-4, seed=2),
+        SyntheticSpec(n_ticks=5000, sigma_noise=4e-4, phi=-0.5,
+                      sigma_signal=2e-4, seed=3),
+        SyntheticSpec(n_ticks=5000, sigma_noise=4e-4, phi=0.999,
+                      sigma_signal=2e-4, seed=4),
+        SyntheticSpec(n_ticks=5000, sigma_noise=1e-5, phi=0.9,
+                      sigma_signal=5e-4, seed=5, decay_to=0.0),
+        SyntheticSpec(n_ticks=5000, sigma_noise=4e-4, phi=0.9,
+                      sigma_signal=0.0, seed=6),
+        SyntheticSpec(n_ticks=2, sigma_noise=4e-4, phi=0.9,
+                      sigma_signal=2e-4, seed=7),
+    ], ids=["phi0", "phi0.9", "phi-0.5", "phi0.999", "decay", "no_signal",
+            "two_ticks"])
+    def test_matches_lfilter_oracle(self, spec):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        rng = np.random.default_rng(spec.seed)
+        n = spec.n_ticks
+        eps = rng.normal(0.0, spec.sigma_noise, n - 1) if spec.sigma_noise > 0 \
+            else np.zeros(n - 1)
+        eta = rng.standard_normal(n - 1) * signal_vol_schedule(spec)
+        s = np.concatenate(([0.0], lfilter([1.0], [1.0, -spec.phi], eta)))
+        mid_px = np.exp(np.log(100.0) + np.concatenate(
+            ([0.0], np.cumsum(s[:-1] + eps))))
+        assert gen_synthetic(spec).mid.tobytes() == \
+            ((mid_px * (1.0 - 5e-5) + mid_px * (1.0 + 5e-5)) / 2.0).tobytes()
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValidationError):

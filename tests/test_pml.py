@@ -272,6 +272,29 @@ def test_trend_tau():
     assert trend_tau([1.0, np.nan, 2.0, np.nan, 3.0]) == pytest.approx(1.0)
     with pytest.raises(DegenerateError):
         trend_tau([np.nan, 1.0])
+    # all tied: scipy's tau-b is NaN, which the decay summary cannot hold
+    for values in ([0.5, np.nan, 0.5], [2.0, 2.0, 2.0, 2.0], [0.0, -0.0]):
+        with pytest.raises(DegenerateError, match="all .* equal"):
+            trend_tau(values)
+
+
+def test_trend_tau_matches_scipy_bitwise():
+    kendalltau = pytest.importorskip("scipy.stats").kendalltau
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(1500):
+        n = int(rng.integers(2, 60))
+        v = rng.integers(0, int(rng.integers(2, 12)), n).astype(np.float64)
+        if rng.random() < 0.5:
+            v = v * 1e-3 + rng.normal(0.0, 1e-9, n) * (rng.random(n) < 0.3)
+        v[rng.random(n) < 0.2] = np.nan
+        ok = np.isfinite(v)
+        if ok.sum() < 2 or np.unique(v[ok]).size < 2:
+            continue
+        want = kendalltau(np.arange(n)[ok], v[ok]).statistic
+        assert np.float64(trend_tau(v)).tobytes() == np.float64(want).tobytes()
+        checked += 1
+    assert checked >= 1000
 
 
 SIGNAL = SyntheticSpec(n_ticks=3000, sigma_noise=3e-4, phi=0.9,
