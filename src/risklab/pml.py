@@ -5,6 +5,16 @@ sigma_priced^2 = max(0, sigma_total^2 - sigma_mc^2) strips the
 cross-variant spread out of the realized variance. The fitted slope of
 excess return on sigma_priced is the market line's Sharpe-per-unit-risk;
 refitting it on sliding windows tracks how fast an edge decays.
+
+How the axes map to the source paper's terms ("Trading with the Devil",
+arXiv 2510.17165). The paper casts the risk a shared foundation model
+brings as systematic and epistemic, and the risk of custom fine-tuning as
+idiosyncratic and aleatory; under its "Aleatory Collapse Assumption",
+MC dropout measures the epistemic risk. Here `sigma_mc` is the
+dropout-resolved (epistemic) share and `sigma_priced` is the remainder.
+`risk_axis = "mc"` (`AXIS_MC`) regresses on `sigma_mc`, which is the
+paper's reading; the default `AXIS_PRICED` regresses on the remainder and
+stays the default until more than the paper's abstract can be checked.
 """
 
 from __future__ import annotations

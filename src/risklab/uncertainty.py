@@ -5,6 +5,13 @@ yields K aligned period-return series. Their cross-variant dispersion is
 the share of outcome variance the dropout posterior can account for;
 whatever the strategy's total variance holds beyond it is treated as
 priced risk downstream.
+
+In the source paper's terms, `sqrt(sigma2_mc)` (`sigma_mc` downstream) is
+the epistemic share: the uncertainty rooted in the shared model, which
+the paper's abstract calls systematic and, under its "Aleatory Collapse
+Assumption", measures with MC dropout. The remainder, `sigma_priced`, is
+what `pml` regresses on by default; `risk_axis = mc` regresses on this
+share instead, which is the paper's reading.
 """
 
 from __future__ import annotations

@@ -300,6 +300,20 @@ def test_run_emits_all_artifacts_and_is_reproducible(tmp_path, capsys):
     assert len(rolling_lines) == 4
 
 
+def test_run_on_the_mc_risk_axis_is_reproducible(tmp_path, capsys):
+    # the paper's reading: regress on the dropout-resolved (epistemic) share
+    config = _write(tmp_path / "mc.ini", RUN_CONFIG + "\n[pml]\nrisk_axis = mc\n")
+    out1 = tmp_path / "out1"
+    out2 = tmp_path / "out2"
+    assert main(["run", "--config", config, "--out-dir", str(out1)]) == EXIT_OK
+    assert main(["run", "--config", config, "--out-dir", str(out2)]) == EXIT_OK
+    fit = json.loads((out1 / "pml.json").read_text(encoding="utf-8"))
+    assert fit["risk_axis"] == "mc"
+    assert np.isfinite(fit["sr_theta"])
+    for name in ARTIFACTS:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_run_zero_trade_sweep_exits_4(tmp_path, capsys):
     config = _write(tmp_path / "exp.ini", ZERO_TRADE_CONFIG)
     out = tmp_path / "out"

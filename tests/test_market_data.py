@@ -104,6 +104,8 @@ EDGE_FILES = (
     ("ts_huge", HEAD + "99999999999999999999,99.0,101.0\n"),
     ("ts_wraps", HEAD + "9223372036854775807,99.0,101.0\n"
                         "-9223372036854775808,99.0,101.0\n"),
+    ("ts_full_span", HEAD + "-9223372036854775808,99.0,101.0\n"
+                            "9223372036854775807,99.0,101.0\n"),
     ("price_underscore", HEAD + "1,9_9.0,101.0\n"),
     ("price_nan", HEAD + "1,99.0,101.0\n2,nan,101.0\n"),
     ("price_inf", HEAD + "1,99.0,inf\n"),
@@ -206,11 +208,23 @@ class TestBulkMatchesScan:
                     "spaces": [1, 2], "ts_plus": [5, 6],
                     "ts_int64_min": [-2**63, 1 - 2**63],
                     "ts_int64_max": [2**63 - 2, 2**63 - 1],
+                    "ts_full_span": [-2**63, 2**63 - 1],
                     "ts_underscore": [1000, 1001], "ts_negative": [-5, -4]}
         for name, ts in accepted.items():
             p = tmp_path / f"{name}.csv"
             p.write_bytes(files[name].encode("utf-8"))
             assert _outcome(p)[0] == ts, name
+
+    def test_full_span_gap_does_not_wrap(self, tmp_path):
+        # the one gap is 2**64 - 1 ns, past int64: np.diff would wrap it
+        p = tmp_path / "span.csv"
+        p.write_bytes(dict(EDGE_FILES)["ts_full_span"].encode("utf-8"))
+        s = load_csv(p)
+        assert s.resolution_ns == 2**64 - 1
+        assert s.is_regular()
+        again = tmp_path / "again.csv"
+        write_csv(s, again)
+        assert again.read_bytes() == p.read_bytes()
 
     def test_compressed_suffix_is_still_plain_text(self, tmp_path):
         for suffix in (".gz", ".bz2", ".xz"):
@@ -235,6 +249,121 @@ class TestBulkMatchesScan:
                 got = _outcome(p)
                 assert isinstance(got, str), trial
                 assert got == _scan_outcome(p), trial
+
+
+def _oracle_csv(series):
+    """The per-row f-string writer the array formatter must match."""
+    def price(x):
+        text = f"{x:.10f}".rstrip("0")
+        return text + "0" if text.endswith(".") else text
+    rows = (f"{t},{price(b)},{price(a)}\n" for t, b, a in
+            zip(series.ts.tolist(), series.bid.tolist(), series.ask.tolist()))
+    return ("ts_ns,bid,ask\n" + "".join(rows)).encode("utf-8")
+
+
+def _near_ties():
+    """Prices 1 + f whose f * 1e10 is 0.5 + k/2**42 past an integer, |k| small.
+
+    p = fl(f * 1e10) rounds onto the tie exactly, so only the product's
+    error term says which way the 10th decimal goes.
+    """
+    mod = 2**42
+    inv = pow(5**10, -1, mod)
+    out = []
+    for k in (-3, -2, -1, 1, 2, 3, 1000, -1000):
+        m = (2**41 + k) * inv % mod
+        for j in (0, 1, 77, 1023):  # larger j puts f * 1e10 near 1e10
+            out.append(1.0 + (m + j * mod) / 2.0**52)
+    return out
+
+
+def _tiny_and_carry_prices():
+    around = [5e-11, 1.5e-10, 2.5e-10, 1e-10, 0.99999999995, 9.99999999995,
+              99.99999999995, 0.5]
+    values = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-20,
+              4.9999999999e-11, float(np.nextafter(1.0, 0.0)),
+              float(np.nextafter(100.0, 0.0)), 99.99999999996,
+              2.0**52 - 0.5, float(np.nextafter(2.0**52, 0.0))]
+    for x in around:
+        values += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, 1.0)),
+                   float(np.nextafter(np.nextafter(x, 1.0), 1.0))]
+    return values
+
+
+class TestWriteCsvMatchesOracle:
+    """The array formatter against the per-row f-string writer, byte for byte."""
+
+    @staticmethod
+    def _check(tmp_path, ts, bid, ask=None):
+        bid = np.asarray(bid, dtype=np.float64)
+        ask = bid if ask is None else np.asarray(ask, dtype=np.float64)
+        series = TickSeries("W", 1, ts, bid, ask)
+        p = tmp_path / "w.csv"
+        write_csv(series, p)
+        got, want = p.read_bytes(), _oracle_csv(series)
+        if got != want:
+            bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n"))
+                   if g != w]
+            pytest.fail(f"{len(bad)} rows differ, first {bad[:3]}"
+                        if bad else "lengths differ")
+
+    def test_random_prices(self, tmp_path):
+        rng = np.random.default_rng(41)
+        n = 20_000
+        bid = np.exp(rng.uniform(np.log(1e-6), np.log(1e9), n))
+        short = rng.random(n) < 0.5  # half carry few decimals, as quotes do
+        bid[short] = np.maximum(np.round(bid[short], int(rng.integers(0, 12))),
+                                1e-6)
+        ask = bid + rng.exponential(0.05, n)
+        ts = np.cumsum(rng.integers(1, 5 * SEC, n)) - 10**13
+        self._check(tmp_path, ts, bid, ask)
+
+    def test_exact_binary_ties_and_neighbours(self, tmp_path):
+        # k + odd/2048 has 11 decimals ending in 5: an exact tie at the 10th
+        ties = (np.array([0.0, 1.0, 100.0, 12345.0])[:, None]
+                + (2 * np.arange(1024) + 1) / 2048).ravel()
+        prices = np.concatenate([ties, np.nextafter(ties, 0.0),
+                                 np.nextafter(ties, np.inf)])
+        self._check(tmp_path, np.arange(1, prices.size + 1), prices)
+
+    def test_near_ties_decided_by_the_error_term(self, tmp_path):
+        prices = _near_ties()
+        self._check(tmp_path, np.arange(1, len(prices) + 1), prices)
+
+    def test_tiny_prices_and_carries(self, tmp_path):
+        prices = _tiny_and_carry_prices()
+        self._check(tmp_path, np.arange(1, len(prices) + 1), prices)
+
+    def test_prices_from_2_to_the_52(self, tmp_path):
+        big = [2.0**52, 2.0**52 + 1, 2.0**53, 1e17, 2.0**64, 1e300,
+               float(np.finfo(np.float64).max)]
+        # bulk rows between and around the rows that take the fallback
+        bid = [99.5, *big, 0.25, 2.0**52, 100.0, float(np.finfo(np.float64).max)]
+        ask = [100.5, *big, 2.0**60, 2.0**52, 100.125,
+               float(np.finfo(np.float64).max)]
+        self._check(tmp_path, np.arange(1, len(bid) + 1), bid, ask)
+
+    def test_timestamp_edges(self, tmp_path):
+        i64 = np.iinfo(np.int64)
+        ts = np.array([i64.min, i64.min + 1, -10**18, -5, -1, 0, 1, 9,
+                       10**18, i64.max - 1, i64.max])
+        self._check(tmp_path, ts, np.full(ts.size, 99.0), np.full(ts.size, 101.0))
+        self._check(tmp_path, np.array([0]), [1.0])
+        self._check(tmp_path, np.array([i64.min]), [1.0])
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_lengths_around_the_chunk(self, tmp_path, shift):
+        chunk = market_data._CHUNK_ROWS
+        n = chunk + shift
+        rng = np.random.default_rng(n)
+        bid = np.round(rng.uniform(1.0, 200.0, n), 6)
+        ask = bid + 0.01
+        ask[[0, chunk - 2, n - 1]] = 2.0**53  # fallbacks at both chunk ends
+        ts = np.cumsum(rng.integers(1, SEC, n)) - SEC * n // 2
+        self._check(tmp_path, ts, bid, ask)
+
+    def test_one_row(self, tmp_path):
+        self._check(tmp_path, np.array([7]), [99.0], [101.0])
 
 
 class TestFormatPrice:
