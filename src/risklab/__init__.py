@@ -12,8 +12,8 @@ from .analysis import (CorrelationCurve, SweepSpec, average_correlation_curves,
                        cluster_tightness, surprise_return_correlation, sweep,
                        sweep_configs)
 from .backtest import (BacktestResult, Fill, StrategyConfig, annualized_sharpe,
-                       run_backtest, run_backtest_signals,
-                       run_backtest_variants, sharpe)
+                       run_backtest, run_backtest_columns,
+                       run_backtest_signals, sharpe)
 from .capm import (AssetUniverse, CapmDecomposition, Portfolio, beta, cml,
                    load_universe, min_variance_portfolio, tangency_portfolio)
 from .errors import DegenerateError, ValidationError
@@ -41,8 +41,8 @@ __all__ = [
     "load_points_csv", "load_predictor", "load_universe", "make_leaked",
     "make_noise", "make_persistence", "mc_disentangle", "mid",
     "min_variance_portfolio", "predict", "priced_point", "resample",
-    "rolling_pml", "run_backtest", "run_backtest_signals",
-    "run_backtest_variants", "sample_variants", "save_predictor", "sharpe",
+    "rolling_pml", "run_backtest", "run_backtest_columns",
+    "run_backtest_signals", "sample_variants", "save_predictor", "sharpe",
     "sr_theta_line", "surprise", "surprise_return_correlation",
     "surprise_series", "sweep", "sweep_configs", "tangency_portfolio",
     "train", "trend_tau",

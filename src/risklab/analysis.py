@@ -16,13 +16,14 @@ import numpy as np
 from .backtest import (
     BacktestResult,
     StrategyConfig,
+    run_backtest_columns,
     run_backtest_signals,
-    run_backtest_variants,
 )
 from .errors import ValidationError
 from .market_data import TickSeries
-from .predictor import Predictor, sample_variants, surprise_series
-from .uncertainty import McEstimate, estimate_from_matrix, mc_disentangle
+from .predictor import (Predictor, sample_variants, surprise_series,
+                        variant_surprise_series)
+from .uncertainty import McEstimate, estimate_from_matrix
 
 # child-stream tags: config draws must not share a stream with mask seeds
 _CONFIG_STREAM = 0
@@ -55,6 +56,8 @@ class SweepSpec:
             raise ValidationError("threshold_range must be nonnegative")
         if self.stop_loss_range[0] <= 0 or self.take_profit_range[0] <= 0:
             raise ValidationError("stop-loss and take-profit must be positive")
+        if not np.isfinite(self.fee_bps):
+            raise ValidationError("fee_bps must be finite")
         if self.fee_bps < 0:
             raise ValidationError("fee_bps must be nonnegative")
         if self.seed < 0:
@@ -88,25 +91,32 @@ def sweep(series: TickSeries, predictor: Predictor,
 
     Every config is evaluated on the same base surprise series and gets
     its own K dropout variants of the same base predictor. K=1 skips
-    variant sampling and reports zero cross-variant variance. The output
-    is ordered by config index.
+    variant sampling and reports zero cross-variant variance. With K > 1
+    all n_configs*K variant columns run through one lockstep engine pass,
+    which builds no fills, and each config's estimate comes from its K
+    rows. The output is ordered by config index.
     """
     configs = sweep_configs(spec)
     seed_rng = np.random.default_rng(np.random.SeedSequence([spec.seed,
                                                              _VARIANT_STREAM]))
     variant_seeds = seed_rng.integers(0, 2 ** 63 - 1, size=spec.n_configs)
     base_surprise = surprise_series(predictor, series)
-    triples = []
-    for cfg, variant_seed in zip(configs, variant_seeds):
-        result = run_backtest_signals(series, base_surprise, cfg)
-        if spec.K == 1:
-            mc = estimate_from_matrix(result.period_returns[np.newaxis, :])
-        else:
-            variants = sample_variants(predictor, spec.K,
-                                       seed=int(variant_seed))
-            mc = mc_disentangle(run_backtest_variants(series, variants, cfg))
-        triples.append((cfg, result, mc))
-    return triples
+    results = [run_backtest_signals(series, base_surprise, cfg)
+               for cfg in configs]
+    if spec.K == 1:
+        estimates = [estimate_from_matrix(r.period_returns[np.newaxis, :])
+                     for r in results]
+    else:
+        variant_sets = [sample_variants(predictor, spec.K, seed=int(seed))
+                        for seed in variant_seeds]
+        # a generator: the engine reads one block of variant rows at a time
+        rows = (variant_surprise_series(vs, k, series)
+                for vs in variant_sets for k in range(spec.K))
+        returns = run_backtest_columns(
+            series, rows, [cfg for cfg in configs for _ in range(spec.K)])
+        estimates = [estimate_from_matrix(m) for m in
+                     returns.reshape(spec.n_configs, spec.K, -1)]
+    return list(zip(configs, results, estimates))
 
 
 @dataclass(frozen=True)

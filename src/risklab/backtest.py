@@ -16,9 +16,22 @@ Execution rules, pinned by the hand-walked scenarios in the tests:
   - a trade belongs to the period containing its exit fill; period returns
     are the sums of trade returns closed in each period, zero elsewhere
 
-The engine consumes a precomputed surprise array (`run_backtest_signals`)
-so tests can script signals directly; `run_backtest` wires a predictor in.
-A run is linear in ticks plus trades: each tick is scanned by at most one
+Two paths run these rules on precomputed surprise arrays, so tests can
+script signals directly:
+
+  - `run_backtest_signals` walks one surprise array trade by trade and
+    records every fill. It is the reference path, checked against the
+    brute-force walk in the tests; `run_backtest` wires a predictor into
+    it, and a sweep runs each config's base signal through it.
+  - `run_backtest_columns` runs C surprise columns, one config each, in
+    lockstep: every step advances each column by one trade, so the cost
+    of a numpy call is shared by all open columns. It returns period
+    returns only, which is all a sweep's dropout variants are read for,
+    and matches the scalar path bit for bit. A sweep with K = 1 has no
+    variant columns and stays on the scalar path, which is faster with a
+    handful of columns than a lockstep step.
+
+Both are linear in ticks plus trades: each tick is scanned by at most one
 open position, whose exit search reads at most twice its holding time
 plus EXIT_BLOCK ticks.
 """
@@ -27,13 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .market_data import TickSeries
-from .predictor import Predictor, VariantSet, surprise_series, variant_surprise_series
+from .predictor import Predictor, surprise_series
 
 SIDE_BUY = "BUY"
 SIDE_SELL = "SELL"
@@ -47,6 +60,10 @@ REASON_END_OF_DATA = "end_of_data"
 # ticks in the first block of the exit scan; later blocks double
 EXIT_BLOCK = 16
 
+# columns x ticks per block of the column core; a block's arrays take
+# about 32 bytes an element, so a block peaks near 8.4 MB at any shape
+_BLOCK_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -58,6 +75,10 @@ class StrategyConfig:
     period_ticks: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("threshold_bps", "stop_loss_bps", "take_profit_bps",
+                     "fee_bps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.threshold_bps < 0:
             raise ValidationError("threshold_bps must be nonnegative")
         if self.stop_loss_bps <= 0:
@@ -96,14 +117,6 @@ class BacktestResult:
 def run_backtest(series: TickSeries, predictor: Predictor,
                  cfg: StrategyConfig) -> BacktestResult:
     return run_backtest_signals(series, surprise_series(predictor, series), cfg)
-
-
-def run_backtest_variants(series: TickSeries, variants: VariantSet,
-                          cfg: StrategyConfig) -> List[BacktestResult]:
-    return [run_backtest_signals(series,
-                                 variant_surprise_series(variants, k, series),
-                                 cfg)
-            for k in range(variants.K)]
 
 
 def run_backtest_signals(series: TickSeries, surprise: np.ndarray,
@@ -170,6 +183,116 @@ def run_backtest_signals(series: TickSeries, surprise: np.ndarray,
                           trade_returns=np.array(trade_returns))
 
 
+def run_backtest_columns(series: TickSeries, surprises: Iterable[np.ndarray],
+                         cfgs: Sequence[StrategyConfig]) -> np.ndarray:
+    """Period returns of surprise column c traded under cfgs[c], in lockstep.
+
+    `surprises` is a (C, n) matrix or any iterable of C length-n rows. Rows
+    are read one block at a time, so a generator holds only one block in
+    memory. All configs must share one period_ticks. Row c of the
+    (C, n_periods) result equals `run_backtest_signals(series,
+    surprises[c], cfgs[c]).period_returns` bit for bit; no fills are built.
+    """
+    if not cfgs:
+        raise ValidationError("no columns to backtest")
+    period_ticks = cfgs[0].period_ticks
+    if any(cfg.period_ticks != period_ticks for cfg in cfgs):
+        raise ValidationError("all columns must share one period_ticks")
+    n = len(series)
+    n_periods = -(-n // period_ticks)
+    out = np.empty((len(cfgs), n_periods))
+    rows = iter(surprises)
+    width = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, len(cfgs), width):
+        block = np.empty((min(width, len(cfgs) - lo), n))
+        for j in range(len(block)):
+            row = np.asarray(next(rows, None), dtype=np.float64)
+            if row.shape != (n,):
+                raise ValidationError(
+                    f"surprises must be {len(cfgs)} rows of {n} ticks")
+            block[j] = row
+        out[lo:lo + len(block)] = _run_block(
+            series, block, cfgs[lo:lo + len(block)], n_periods)
+    if next(rows, None) is not None:
+        raise ValidationError(f"surprises has more than {len(cfgs)} rows")
+    return out
+
+
+def _run_block(series: TickSeries, surprise: np.ndarray,
+               cfgs: Sequence[StrategyConfig], n_periods: int) -> np.ndarray:
+    """`run_backtest_columns` on one block of columns."""
+    c, n = surprise.shape
+    last_entry, end = n - 3, n - 1
+    thr, tp, sl, fee = (np.array([getattr(cfg, name) for cfg in cfgs]) * 1e-4
+                        for name in ("threshold_bps", "take_profit_bps",
+                                     "stop_loss_bps", "fee_bps"))
+    short_ok = np.array([cfg.allow_short for cfg in cfgs])
+    # flips[1] ends a long and flips[0] a short; both are False from the
+    # final tick on, and mids are NaN there, so no scan triggers past it
+    flips = np.zeros((2, c, end + EXIT_BLOCK), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        long_sig = surprise > thr[:, None]
+        entry_sig = long_sig | ((surprise < -thr[:, None])
+                                & short_ok[:, None])
+        np.greater(surprise[:, :end], 0.0, out=flips[0, :, :end])
+        np.less(surprise[:, :end], 0.0, out=flips[1, :, :end])
+    midv = series.mid
+    mids = np.full(end + EXIT_BLOCK, np.nan)
+    mids[:end] = midv[:end]
+    bid, ask = series.bid, series.ask
+    # next_entry[j, t]: the first tick at or after t whose signal opens a
+    # position in column j, or n when none is left (a reverse running
+    # minimum); ticks past last_entry open none
+    entry_sig[:, last_entry + 1:] = False
+    cand = np.where(entry_sig, np.arange(n), n)
+    next_entry = np.minimum.accumulate(cand[:, ::-1], axis=1)[:, ::-1]
+    del cand, entry_sig
+
+    cols = np.arange(c)
+    i = next_entry[:, 0]
+    tp_open, neg_sl_open = tp[:, None], -sl[:, None]
+    scan = np.arange(EXIT_BLOCK)
+    steps = []
+    while True:
+        live = i < n
+        if not live.all():
+            cols, i = cols[live], i[live]
+            tp_open, neg_sl_open = tp_open[live], neg_sl_open[live]
+            if not cols.size:
+                break
+        is_long = long_sig[cols, i]
+        fi = i + 1
+        entry_px = np.where(is_long, ask[fi], bid[fi])
+        side = np.where(is_long, 1.0, -1.0)
+        u = fi[:, None] + scan
+        pnl = side[:, None] * (mids[u] / entry_px[:, None] - 1.0)
+        trig = ((pnl >= tp_open) | (pnl <= neg_sl_open)
+                | flips[is_long.astype(np.intp)[:, None], cols[:, None], u])
+        ei = fi + 1 + trig.argmax(axis=1)
+        found = trig.any(axis=1)
+        if not found.all():
+            # exits past the first block: the scalar path's doubling scan
+            for j in np.flatnonzero(~found):
+                col = cols[j]
+                ei[j] = _scan_exit(midv, flips[int(is_long[j]), col],
+                                   int(fi[j]) + EXIT_BLOCK, side[j],
+                                   entry_px[j], tp[col], sl[col])[0]
+        steps.append((cols, ei, is_long, entry_px))
+        i = next_entry[cols, ei]  # flat again as of the exit fill tick
+
+    if not steps:
+        return np.zeros((c, n_periods))
+    cols, ei, is_long, entry_px = map(np.concatenate, zip(*steps))
+    exit_px = np.where(is_long, bid[ei], ask[ei])
+    rets = (np.where(is_long, exit_px / entry_px, entry_px / exit_px)
+            - 1.0 - 2.0 * fee[cols])
+    # in step order each column's trades come in exit order, so every
+    # period adds its trade returns in the scalar path's order, from 0.0
+    return np.bincount(cols * n_periods + ei // cfgs[0].period_ticks,
+                       weights=rets,
+                       minlength=c * n_periods).reshape(c, n_periods)
+
+
 def _find_exit(midv: np.ndarray, flip: np.ndarray, fi: int, side: int,
                entry_px: float, tp: float, sl: float) -> Tuple[int, str]:
     """Exit fill tick and reason for a position filled at tick fi.
@@ -192,7 +315,14 @@ def _find_exit(midv: np.ndarray, flip: np.ndarray, fi: int, side: int,
             return u + 1, REASON_STOP_LOSS
         if f:
             return u + 1, REASON_SIGNAL_FLIP
-    lo, width = hi, 2 * EXIT_BLOCK
+    return _scan_exit(midv, flip, hi, side, entry_px, tp, sl)
+
+
+def _scan_exit(midv: np.ndarray, flip: np.ndarray, lo: int, side: float,
+               entry_px: float, tp: float, sl: float) -> Tuple[int, str]:
+    """`_find_exit` past its first EXIT_BLOCK ticks, which start at lo."""
+    end = midv.size - 1
+    width = 2 * EXIT_BLOCK
     while lo < end:
         hi = min(lo + width, end)
         pnl = side * (midv[lo:hi] / entry_px - 1.0)

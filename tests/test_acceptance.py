@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import namedtuple
 from pathlib import Path
 
@@ -20,11 +21,11 @@ from risklab import (AssetUniverse, StrategyConfig, SweepSpec, SyntheticSpec,
                      TickSeries, TrainSpec, beta, fit_pml, gen_synthetic,
                      make_leaked, make_noise, make_persistence,
                      min_variance_portfolio, run_backtest,
-                     run_backtest_signals, run_backtest_variants,
-                     estimate_from_matrix, mc_disentangle, rolling_pml,
-                     sample_variants, sharpe, surprise_return_correlation,
-                     surprise_series, sweep, sweep_configs, tangency_portfolio,
-                     train, trend_tau, cluster_tightness)
+                     run_backtest_columns, run_backtest_signals,
+                     estimate_from_matrix, rolling_pml, sample_variants,
+                     sharpe, surprise_return_correlation, surprise_series,
+                     sweep, sweep_configs, tangency_portfolio, train,
+                     trend_tau, variant_surprise_series, cluster_tightness)
 from risklab.cli import EXIT_OK, main
 from risklab.pml import INTERCEPT_FIXED, INTERCEPT_FREE, RiskReturnPoint
 
@@ -141,6 +142,13 @@ def test_criterion_03_variance_decomposition_identity():
 # ---------------------------------------------------------------- 4
 
 
+def _variant_returns(series, vs, cfg):
+    """(K, n_periods) period returns of cfg under each variant of vs."""
+    return run_backtest_columns(
+        series, (variant_surprise_series(vs, k, series) for k in range(vs.K)),
+        [cfg] * vs.K)
+
+
 def test_criterion_04_dropout_variance_behavior():
     series = gen_synthetic(SyntheticSpec(n_ticks=1500, sigma_noise=3e-4,
                                          phi=0.9, sigma_signal=2e-4,
@@ -152,8 +160,8 @@ def test_criterion_04_dropout_variance_behavior():
     # cross-variant variance is identically zero
     p0 = train(series, TrainSpec(window=6, hidden=(8,), dropout_p=0.0,
                                  epochs=40, learning_rate=0.05, seed=2))
-    (r0,) = run_backtest_variants(series, sample_variants(p0, K=1, seed=5), cfg)
-    est0 = estimate_from_matrix(np.asarray(r0.period_returns)[None, :])
+    est0 = estimate_from_matrix(
+        _variant_returns(series, sample_variants(p0, K=1, seed=5), cfg))
     zero_ok = est0.sigma2_mc == 0.0
 
     p = train(series, TrainSpec(window=6, hidden=(8,), dropout_p=0.2,
@@ -163,7 +171,7 @@ def test_criterion_04_dropout_variance_behavior():
         vals = []
         for s in range(10):
             vs = sample_variants(p, K=K, seed=100 + s)
-            est = mc_disentangle(run_backtest_variants(series, vs, cfg))
+            est = estimate_from_matrix(_variant_returns(series, vs, cfg))
             vals.append(est.sigma2_mc)
         spreads[K] = float(np.std(vals))
     ratio = spreads[128] / spreads[32]
@@ -475,6 +483,29 @@ def test_million_tick_noise_surprise_throughput():
     elapsed = time.perf_counter() - t0
     assert np.isfinite(surprise).all() and surprise.std() > 0
     assert elapsed < 2.0, f"{elapsed:.2f}s for {len(series)} ticks"
+
+
+def test_wide_variant_sweep_memory_is_bounded():
+    # the engine reads the 512 variant columns in blocks of a fixed number
+    # of elements: the peak measured 8.1 MB, where one block holding every
+    # column peaked at 58.2 MB
+    series = gen_synthetic(SyntheticSpec(n_ticks=6000, sigma_noise=3e-4,
+                                         phi=0.9, sigma_signal=2e-4,
+                                         spread_bps=1.0, seed=4))
+    net = train(series.window(0, 2000),
+                TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=20,
+                          learning_rate=0.05, seed=1))
+    spec = SweepSpec(n_configs=8, threshold_range=(4.0, 8.0), fee_bps=0.2,
+                     K=64, period_ticks=64, seed=2)
+    tracemalloc.start()
+    try:
+        triples = sweep(series.window(2000, 6000), net, spec)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert sum(result.n_trades for _, result, _ in triples) > 0
+    assert all(mc.K == 64 for _, _, mc in triples)
+    assert peak_mb < 25.0, f"sweep peaked at {peak_mb:.1f} MB"
 
 
 # Writes a million-tick series and prints how far write_csv raised the

@@ -5,6 +5,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from risklab import analysis, backtest
 from risklab.analysis import (
     CorrelationCurve,
     SweepSpec,
@@ -14,10 +15,13 @@ from risklab.analysis import (
     sweep,
     sweep_configs,
 )
-from risklab.backtest import sharpe
+from risklab.backtest import run_backtest_signals, sharpe
 from risklab.errors import ValidationError
 from risklab.market_data import SyntheticSpec, gen_synthetic
-from risklab.predictor import TrainSpec, make_leaked, make_noise, train
+from risklab.predictor import (TrainSpec, make_leaked, make_noise,
+                               sample_variants, surprise_series, train,
+                               variant_surprise_series)
+from risklab.uncertainty import mc_disentangle
 
 SIGNAL_SPEC = SyntheticSpec(n_ticks=4000, sigma_noise=3e-4, phi=0.9,
                             sigma_signal=2e-4, spread_bps=1.0, seed=42)
@@ -46,6 +50,9 @@ def test_sweep_spec_validation():
         _mini_spec(stop_loss_range=(0.0, 10.0))
     with pytest.raises(ValidationError, match="fee_bps"):
         _mini_spec(fee_bps=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="fee_bps must be finite"):
+            _mini_spec(fee_bps=bad)
     with pytest.raises(ValidationError, match="K"):
         _mini_spec(K=0)
 
@@ -114,6 +121,52 @@ def test_sweep_dropout_variants_spread():
     assert any(mc.sigma2_mc > 0.0 for _, _, mc in out)
     for _, _, mc in out:
         assert mc.K == 4
+
+
+def _reference_sweep(series, predictor, spec):
+    """The sweep as one scalar engine run per variant, pooled by
+    mc_disentangle: the path the column core replaced."""
+    seed_rng = np.random.default_rng(np.random.SeedSequence(
+        [spec.seed, analysis._VARIANT_STREAM]))
+    seeds = seed_rng.integers(0, 2 ** 63 - 1, size=spec.n_configs)
+    base = surprise_series(predictor, series)
+    out = []
+    for cfg, seed in zip(sweep_configs(spec), seeds):
+        vs = sample_variants(predictor, spec.K, seed=int(seed))
+        runs = [run_backtest_signals(
+                    series, variant_surprise_series(vs, k, series), cfg)
+                for k in range(spec.K)]
+        out.append((cfg, run_backtest_signals(series, base, cfg),
+                    mc_disentangle(runs)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def dropout_net():
+    return train(gen_synthetic(SIGNAL_SPEC).window(0, 2000),
+                 TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=40,
+                           learning_rate=0.05, seed=3))
+
+
+@pytest.mark.parametrize("K", [2, 4, 16])
+def test_sweep_matches_per_variant_reference(dropout_net, K):
+    series = gen_synthetic(SIGNAL_SPEC)
+    spec = _mini_spec(n_configs=5, K=K, threshold_range=(0.0, 2.0), seed=K)
+    if K == 16:  # the variant columns span two engine blocks
+        assert 5 * K > backtest._BLOCK_ELEMENTS // len(series)
+    got = sweep(series, dropout_net, spec)
+    want = _reference_sweep(series, dropout_net, spec)
+    for (cfg, result, mc), (cfg_w, result_w, mc_w) in zip(got, want):
+        assert cfg == cfg_w
+        assert result.fills == result_w.fills
+        assert result.period_returns.tobytes() == \
+            result_w.period_returns.tobytes()
+        assert (mc.mu_mc, mc.sigma2_mc, mc.K, mc.n_periods, mc.mode) == \
+            (mc_w.mu_mc, mc_w.sigma2_mc, K, mc_w.n_periods, mc_w.mode)
+        assert mc.per_period_variance.tobytes() == \
+            mc_w.per_period_variance.tobytes()
+    assert len(got) == len(want) == 5
+    assert any(mc.sigma2_mc > 0.0 for _, _, mc in got)
 
 
 def test_sweep_leaked_beats_noise():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from risklab import SyntheticSpec, TickSeries, ValidationError, gen_synthetic
+from risklab import backtest
 from risklab.backtest import (EXIT_BLOCK, BacktestResult, Fill,
                               StrategyConfig, annualized_sharpe, run_backtest,
-                              run_backtest_signals, sharpe)
+                              run_backtest_columns, run_backtest_signals,
+                              sharpe)
 from risklab.predictor import make_leaked, make_persistence
 
 from backtest_oracle import walk_backtest
@@ -244,6 +246,174 @@ class TestEngineVsOracle:
                     cfg = dataclasses.replace(base, period_ticks=p)
                     self.check(s, signal, cfg, f"trial {trial} period {p}")
 
+    # The column core on one mixed-config batch per case: every column's
+    # period returns must equal the walk's exactly.
+
+    def check_columns(self, s, signals, cfgs, label):
+        """Returns each column's oracle fills."""
+        got = run_backtest_columns(s, signals, cfgs)
+        assert got.shape == (len(cfgs), -(-len(s) // cfgs[0].period_ticks))
+        fills = []
+        for c, (signal, cfg) in enumerate(zip(signals, cfgs)):
+            _, want_fills, want_pr = walk_backtest(
+                list(s.bid), list(s.ask), list(signal),
+                cfg.threshold_bps, cfg.stop_loss_bps, cfg.take_profit_bps,
+                cfg.fee_bps, cfg.allow_short, cfg.period_ticks)
+            assert list(got[c]) == want_pr, f"{label} column {c}"
+            fills.append(want_fills)
+        return fills
+
+    @staticmethod
+    def random_batch(rng, n, c, period_ticks):
+        signals = rng.normal(0.0, 20e-4, (c, n))
+        signals[rng.random((c, n)) < 0.1] = np.nan
+        cfgs = [StrategyConfig(
+            threshold_bps=float(rng.uniform(0, 25)),
+            stop_loss_bps=float(rng.uniform(5, 80)),
+            take_profit_bps=float(rng.uniform(5, 80)),
+            fee_bps=float(rng.choice([0.0, 2.0, 10.0])),
+            allow_short=bool(rng.random() < 0.7),
+            period_ticks=period_ticks) for _ in range(c)]
+        # an all-NaN column and one whose threshold is never reached
+        signals[0] = np.nan
+        cfgs[1] = dataclasses.replace(cfgs[1], threshold_bps=1e6)
+        return signals, cfgs
+
+    def test_columns_random_scenarios_match_exactly(self):
+        one_tick = TickSeries("ONE", SEC, np.array([SEC]), np.array([99.0]),
+                              np.array([101.0]))
+        assert run_backtest_columns(one_tick, [[0.1], [-0.1]],
+                                    [StrategyConfig()] * 2).tolist() == \
+            [[0.0], [0.0]]
+        rng = np.random.default_rng(2025)
+        for trial, n in enumerate([2, 3, 4, 5]
+                                  + list(rng.integers(6, 400, 9))):
+            s = random_walk(int(n), seed=int(rng.integers(0, 1 << 31)))
+            signals, cfgs = self.random_batch(rng, int(n),
+                                              int(rng.integers(2, 30)),
+                                              int(rng.integers(1, 40)))
+            fills = self.check_columns(s, signals, cfgs, f"trial {trial}")
+            assert fills[0] == fills[1] == []
+
+    def test_columns_wider_than_one_block(self):
+        rng = np.random.default_rng(2026)
+        n = 2000
+        c = 2 * (backtest._BLOCK_ELEMENTS // n) + 3
+        s = random_walk(n, seed=5)
+        signals, cfgs = self.random_batch(rng, n, c, 64)
+        signals[-1] = np.nan
+        fills = self.check_columns(s, signals, cfgs, "wide")
+        assert fills[0] == fills[1] == fills[-1] == []
+        assert all(fills[2:-1])
+        # rows may come from a generator, read one block at a time
+        got = run_backtest_columns(s, (row for row in signals), cfgs)
+        assert np.array_equal(got, run_backtest_columns(s, signals, cfgs))
+
+    def test_columns_long_holds_cross_scan_blocks(self):
+        rng = np.random.default_rng(8)
+        holds, reasons = [], set()
+        for trial in range(6):
+            n = int(rng.integers(500, 3000))
+            s = random_walk(n, seed=int(rng.integers(0, 1 << 31)))
+            signals, cfgs = [], []
+            period = int(rng.integers(1, 200))
+            for col in range(8):
+                signal = one_sign_signal(n, rng, float(rng.choice([-1.0, 1.0])))
+                if col % 3 == 0:
+                    flips = rng.random(n) < 0.002
+                    signal[flips] = -signal[flips]
+                signals.append(signal)
+                cfgs.append(StrategyConfig(
+                    threshold_bps=float(rng.uniform(0, 10)),
+                    stop_loss_bps=float(rng.uniform(50, 400)),
+                    take_profit_bps=float(rng.uniform(50, 400)),
+                    fee_bps=float(rng.choice([0.0, 2.0])),
+                    period_ticks=period))
+            for fills in self.check_columns(s, np.array(signals), cfgs,
+                                            f"trial {trial}"):
+                for entry, exit_ in zip(fills[::2], fills[1::2]):
+                    holds.append(exit_[0] - entry[0])
+                    if exit_[0] - entry[0] > EXIT_BLOCK:
+                        reasons.add(exit_[3])
+        assert max(holds) > 1000
+        assert reasons == {"take_profit", "stop_loss", "signal_flip",
+                           "end_of_data"}
+
+    def test_columns_grid_prices_hit_levels_exactly(self):
+        rng = np.random.default_rng(12)
+        ties = {False: 0, True: 0}
+        for trial in range(8):
+            n = int(rng.integers(50, 1500))
+            s = grid_series(n, rng)
+            pnls = {float(m) / float(p) - 1.0
+                    for m in np.unique(s.mid)
+                    for p in np.unique(np.concatenate([s.bid, s.ask]))}
+            tps = [b for b in map(exact_bps, (v for v in pnls if v > 0)) if b]
+            sls = [b for b in map(exact_bps, (-v for v in pnls if v < 0)) if b]
+            period = int(rng.integers(1, 100))
+            signals, cfgs = [], []
+            for col in range(10):
+                cfgs.append(StrategyConfig(
+                    threshold_bps=float(rng.uniform(0, 10)),
+                    stop_loss_bps=float(rng.choice(sls)),
+                    take_profit_bps=float(rng.choice(tps)),
+                    allow_short=bool(rng.random() < 0.5),
+                    period_ticks=period))
+                if col % 2:
+                    signals.append(one_sign_signal(n, rng, 1.0))
+                else:
+                    signal = rng.normal(0.0, 20e-4, n)
+                    signal[rng.random(n) < 0.5] = np.nan
+                    signals.append(signal)
+            batch = self.check_columns(s, np.array(signals), cfgs,
+                                       f"trial {trial}")
+            mids = (s.bid + s.ask) / 2.0
+            for fills, cfg in zip(batch, cfgs):
+                for entry, exit_ in zip(fills[::2], fills[1::2]):
+                    side = 1 if entry[1] == "BUY" else -1
+                    pnl = side * (mids[exit_[0] - 1] / entry[2] - 1.0)
+                    if pnl in (cfg.take_profit_bps * 1e-4,
+                               -cfg.stop_loss_bps * 1e-4):
+                        ties[exit_[0] - 1 - entry[0] >= EXIT_BLOCK] += 1
+        assert ties[False] > 0 and ties[True] > 0, ties
+
+    def test_columns_long_only_ignores_short_signals(self):
+        rng = np.random.default_rng(14)
+        for trial in range(5):
+            n = int(rng.integers(100, 3000))
+            s = random_walk(n, seed=int(rng.integers(0, 1 << 31)))
+            signals, cfgs = self.random_batch(rng, n, 12,
+                                              int(rng.integers(1, 100)))
+            # even columns are long-only; 2 and 3 see only short signals
+            cfgs = [dataclasses.replace(cfg, allow_short=col % 2 == 1)
+                    for col, cfg in enumerate(cfgs)]
+            cfgs[3] = dataclasses.replace(cfgs[3], allow_short=False)
+            signals[2] = one_sign_signal(n, rng, -1.0)
+            signals[3] = one_sign_signal(n, rng, -1.0)
+            fills = self.check_columns(s, signals, cfgs, f"trial {trial}")
+            assert fills[2] == fills[3] == []
+            long_only = range(4, 12, 2)
+            assert all(f[1] == "BUY" for col in long_only
+                       for f in fills[col][::2])
+            assert any(fills[col] for col in long_only)
+            assert any(f[1] == "SELL" for col in range(5, 12, 2)
+                       for f in fills[col][::2])
+
+    def test_columns_exit_on_period_boundaries(self):
+        rng = np.random.default_rng(18)
+        for trial in range(4):
+            n = int(rng.integers(200, 3000))
+            s = random_walk(n, seed=int(rng.integers(0, 1 << 31)))
+            signals, cfgs = self.random_batch(rng, n, 6, 1)
+            batch = self.check_columns(s, signals, cfgs, f"trial {trial}")
+            exits = [f[0] for fills in batch for f in fills[1::2]]
+            for ei in rng.choice(exits, 3):
+                for p in (int(ei), int(ei) + 1):
+                    self.check_columns(
+                        s, signals,
+                        [dataclasses.replace(cfg, period_ticks=p)
+                         for cfg in cfgs], f"trial {trial} period {p}")
+
 
 class TestResultInvariants:
     def test_zero_trades_all_zero(self):
@@ -356,6 +526,26 @@ class TestResultInvariants:
             StrategyConfig(take_profit_bps=-5)
         with pytest.raises(ValidationError):
             StrategyConfig(period_ticks=0)
+        for name in ("threshold_bps", "stop_loss_bps", "take_profit_bps",
+                     "fee_bps"):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValidationError,
+                                   match=f"{name} must be finite"):
+                    StrategyConfig(**{name: bad})
+
+    def test_columns_input_validation(self):
+        s = random_walk(50, seed=1)
+        cfg = StrategyConfig(period_ticks=10)
+        with pytest.raises(ValidationError, match="no columns"):
+            run_backtest_columns(s, np.zeros((0, 50)), [])
+        with pytest.raises(ValidationError, match="one period_ticks"):
+            run_backtest_columns(s, np.zeros((2, 50)),
+                                 [cfg, dataclasses.replace(cfg,
+                                                           period_ticks=5)])
+        for bad in (np.zeros((1, 50)), np.zeros((3, 50)), np.zeros((2, 49)),
+                    np.zeros(50)):
+            with pytest.raises(ValidationError, match="rows"):
+                run_backtest_columns(s, bad, [cfg, cfg])
 
 
 class TestSharpe:

@@ -180,6 +180,21 @@ def test_backtest_timestamp_beyond_int64_exits_2(tmp_path, capsys):
     assert "malformed row at line 3" in capsys.readouterr().err
 
 
+def test_backtest_non_finite_parameters_exit_2(tmp_path, capsys):
+    data = _write(tmp_path / "ticks.csv", GOOD_CSV)
+    config = _write(tmp_path / "train.ini", "[train]\nkind = leaked\n")
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", data, "--config", config,
+                 "--out", str(model)]) == EXIT_OK
+    capsys.readouterr()
+    for flag in ("--threshold-bps", "--stop-loss-bps", "--take-profit-bps",
+                 "--fee-bps"):
+        for value in ("nan", "inf"):
+            assert main(["backtest", "--data", data, "--predictor",
+                         str(model), flag, value]) == EXIT_CONFIG
+            assert "must be finite" in capsys.readouterr().err
+
+
 def test_sweep_command_writes_points_and_mc(tmp_path, capsys):
     spec = _write(tmp_path / "spec.ini", GEN_SPEC)
     data = tmp_path / "ticks.csv"
@@ -396,6 +411,12 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o7")]) == EXIT_CONFIG
     assert "[output] jobs" in capsys.readouterr().err
     assert not (tmp_path / "o7").exists()
+    nan_fee = _write(tmp_path / "g.ini",
+                     RUN_CONFIG.replace("fee_bps = 0.2", "fee_bps = nan"))
+    assert main(["run", "--config", nan_fee,
+                 "--out-dir", str(tmp_path / "o8")]) == EXIT_CONFIG
+    assert "fee_bps must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o8").exists()
 
 
 def test_decay_command(tmp_path, capsys):

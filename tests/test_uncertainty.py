@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from risklab import SyntheticSpec, ValidationError, gen_synthetic
-from risklab.backtest import BacktestResult, StrategyConfig, run_backtest, \
-    run_backtest_variants
-from risklab.predictor import TrainSpec, sample_variants, train
+from risklab.backtest import (BacktestResult, StrategyConfig,
+                              run_backtest_columns)
+from risklab.predictor import (TrainSpec, sample_variants, train,
+                               variant_surprise_series)
 from risklab.uncertainty import (estimate_from_matrix, mc_disentangle,
                                  mc_estimate_to_dict)
 
@@ -96,8 +97,10 @@ class TestEndToEnd:
         cfg = StrategyConfig(threshold_bps=2, stop_loss_bps=40,
                              take_profit_bps=40, period_ticks=300)
         vs = sample_variants(p, K=6, seed=1)
-        results = run_backtest_variants(ev, vs, cfg)
-        est = mc_disentangle(results)
+        returns = run_backtest_columns(
+            ev, [variant_surprise_series(vs, k, ev) for k in range(vs.K)],
+            [cfg] * vs.K)
+        est = estimate_from_matrix(returns)
         assert est.sigma2_mc > 0.0
         assert est.n_periods == 10
 
