@@ -182,24 +182,6 @@ def surprise_return_correlation(series: TickSeries, predictor: Predictor,
     return CorrelationCurve(lags=lags, corr=corr, n=counts)
 
 
-def average_correlation_curves(
-        curves: Sequence[CorrelationCurve]) -> CorrelationCurve:
-    """Equal-weighted mean across series; lags with no values stay NaN."""
-    if not curves:
-        raise ValidationError("no curves to average")
-    lags = curves[0].lags
-    for c in curves[1:]:
-        if not np.array_equal(c.lags, lags):
-            raise ValidationError("curves cover different lags")
-    mat = np.stack([c.corr for c in curves])
-    finite = np.isfinite(mat)
-    have = finite.sum(axis=0)
-    total = np.where(finite, mat, 0.0).sum(axis=0)
-    avg = np.where(have > 0, total / np.maximum(have, 1), np.nan)
-    return CorrelationCurve(lags=lags.copy(), corr=avg,
-                            n=np.stack([c.n for c in curves]).sum(axis=0))
-
-
 def cluster_tightness(
         points_by_group: Dict[Hashable, Sequence]) -> Dict[Hashable, float]:
     """Trace of the per-group covariance of (sigma_total, mean_return).

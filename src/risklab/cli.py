@@ -18,6 +18,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import platform
 import sys
@@ -45,7 +46,6 @@ from .pml import (
     RollingPmlResult,
     fit_pml,
     load_points_csv,
-    pml_fit_to_dict,
     rolling_pml,
     sweep_points,
     trend_tau,
@@ -93,7 +93,10 @@ def _as_int(raw: str) -> int:
 
 
 def _as_float(raw: str) -> float:
-    return float(raw.strip())
+    value = float(raw.strip())
+    if not math.isfinite(value):
+        raise ValidationError("must be finite")
+    return value
 
 
 def _as_bool(raw: str) -> bool:
@@ -107,7 +110,7 @@ def _as_bool(raw: str) -> bool:
 
 def _as_opt_float(raw: str) -> Optional[float]:
     token = raw.strip().lower()
-    return None if token in ("", "none") else float(token)
+    return None if token in ("", "none") else _as_float(token)
 
 
 def _as_hidden(raw: str) -> Tuple[int, ...]:
@@ -130,6 +133,8 @@ class _Section:
         raw = self._pairs.pop(key)
         try:
             return parse(raw)
+        except ValidationError as e:
+            raise ValidationError(f"[{self.name}] {key} {e}: '{raw}'") from None
         except (ValueError, TypeError):
             raise ValidationError(
                 f"[{self.name}] invalid value for '{key}': '{raw}'") from None
@@ -424,21 +429,12 @@ def _rolling_csv(result: RollingPmlResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _strategy_dict(cfg: StrategyConfig) -> dict:
-    return {"threshold_bps": cfg.threshold_bps,
-            "stop_loss_bps": cfg.stop_loss_bps,
-            "take_profit_bps": cfg.take_profit_bps,
-            "fee_bps": cfg.fee_bps,
-            "allow_short": cfg.allow_short,
-            "period_ticks": cfg.period_ticks}
-
-
 def _write_sweep(triples, out_dir: Path) -> List[RiskReturnPoint]:
     """Write a sweep's points.csv and mc.json; returns its priced points."""
     points = sweep_points(triples)
     write_points_csv(points, out_dir / "points.csv")
     mc_doc = [{"config_id": point.config_id,
-               "strategy": _strategy_dict(cfg),
+               "strategy": dataclasses.asdict(cfg),
                "n_trades": result.n_trades,
                **mc_estimate_to_dict(mc)}
               for point, (cfg, result, mc) in zip(points, triples)]
@@ -506,7 +502,7 @@ def _cmd_fit_pml(args) -> None:
                   intercept_mode=args.intercept, risk_axis=args.risk_axis,
                   periods_per_year=args.periods_per_year,
                   bootstrap=args.bootstrap, bootstrap_seed=args.bootstrap_seed)
-    print(_json_text(pml_fit_to_dict(fit)), end="")
+    print(_json_text(dataclasses.asdict(fit)), end="")
 
 
 def _cmd_correlate(args) -> None:
@@ -605,7 +601,7 @@ def _run_artifacts(exp: Experiment, out_dir: Path) -> Tuple[PmlFit, int]:
                       bootstrap_seed=exp.pml.bootstrap_seed)
     except DegenerateError as e:
         raise DegenerateError(f"degenerate sweep: {e}") from None
-    _write_text(out_dir / "pml.json", _json_text(pml_fit_to_dict(fit)))
+    _write_text(out_dir / "pml.json", _json_text(dataclasses.asdict(fit)))
 
     curve = surprise_return_correlation(evaluation, predictor,
                                         max_lag=exp.max_lag)
@@ -620,6 +616,15 @@ def _run_artifacts(exp: Experiment, out_dir: Path) -> Tuple[PmlFit, int]:
 # ------------------------------------------------------------------ main
 
 _JOBS_HELP = "accepted for compatibility; runs are serial"
+
+
+def _finite_float(raw: str) -> float:
+    """argparse type of every float flag: anything but a finite number
+    exits 2 before the command runs."""
+    try:
+        return _as_float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be finite, got '{raw}'") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -646,17 +651,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="run one strategy, print a summary")
     p.add_argument("--data", required=True, help="tick CSV")
     p.add_argument("--predictor", required=True, help="predictor JSON")
-    p.add_argument("--threshold-bps", type=float, default=10.0)
-    p.add_argument("--stop-loss-bps", type=float, default=50.0)
-    p.add_argument("--take-profit-bps", type=float, default=50.0)
-    p.add_argument("--fee-bps", type=float, default=1.0)
+    p.add_argument("--threshold-bps", type=_finite_float, default=10.0)
+    p.add_argument("--stop-loss-bps", type=_finite_float, default=50.0)
+    p.add_argument("--take-profit-bps", type=_finite_float, default=50.0)
+    p.add_argument("--fee-bps", type=_finite_float, default=1.0)
     p.add_argument("--period-ticks", type=int, default=256)
     p.add_argument("--no-short", action="store_true",
                    help="disable short entries")
-    p.add_argument("--rf", type=float,
+    p.add_argument("--rf", type=_finite_float,
                    default=DEFAULT_RF_ANNUAL / DEFAULT_PERIODS_PER_YEAR,
                    help="per-period risk-free rate")
-    p.add_argument("--periods-per-year", type=float,
+    p.add_argument("--periods-per-year", type=_finite_float,
                    default=float(DEFAULT_PERIODS_PER_YEAR))
     p.set_defaults(func=_cmd_backtest)
 
@@ -677,14 +682,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True,
                    help="CSV: config_id,mean_return,sigma_total,sigma_mc,"
                         "sigma_priced,clamped")
-    p.add_argument("--rf", type=float,
+    p.add_argument("--rf", type=_finite_float,
                    default=DEFAULT_RF_ANNUAL / DEFAULT_PERIODS_PER_YEAR,
                    help="per-period risk-free rate")
     p.add_argument("--intercept", choices=[INTERCEPT_FIXED, INTERCEPT_FREE],
                    default=INTERCEPT_FIXED)
     p.add_argument("--risk-axis", choices=[AXIS_PRICED, AXIS_MC],
                    default=AXIS_PRICED)
-    p.add_argument("--periods-per-year", type=float,
+    p.add_argument("--periods-per-year", type=_finite_float,
                    default=float(DEFAULT_PERIODS_PER_YEAR))
     p.add_argument("--bootstrap", type=int, default=0,
                    help="bootstrap resamples for a second stderr")

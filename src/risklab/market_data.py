@@ -1,9 +1,8 @@
-"""Best bid/offer tick data: CSV store, resampling, synthetic generation.
+"""Best bid/offer tick data: CSV store and synthetic generation.
 
-A tick series is the unit every other module consumes. Internally quotes are
-held as numpy arrays (int64 nanosecond timestamps, float64 bid/ask) so that
-signal computation and backtests stay vectorized; `BboTick` objects are
-materialized on demand.
+A tick series is the unit every other module consumes. Quotes are held as
+numpy arrays (int64 nanosecond timestamps, float64 bid/ask) so that signal
+computation and backtests stay vectorized.
 
 The CSV format is fixed: UTF-8, "\n" line endings, header `ts_ns,bid,ask`,
 prices written with up to 10 fractional digits (trailing zeros trimmed,
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,33 +33,10 @@ INITIAL_MID = 100.0
 
 
 @dataclass(frozen=True)
-class BboTick:
-    """One top-of-book observation. `ts` is integer nanoseconds."""
-
-    ts: int
-    bid: float
-    ask: float
-
-    @property
-    def mid(self) -> float:
-        return (self.bid + self.ask) / 2.0
-
-
-def mid(tick: BboTick) -> float:
-    """Mid price of a quote, (bid + ask) / 2."""
-    return (tick.bid + tick.ask) / 2.0
-
-
-@dataclass(frozen=True)
 class TickSeries:
-    """An ordered best bid/offer series for one symbol.
-
-    `resolution_ns` is the tick spacing for regular series; for irregular
-    raw data it records the smallest observed gap. Arrays are read-only.
-    """
+    """An ordered best bid/offer series for one symbol. Arrays are read-only."""
 
     symbol: str
-    resolution_ns: int
     ts: np.ndarray
     bid: np.ndarray
     ask: np.ndarray
@@ -73,8 +49,6 @@ class TickSeries:
             raise ValidationError("ts, bid, ask must be 1-d arrays of equal length")
         if ts.size == 0:
             raise ValidationError("tick series must contain at least one tick")
-        if self.resolution_ns <= 0:
-            raise ValidationError("resolution_ns must be positive")
         if not (ts[1:] > ts[:-1]).all():  # np.diff would wrap at int64's ends
             raise ValidationError("timestamps must be strictly increasing")
         if not np.isfinite(bid).all() or not np.isfinite(ask).all():
@@ -94,43 +68,12 @@ class TickSeries:
     def mid(self) -> np.ndarray:
         return (self.bid + self.ask) / 2.0
 
-    def is_regular(self) -> bool:
-        """True when consecutive timestamps all differ by resolution_ns."""
-        if len(self) < 2:
-            return True
-        return bool((_gaps(self.ts) == self.resolution_ns).all())
-
-    def tick(self, i: int) -> BboTick:
-        return BboTick(int(self.ts[i]), float(self.bid[i]), float(self.ask[i]))
-
-    def ticks(self) -> List[BboTick]:
-        return [self.tick(i) for i in range(len(self))]
-
     def window(self, start: int, stop: int) -> "TickSeries":
         """Sub-series over tick indices [start, stop)."""
         if not 0 <= start < stop <= len(self):
             raise ValidationError(f"bad window [{start}, {stop}) for {len(self)} ticks")
-        return TickSeries(self.symbol, self.resolution_ns,
-                          self.ts[start:stop], self.bid[start:stop],
-                          self.ask[start:stop])
-
-
-def _gaps(ts: np.ndarray) -> np.ndarray:
-    """Gaps between neighbouring increasing int64 timestamps, as uint64.
-
-    np.diff would wrap past int64's ends; the uint64 difference of two
-    increasing timestamps is their exact gap, up to 2**64 - 1.
-    """
-    u = ts.view(np.uint64)
-    return u[1:] - u[:-1]
-
-
-def _infer_resolution(ts: np.ndarray) -> int:
-    """The smallest gap, or 1 for a single tick. Meaningless unless `ts`
-    increases; `TickSeries` rejects a series that does not."""
-    if ts.size < 2:
-        return 1
-    return int(_gaps(ts).min())
+        return TickSeries(self.symbol, self.ts[start:stop],
+                          self.bid[start:stop], self.ask[start:stop])
 
 
 def format_price(x: float) -> str:
@@ -168,12 +111,11 @@ def load_csv(path: Union[str, Path], symbol: Optional[str] = None) -> TickSeries
     rows = _parse_bulk(path, body)
     if rows is not None:
         try:
-            return TickSeries(symbol, _infer_resolution(rows["ts"]),
-                              rows["ts"], rows["bid"], rows["ask"])
+            return TickSeries(symbol, rows["ts"], rows["bid"], rows["ask"])
         except ValidationError:
             pass  # the scan names the first bad line
     ts, bid, ask = _scan_rows(path, body)
-    return TickSeries(symbol, _infer_resolution(ts), ts, bid, ask)
+    return TickSeries(symbol, ts, bid, ask)
 
 
 def _parse_bulk(path: Path, body: str) -> Optional[np.ndarray]:
@@ -359,35 +301,6 @@ def _format_rows(ts: np.ndarray, bid: np.ndarray, ask: np.ndarray) -> bytes:
     return mat[keep].tobytes()
 
 
-def resample(series: TickSeries, target_ns: int) -> TickSeries:
-    """Downsample to a regular grid by last-observation-carried-forward.
-
-    One output tick per target bucket, stamped at the bucket's right edge
-    (a multiple of target_ns) and carrying the last quote at or before that
-    edge. Buckets that close before the first observation are omitted.
-    Resampling an already-aligned series at its own resolution is the
-    identity, and resampling is idempotent.
-    """
-    if target_ns <= 0:
-        raise ValidationError("target_ns must be positive")
-    if target_ns < series.resolution_ns:
-        raise ValidationError(
-            f"target {target_ns}ns is smaller than source resolution "
-            f"{series.resolution_ns}ns")
-    if series.is_regular() and target_ns % series.resolution_ns != 0:
-        raise ValidationError(
-            f"target {target_ns}ns is not a multiple of source resolution "
-            f"{series.resolution_ns}ns")
-    first = int(series.ts[0])
-    last = int(series.ts[-1])
-    first_edge = -(-first // target_ns) * target_ns
-    last_edge = -(-last // target_ns) * target_ns
-    edges = np.arange(first_edge, last_edge + 1, target_ns, dtype=np.int64)
-    idx = np.searchsorted(series.ts, edges, side="right") - 1
-    return TickSeries(series.symbol, target_ns, edges,
-                      series.bid[idx], series.ask[idx])
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters for the planted-signal random walk generator.
@@ -410,6 +323,11 @@ class SyntheticSpec:
     decay_to: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("sigma_noise", "phi", "sigma_signal", "spread_bps",
+                     "decay_to"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite")
         if self.n_ticks < 2:
             raise ValidationError("n_ticks must be at least 2")
         if self.dt_ns <= 0:
@@ -472,5 +390,4 @@ def gen_synthetic(spec: SyntheticSpec, symbol: str = "SYN") -> TickSeries:
     mid_px = np.exp(log_mid)
     half = spec.spread_bps * 1e-4 / 2.0
     ts = spec.dt_ns * np.arange(1, n + 1, dtype=np.int64)
-    return TickSeries(symbol, int(spec.dt_ns), ts,
-                      mid_px * (1.0 - half), mid_px * (1.0 + half))
+    return TickSeries(symbol, ts, mid_px * (1.0 - half), mid_px * (1.0 + half))

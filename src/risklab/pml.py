@@ -206,11 +206,6 @@ def fit_pml(points: Sequence[RiskReturnPoint],
                   fitted_intercept=intercept, stderr_bootstrap=stderr_boot)
 
 
-def sr_theta_line(fit: PmlFit, sigma: float) -> float:
-    """Expected return the fitted line assigns to volatility sigma."""
-    return fit.r_f_per_period + sigma * fit.sr_theta
-
-
 def trend_tau(values: Sequence[float]) -> float:
     """Kendall's tau-b of a series against time; NaN entries are skipped.
 
@@ -354,27 +349,3 @@ def load_points_csv(path: Union[str, Path]) -> List[RiskReturnPoint]:
             raise ValidationError(
                 f"malformed points row at line {lineno}") from None
     return points
-
-
-def pml_fit_to_dict(fit: PmlFit) -> dict:
-    return {"sr_theta": fit.sr_theta,
-            "sr_theta_annualized": fit.sr_theta_annualized,
-            "stderr": fit.stderr,
-            "stderr_bootstrap": fit.stderr_bootstrap,
-            "r2": fit.r2,
-            "r_f_per_period": fit.r_f_per_period,
-            "n_points": fit.n_points,
-            "n_clamped": fit.n_clamped,
-            "intercept_mode": fit.intercept_mode,
-            "risk_axis": fit.risk_axis,
-            "fitted_intercept": fit.fitted_intercept}
-
-
-def rolling_to_dict(r: RollingPmlResult) -> dict:
-    def _listed(a: np.ndarray) -> list:
-        return [None if not np.isfinite(v) else float(v) for v in a]
-
-    return {"window_starts": [int(s) for s in r.window_starts],
-            "sr_theta_series": _listed(r.sr_theta_series),
-            "sr_observed_series": _listed(r.sr_observed_series),
-            "gap_series": _listed(r.gap_series)}

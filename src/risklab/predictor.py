@@ -11,10 +11,11 @@ Four kinds share one interface:
   noise         current mid times exp of a counter-based gaussian of
                 (seed, ts): one hash per tick, no generator state
 
-Variants: `sample_variants` freezes K dropout masks; each variant applies
-its mask at inference across all timesteps, so variant k is a deterministic
-function of (base predictor, mask seed k). Per-tick re-masking exists as a
-batch-only diagnostic behind a flag.
+Forecasts come as whole series: `surprise_series` gives the relative
+predicted move at every tick. Variants: `sample_variants` freezes K dropout
+masks; each variant applies its mask at inference across all timesteps, so
+variant k is a deterministic function of (base predictor, mask seed k), and
+`variant_surprise_series` gives its series.
 
 Everything is seed-deterministic: training the same series with the same
 spec twice yields bit-identical weights, and no call touches global random
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegenerateError, ValidationError
-from .market_data import BboTick, TickSeries
+from .market_data import TickSeries
 
 KIND_NET = "dropout-net"
 KIND_PERSISTENCE = "persistence"
@@ -211,16 +212,6 @@ def train(series: TickSeries, spec: TrainSpec) -> Predictor:
                      scale=scale, final_loss=final_loss)
 
 
-def _history_features(p: Predictor, history: Sequence[BboTick],
-                      now: BboTick) -> np.ndarray:
-    w = p.window
-    if len(history) < w:
-        raise ValidationError(
-            f"insufficient history: need {w} ticks, got {len(history)}")
-    mids = np.array([t.mid for t in (*history[-w:], now)])
-    return np.diff(np.log(mids)) / p.scale
-
-
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _TOP_HALF = np.uint64(1 << 52)
 _MASK53 = np.uint64((1 << 53) - 1)
@@ -248,36 +239,6 @@ def eps(seed: int, ts: np.ndarray) -> np.ndarray:
     return np.where(k >= _TOP_HALF, -draw, draw)
 
 
-def _noise_surprise(p: Predictor, ts: np.ndarray) -> np.ndarray:
-    return np.exp(p.noise_scale * eps(p.noise_seed, ts)) - 1.0
-
-
-def predict(p: Predictor, history: Sequence[BboTick], now: BboTick,
-            future: Optional[Sequence[BboTick]] = None) -> float:
-    """Point mid forecast for the tick after `now` (dropout disabled)."""
-    if p.kind == KIND_PERSISTENCE:
-        return now.mid
-    if p.kind == KIND_LEAKED:
-        if future is None or len(future) < p.horizon:
-            raise ValidationError(
-                f"leaked predictor needs {p.horizon} future ticks")
-        return future[p.horizon - 1].mid
-    if p.kind == KIND_NOISE:
-        # mid * (1 + surprise): bitwise what surprise_series implies
-        return now.mid * (1.0 + float(_noise_surprise(p, np.array([now.ts]))[0]))
-    x = _history_features(p, history, now)[None, :]
-    y = _forward(x, p.weights, p.biases)[0] * p.scale
-    return now.mid * math.exp(y)
-
-
-def surprise(p: Predictor, history: Sequence[BboTick], now: BboTick,
-             future: Optional[Sequence[BboTick]] = None) -> float:
-    """Relative predicted move, (forecast - mid) / mid."""
-    if p.kind == KIND_PERSISTENCE:
-        return 0.0
-    return predict(p, history, now, future) / now.mid - 1.0
-
-
 def surprise_series(p: Predictor, series: TickSeries) -> np.ndarray:
     """Surprise at every tick; NaN where the predictor is undefined.
 
@@ -296,7 +257,7 @@ def surprise_series(p: Predictor, series: TickSeries) -> np.ndarray:
             out[:n - h] = midv[h:] / midv[:n - h] - 1.0
         return out
     if p.kind == KIND_NOISE:
-        return _noise_surprise(p, series.ts)
+        return np.exp(p.noise_scale * eps(p.noise_seed, series.ts)) - 1.0
     return _net_surprise(p, series, None, 1.0)
 
 
@@ -324,15 +285,13 @@ class VariantSet:
 
     base: Predictor
     mask_seeds: Tuple[int, ...]
-    remask_per_tick: bool = False
 
     @property
     def K(self) -> int:
         return len(self.mask_seeds)
 
 
-def sample_variants(p: Predictor, K: int = 32, seed: int = 0,
-                    remask_per_tick: bool = False) -> VariantSet:
+def sample_variants(p: Predictor, K: int = 32, seed: int = 0) -> VariantSet:
     """Draw K mask seeds from `seed`. K > 1 needs a net with dropout."""
     if K < 1:
         raise ValidationError("K must be at least 1")
@@ -343,18 +302,15 @@ def sample_variants(p: Predictor, K: int = 32, seed: int = 0,
         raise ValidationError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     mask_seeds = tuple(int(s) for s in rng.integers(0, 2 ** 63 - 1, size=K))
-    return VariantSet(base=p, mask_seeds=mask_seeds,
-                      remask_per_tick=remask_per_tick)
+    return VariantSet(base=p, mask_seeds=mask_seeds)
 
 
-def _variant_masks(p: Predictor, mask_seed: int,
-                   n_rows: Optional[int]) -> List[np.ndarray]:
-    """Per-layer keep masks; one row per tick when n_rows is given."""
+def _variant_masks(p: Predictor, mask_seed: int) -> List[np.ndarray]:
+    """Per-layer keep masks, one entry per hidden unit."""
     masks = []
     for l, width in enumerate(p.train_spec.hidden):
         rng = np.random.default_rng(np.random.SeedSequence([mask_seed, l]))
-        shape = (width,) if n_rows is None else (n_rows, width)
-        masks.append(rng.random(shape) >= p.dropout_p)
+        masks.append(rng.random(width) >= p.dropout_p)
     return masks
 
 
@@ -364,25 +320,9 @@ def variant_surprise_series(vs: VariantSet, k: int,
     p = vs.base
     if p.kind != KIND_NET or p.dropout_p == 0.0:
         return surprise_series(p, series)
-    n_rows = max(len(series) - p.window, 0) if vs.remask_per_tick else None
-    masks = _variant_masks(p, vs.mask_seeds[k], n_rows)
+    masks = _variant_masks(p, vs.mask_seeds[k])
     keep_scale = 1.0 / (1.0 - p.dropout_p)
     return _net_surprise(p, series, masks, keep_scale)
-
-
-def predict_variant(vs: VariantSet, k: int, history: Sequence[BboTick],
-                    now: BboTick) -> float:
-    """Single-tick forecast of variant k (frozen masks only)."""
-    p = vs.base
-    if p.kind != KIND_NET or p.dropout_p == 0.0:
-        return predict(p, history, now)
-    if vs.remask_per_tick:
-        raise ValidationError("per-tick re-masking is a batch-only diagnostic")
-    masks = _variant_masks(p, vs.mask_seeds[k], None)
-    x = _history_features(p, history, now)[None, :]
-    y = _forward(x, p.weights, p.biases, masks,
-                 1.0 / (1.0 - p.dropout_p))[0] * p.scale
-    return now.mid * math.exp(y)
 
 
 def predictor_to_dict(p: Predictor) -> dict:

@@ -235,7 +235,7 @@ SCENARIO_ASKS = [101.0, 100.0, 104.0, 105.5, 106.0, 106.0]
 
 def _scenario_series():
     ts = SEC * np.arange(1, 7)
-    return TickSeries("HAND", SEC, ts, np.array(SCENARIO_BIDS),
+    return TickSeries("HAND", ts, np.array(SCENARIO_BIDS),
                       np.array(SCENARIO_ASKS))
 
 
@@ -516,7 +516,7 @@ import numpy as np
 from risklab import TickSeries, write_csv
 n = 1_000_000
 bid = 100.0 + np.random.default_rng(5).random(n)
-series = TickSeries("M", 1, np.arange(1, n + 1), bid, bid + 0.01)
+series = TickSeries("M", np.arange(1, n + 1), bid, bid + 0.01)
 del bid
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 write_csv(series, sys.argv[1])

@@ -9,7 +9,6 @@ from risklab import analysis, backtest
 from risklab.analysis import (
     CorrelationCurve,
     SweepSpec,
-    average_correlation_curves,
     cluster_tightness,
     surprise_return_correlation,
     sweep,
@@ -161,8 +160,8 @@ def test_sweep_matches_per_variant_reference(dropout_net, K):
         assert result.fills == result_w.fills
         assert result.period_returns.tobytes() == \
             result_w.period_returns.tobytes()
-        assert (mc.mu_mc, mc.sigma2_mc, mc.K, mc.n_periods, mc.mode) == \
-            (mc_w.mu_mc, mc_w.sigma2_mc, K, mc_w.n_periods, mc_w.mode)
+        assert (mc.mu_mc, mc.sigma2_mc, mc.K, mc.n_periods) == \
+            (mc_w.mu_mc, mc_w.sigma2_mc, K, mc_w.n_periods)
         assert mc.per_period_variance.tobytes() == \
             mc_w.per_period_variance.tobytes()
     assert len(got) == len(want) == 5
@@ -216,10 +215,8 @@ def test_correlation_noise_on_random_walk_is_null():
 
 def test_correlation_invariant_under_price_scaling():
     series = gen_synthetic(WALK_SPEC)
-    scaled = type(series)(symbol=series.symbol,
-                          resolution_ns=series.resolution_ns,
-                          ts=series.ts, bid=series.bid * 7.3,
-                          ask=series.ask * 7.3)
+    scaled = type(series)(symbol=series.symbol, ts=series.ts,
+                          bid=series.bid * 7.3, ask=series.ask * 7.3)
     p = make_noise(1e-4, seed=5)
     a = surprise_return_correlation(series, p)
     b = surprise_return_correlation(scaled, p)
@@ -243,25 +240,6 @@ def test_correlation_curve_invariants():
     with pytest.raises(ValidationError, match="\\[-1, 1\\]"):
         CorrelationCurve(lags=np.array([-1, 0, 1]),
                          corr=np.array([1.5, np.nan, 0.0]), n=np.zeros(3))
-
-
-def test_average_correlation_curves():
-    lags = np.arange(-1, 2)
-    a = CorrelationCurve(lags=lags.copy(), corr=np.array([0.2, np.nan, 0.6]),
-                         n=np.array([10, 0, 10]))
-    b = CorrelationCurve(lags=lags.copy(), corr=np.array([0.4, np.nan, np.nan]),
-                         n=np.array([10, 0, 0]))
-    avg = average_correlation_curves([a, b])
-    assert avg.corr[0] == pytest.approx(0.3, abs=1e-15)
-    assert np.isnan(avg.corr[1])
-    assert avg.corr[2] == pytest.approx(0.6, abs=1e-15)
-    assert list(avg.n) == [20, 0, 10]
-    with pytest.raises(ValidationError, match="different lags"):
-        average_correlation_curves(
-            [a, CorrelationCurve(lags=np.arange(-2, 3), corr=np.full(5, np.nan),
-                                 n=np.zeros(5))])
-    with pytest.raises(ValidationError, match="no curves"):
-        average_correlation_curves([])
 
 
 def test_cluster_tightness_identical_points_is_zero():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,24 @@ def _write(path, text):
     return str(path)
 
 
+def _with_key(config, section, key, value):
+    """`config` with `key = value` in `[section]`, replacing a value it has."""
+    line = f"{key} = {value}\n"
+    if re.search(f"^{key} = ", config, flags=re.M):
+        return re.sub(f"^{key} = .*\n", line, config, flags=re.M)
+    if f"[{section}]\n" in config:
+        return config.replace(f"[{section}]\n", f"[{section}]\n{line}")
+    return config + f"\n[{section}]\n{line}"
+
+
+def _exit_code(argv):
+    """The code `risklab` exits with; argparse rejects a flag by SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
 def test_gen_data_writes_deterministic_csv(tmp_path, capsys):
     spec = _write(tmp_path / "spec.ini", GEN_SPEC)
     out1 = tmp_path / "a.csv"
@@ -111,6 +130,15 @@ def test_gen_data_invalid_spec_exits_2(tmp_path, capsys):
     assert main(["gen-data", "--spec", spec,
                  "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     assert "phi" in capsys.readouterr().err
+    for key, value in (("sigma_noise", "nan"), ("spread_bps", "nan"),
+                       ("decay_to", "nan"), ("sigma_signal", "inf"),
+                       ("phi", "-inf")):
+        spec = _write(tmp_path / "spec.ini",
+                      f"[synthetic]\nn_ticks = 100\n{key} = {value}\n")
+        assert main(["gen-data", "--spec", spec,
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG, key
+        assert f"[synthetic] {key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_gen_data_missing_spec_exits_3(tmp_path, capsys):
@@ -188,11 +216,13 @@ def test_backtest_non_finite_parameters_exit_2(tmp_path, capsys):
                  "--out", str(model)]) == EXIT_OK
     capsys.readouterr()
     for flag in ("--threshold-bps", "--stop-loss-bps", "--take-profit-bps",
-                 "--fee-bps"):
+                 "--fee-bps", "--rf", "--periods-per-year"):
         for value in ("nan", "inf"):
-            assert main(["backtest", "--data", data, "--predictor",
-                         str(model), flag, value]) == EXIT_CONFIG
-            assert "must be finite" in capsys.readouterr().err
+            assert _exit_code(["backtest", "--data", data, "--predictor",
+                               str(model), flag, value]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{flag}: must be finite" in captured.err
 
 
 def test_sweep_command_writes_points_and_mc(tmp_path, capsys):
@@ -221,6 +251,63 @@ def test_sweep_command_writes_points_and_mc(tmp_path, capsys):
     assert len(mc) == 4
     assert mc[0]["config_id"] == "cfg000"
     assert mc[0]["K"] == 1
+
+
+def test_sweep_and_fit_pml_documents_are_pinned(tmp_path, capsys):
+    # mc.json and fit-pml's stdout, byte for byte, against documents whose
+    # keys are spelled out here: a renamed, added or dropped key, or another
+    # mode string, changes the bytes
+    spec = _write(tmp_path / "spec.ini", GEN_SPEC)
+    data = tmp_path / "ticks.csv"
+    config = _write(tmp_path / "exp.ini",
+                    "[train]\nkind = net\nwindow = 4\nhidden = 4\n"
+                    "epochs = 5\n\n[sweep]\nn_configs = 3\n"
+                    "threshold_lo = 0\nthreshold_hi = 1\nfee_bps = 0.2\n"
+                    "k = 2\nperiod_ticks = 64\n")
+    model = tmp_path / "model.json"
+    out = tmp_path / "out"
+    assert main(["gen-data", "--spec", spec, "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--config", config,
+                 "--out", str(model)]) == EXIT_OK
+    assert main(["sweep", "--data", str(data), "--predictor", str(model),
+                 "--config", config, "--out-dir", str(out)]) == EXIT_OK
+    capsys.readouterr()
+
+    def text(doc):
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+    triples = risklab.sweep(load_csv(data), risklab.load_predictor(model),
+                            risklab.SweepSpec(n_configs=3,
+                                              threshold_range=(0.0, 1.0),
+                                              fee_bps=0.2, K=2,
+                                              period_ticks=64))
+    mc_doc = [{"config_id": f"cfg{i:03d}",
+               "strategy": {"threshold_bps": cfg.threshold_bps,
+                            "stop_loss_bps": cfg.stop_loss_bps,
+                            "take_profit_bps": cfg.take_profit_bps,
+                            "fee_bps": cfg.fee_bps,
+                            "allow_short": cfg.allow_short,
+                            "period_ticks": cfg.period_ticks},
+               "n_trades": result.n_trades, "mu_mc": mc.mu_mc,
+               "sigma2_mc": mc.sigma2_mc, "K": mc.K,
+               "n_periods": mc.n_periods, "mode": "per_period",
+               "per_period_variance": mc.per_period_variance.tolist()}
+              for i, (cfg, result, mc) in enumerate(triples)]
+    assert any(mc.sigma2_mc > 0 for _, _, mc in triples)
+    assert (out / "mc.json").read_text(encoding="utf-8") == text(mc_doc)
+
+    assert main(["fit-pml", "--points", str(out / "points.csv"),
+                 "--intercept", "free"]) == EXIT_OK
+    fit = risklab.fit_pml(risklab.load_points_csv(out / "points.csv"),
+                          intercept_mode="free")
+    assert capsys.readouterr().out == text(
+        {"sr_theta": fit.sr_theta,
+         "sr_theta_annualized": fit.sr_theta_annualized,
+         "stderr": fit.stderr, "stderr_bootstrap": fit.stderr_bootstrap,
+         "r2": fit.r2, "r_f_per_period": fit.r_f_per_period,
+         "n_points": fit.n_points, "n_clamped": fit.n_clamped,
+         "intercept_mode": fit.intercept_mode, "risk_axis": fit.risk_axis,
+         "fitted_intercept": fit.fitted_intercept})
 
 
 def test_fit_pml_exact_line(tmp_path, capsys):
@@ -257,6 +344,14 @@ def test_fit_pml_error_paths(tmp_path, capsys):
         encoding="utf-8")
     assert main(["fit-pml", "--points", str(same)]) == EXIT_NUMERIC
     assert "degenerate" in capsys.readouterr().err
+    # a non-finite rate or year length would put NaN or inf in the JSON
+    for flag, value in (("--rf", "nan"), ("--rf", "inf"),
+                        ("--periods-per-year", "inf")):
+        assert _exit_code(["fit-pml", "--points", str(same), flag,
+                           value]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: must be finite" in captured.err
 
 
 def test_correlate_stdout_and_file_agree(tmp_path, capsys):
@@ -417,6 +512,26 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o8")]) == EXIT_CONFIG
     assert "fee_bps must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o8").exists()
+    # a non-finite float fails before the out-dir exists, whatever its key
+    for section, key, value in (
+            ("data", "sigma_noise", "nan"), ("data", "spread_bps", "nan"),
+            ("data", "decay_to", "nan"), ("data", "sigma_signal", "inf"),
+            ("train", "learning_rate", "nan"), ("train", "l2", "inf"),
+            ("pml", "rf_annual", "nan"), ("pml", "periods_per_year", "inf"),
+            ("rolling", "train_frac", "nan")):
+        config = _write(tmp_path / "h.ini",
+                        _with_key(RUN_CONFIG, section, key, value))
+        out = tmp_path / f"o9-{key}"
+        assert main(["run", "--config", config,
+                     "--out-dir", str(out)]) == EXIT_CONFIG, key
+        assert f"[{section}] {key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+    noise = _write(tmp_path / "i.ini", RUN_CONFIG.replace(
+        "kind = net", "kind = noise\nscale = nan"))
+    assert main(["run", "--config", noise,
+                 "--out-dir", str(tmp_path / "o10")]) == EXIT_CONFIG
+    assert "[train] scale must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o10").exists()
 
 
 def test_decay_command(tmp_path, capsys):

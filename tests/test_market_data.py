@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from risklab import (BboTick, SyntheticSpec, TickSeries, ValidationError,
-                     gen_synthetic, load_csv, mid, resample, write_csv)
+from risklab import (SyntheticSpec, TickSeries, ValidationError,
+                     gen_synthetic, load_csv, write_csv)
 from risklab import market_data
 from risklab.market_data import format_price, signal_vol_schedule
 
@@ -131,7 +131,7 @@ def _outcome(path):
         s = load_csv(path)
     except ValidationError as e:
         return str(e)
-    return s.ts.tolist(), s.bid.tolist(), s.ask.tolist(), s.resolution_ns
+    return s.ts.tolist(), s.bid.tolist(), s.ask.tolist()
 
 
 def _scan_outcome(path):
@@ -154,7 +154,7 @@ def _random_series(rng):
     bid = np.round(rng.uniform(0.5, 500.0, n), int(rng.integers(0, 12)))
     bid = np.maximum(bid, 1e-10)
     ask = bid + np.round(rng.exponential(0.05, n), int(rng.integers(0, 12)))
-    return TickSeries("R", 1, ts, bid, ask)
+    return TickSeries("R", ts, bid, ask)
 
 
 def _corrupt(rng, lines):
@@ -217,11 +217,11 @@ class TestBulkMatchesScan:
 
     def test_full_span_gap_does_not_wrap(self, tmp_path):
         # the one gap is 2**64 - 1 ns, past int64: np.diff would wrap it
+        # and the monotonicity check would reject the file
         p = tmp_path / "span.csv"
         p.write_bytes(dict(EDGE_FILES)["ts_full_span"].encode("utf-8"))
         s = load_csv(p)
-        assert s.resolution_ns == 2**64 - 1
-        assert s.is_regular()
+        assert s.ts.tolist() == [-2**63, 2**63 - 1]
         again = tmp_path / "again.csv"
         write_csv(s, again)
         assert again.read_bytes() == p.read_bytes()
@@ -297,7 +297,7 @@ class TestWriteCsvMatchesOracle:
     def _check(tmp_path, ts, bid, ask=None):
         bid = np.asarray(bid, dtype=np.float64)
         ask = bid if ask is None else np.asarray(ask, dtype=np.float64)
-        series = TickSeries("W", 1, ts, bid, ask)
+        series = TickSeries("W", ts, bid, ask)
         p = tmp_path / "w.csv"
         write_csv(series, p)
         got, want = p.read_bytes(), _oracle_csv(series)
@@ -378,13 +378,8 @@ class TestFormatPrice:
 
 
 class TestMid:
-    def test_examples(self):
-        assert mid(BboTick(0, 99.0, 101.0)) == 100.0
-        assert mid(BboTick(0, 100.0, 100.0)) == 100.0
-        assert mid(BboTick(0, 99.5, 100.7)) == pytest.approx(100.1, abs=1e-12)
-
     def test_series_mid(self):
-        s = TickSeries("T", 1, np.array([1, 2]), np.array([99.0, 100.0]),
+        s = TickSeries("T", np.array([1, 2]), np.array([99.0, 100.0]),
                        np.array([101.0, 102.0]))
         assert list(s.mid) == [100.0, 101.0]
 
@@ -392,72 +387,23 @@ class TestMid:
 class TestSeriesValidation:
     def test_rejects_crossed(self):
         with pytest.raises(ValidationError):
-            TickSeries("T", 1, np.array([1]), np.array([101.0]), np.array([99.0]))
+            TickSeries("T", np.array([1]), np.array([101.0]), np.array([99.0]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
-            TickSeries("T", 1, np.array([], dtype=np.int64),
+            TickSeries("T", np.array([], dtype=np.int64),
                        np.array([]), np.array([]))
 
     def test_rejects_nonincreasing(self):
         with pytest.raises(ValidationError):
-            TickSeries("T", 1, np.array([2, 2]), np.array([1.0, 1.0]),
+            TickSeries("T", np.array([2, 2]), np.array([1.0, 1.0]),
                        np.array([1.0, 1.0]))
 
     def test_window(self):
-        s = TickSeries("T", 1, np.arange(1, 6), np.full(5, 99.0), np.full(5, 101.0))
+        s = TickSeries("T", np.arange(1, 6), np.full(5, 99.0), np.full(5, 101.0))
         w = s.window(1, 4)
         assert list(w.ts) == [2, 3, 4]
         assert w.symbol == "T"
-
-
-class TestResample:
-    def test_ten_ticks_to_one(self):
-        ts = 100_000_000 * np.arange(1, 11)
-        bid = 99.0 + 0.1 * np.arange(10)
-        ask = bid + 1.0
-        s = TickSeries("T", 100_000_000, ts, bid, ask)
-        out = resample(s, SEC)
-        assert len(out) == 1
-        assert out.ts[0] == SEC
-        assert out.bid[0] == bid[-1]
-        assert out.ask[0] == ask[-1]
-
-    def test_identity_at_own_resolution(self):
-        s = gen_synthetic(SyntheticSpec(n_ticks=50, dt_ns=SEC, seed=3))
-        out = resample(s, SEC)
-        assert np.array_equal(out.ts, s.ts)
-        assert np.array_equal(out.bid, s.bid)
-        assert np.array_equal(out.ask, s.ask)
-
-    def test_irregular_bucket_assignment(self):
-        # hand-walked: obs at 0.1s, 0.25s, 1.9s; right edges 1s and 2s
-        ts = np.array([int(0.1 * SEC), int(0.25 * SEC), int(1.9 * SEC)])
-        bid = np.array([99.0, 99.1, 99.2])
-        ask = np.array([101.0, 101.1, 101.2])
-        s = TickSeries("T", int(np.diff(ts).min()), ts, bid, ask)
-        out = resample(s, SEC)
-        assert list(out.ts) == [SEC, 2 * SEC]
-        assert list(out.bid) == [99.1, 99.2]
-        assert list(out.ask) == [101.1, 101.2]
-
-    def test_idempotent(self):
-        s = gen_synthetic(SyntheticSpec(n_ticks=997, dt_ns=SEC, seed=11))
-        once = resample(s, 5 * SEC)
-        twice = resample(once, 5 * SEC)
-        assert np.array_equal(once.ts, twice.ts)
-        assert np.array_equal(once.bid, twice.bid)
-        assert np.array_equal(once.ask, twice.ask)
-
-    def test_upsample_rejected(self):
-        s = gen_synthetic(SyntheticSpec(n_ticks=10, dt_ns=SEC, seed=0))
-        with pytest.raises(ValidationError, match="smaller than source resolution"):
-            resample(s, SEC // 2)
-
-    def test_non_multiple_rejected(self):
-        s = gen_synthetic(SyntheticSpec(n_ticks=10, dt_ns=2 * SEC, seed=0))
-        with pytest.raises(ValidationError, match="not a multiple"):
-            resample(s, 3 * SEC)
 
 
 class TestGenSynthetic:
@@ -559,3 +505,8 @@ class TestGenSynthetic:
             SyntheticSpec(n_ticks=10, sigma_noise=-1e-4)
         with pytest.raises(ValidationError):
             SyntheticSpec(n_ticks=10, dt_ns=0)
+        for name in ("sigma_noise", "phi", "sigma_signal", "spread_bps",
+                     "decay_to"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                    SyntheticSpec(n_ticks=10, **{name: value})

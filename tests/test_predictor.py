@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
+from predictor_oracle import surprises, variant_keep_flags
 from risklab import SyntheticSpec, TickSeries, ValidationError, gen_synthetic
 from risklab.predictor import (TrainSpec, eps, load_predictor, make_leaked,
-                               make_noise, make_persistence, predict,
-                               predict_variant, sample_variants,
-                               save_predictor, surprise, surprise_series,
-                               train, variant_surprise_series)
+                               make_noise, make_persistence, sample_variants,
+                               save_predictor, surprise_series, train,
+                               variant_surprise_series)
 
 SEC = 1_000_000_000
 
 
 def constant_series(n=64, bid=99.0, ask=101.0):
     ts = SEC * np.arange(1, n + 1)
-    return TickSeries("C", SEC, ts, np.full(n, bid), np.full(n, ask))
+    return TickSeries("C", ts, np.full(n, bid), np.full(n, ask))
+
+
+def quotes(*bid_ask):
+    """A series of the given (bid, ask) quotes, one second apart."""
+    bid, ask = np.array(bid_ask, dtype=np.float64).T
+    return TickSeries("Q", SEC * np.arange(1, len(bid_ask) + 1), bid, ask)
 
 
 def planted_series(n=12_000, seed=7):
@@ -33,9 +39,9 @@ class TestTrain:
 
     def test_constant_series_predicts_current_mid(self):
         p = train(constant_series(), SPEC)
-        hist = constant_series().ticks()[:10]
-        now = constant_series().tick(10)
-        assert predict(p, hist, now) == pytest.approx(100.0, abs=1e-4)
+        # a forecast within 1e-4 of the mid 100
+        assert surprise_series(p, constant_series())[10] == \
+            pytest.approx(0.0, abs=1e-6)
 
     def test_bit_identical_weights(self):
         s = planted_series(4000)
@@ -78,35 +84,45 @@ class TestTrain:
 
 class TestPredict:
     def test_persistence(self):
-        from risklab import BboTick
-        now = BboTick(SEC, 99.0, 101.0)
-        assert predict(make_persistence(), [], now) == 100.0
+        s = planted_series(500)
+        assert surprise_series(make_persistence(), s).tolist() == \
+            surprises(make_persistence(), s)
+        assert surprise_series(make_persistence(), quotes((99.0, 101.0))) \
+            .tolist() == [0.0]
 
     def test_leaked_one_ahead(self):
-        from risklab import BboTick
-        now = BboTick(SEC, 99.0, 101.0)
-        future = [BboTick(2 * SEC, 104.0, 106.0)]
-        assert predict(make_leaked(1), [], now, future) == 105.0
+        s = quotes((99.0, 101.0), (104.0, 106.0))
+        got = surprise_series(make_leaked(1), s)
+        assert got[0] == 105.0 / 100.0 - 1.0
+        assert np.isnan(got[1])
 
     def test_leaked_needs_future(self):
-        from risklab import BboTick
-        now = BboTick(SEC, 99.0, 101.0)
-        with pytest.raises(ValidationError, match="future"):
-            predict(make_leaked(2), [], now, [BboTick(2 * SEC, 104.0, 106.0)])
+        # two ticks hold no mid two ticks ahead
+        s = quotes((99.0, 101.0), (104.0, 106.0))
+        assert np.isnan(surprise_series(make_leaked(2), s)).all()
+
+    def test_leaked_matches_oracle_exactly(self):
+        s = planted_series(500)
+        for h in (1, 3, 499, 500):
+            got = surprise_series(make_leaked(h), s)
+            want = surprises(make_leaked(h), s)
+            assert np.array_equal(got, want, equal_nan=True), h
 
     def test_net_insufficient_history(self):
         p = train(constant_series(), SPEC)
-        s = constant_series()
-        with pytest.raises(ValidationError, match="insufficient history"):
-            predict(p, s.ticks()[:3], s.tick(3))
+        # a window of 8 returns needs 9 ticks; 8 ticks leave every tick NaN
+        assert np.isnan(surprise_series(p, constant_series(n=8))).all()
+        assert np.isnan(surprise_series(p, constant_series(n=9))).sum() == 8
 
     def test_noise_deterministic_per_tick(self):
-        from risklab import BboTick
         p = make_noise(1e-3, seed=5)
-        now = BboTick(SEC, 99.0, 101.0)
-        assert predict(p, [], now) == predict(p, [], now)
-        other = BboTick(2 * SEC, 99.0, 101.0)
-        assert predict(p, [], now) != predict(p, [], other)
+        s = constant_series(n=2)
+        other_quotes = quotes((50.0, 52.0), (120.0, 121.0))
+        a = surprise_series(p, s)
+        assert np.array_equal(a, surprise_series(p, s))
+        # a pure function of the timestamp: the quotes do not matter
+        assert np.array_equal(a, surprise_series(p, other_quotes))
+        assert a[0] != a[1]
 
     def test_noise_draws_are_pinned(self):
         # a change to the (seed, ts) hash or to the gaussian map shows here
@@ -118,10 +134,7 @@ class TestPredict:
     def test_noise_predict_matches_series_bitwise(self):
         s = planted_series(3000)
         p = make_noise(1e-3, seed=5)
-        sp = surprise_series(p, s)
-        for i in range(len(s)):
-            now = s.tick(i)
-            assert predict(p, [], now) == now.mid * (1.0 + sp[i]), i
+        assert surprise_series(p, s).tolist() == surprises(p, s)
 
     def test_noise_draws_are_standard_normal(self):
         e = eps(1, SEC * np.arange(1, 1_000_001))
@@ -133,9 +146,11 @@ class TestPredict:
     def test_dropout_off_at_inference(self):
         s = planted_series(4000)
         p = train(s, SPEC)
-        hist = s.ticks()[:20]
-        now = s.tick(20)
-        assert predict(p, hist, now) == predict(p, hist, now)
+        got = surprise_series(p, s)
+        assert np.array_equal(got, surprise_series(p, s), equal_nan=True)
+        # the oracle's net applies no mask at all
+        assert got[20:40] == pytest.approx(surprises(p, s.window(0, 40))[20:],
+                                           abs=1e-15)
 
 
 class TestSurprise:
@@ -145,10 +160,9 @@ class TestSurprise:
                               np.zeros(len(s)))
 
     def test_leaked_arithmetic(self):
-        from risklab import BboTick
-        now = BboTick(SEC, 99.0, 101.0)
-        future = [BboTick(2 * SEC, 100.0, 102.0)]
-        assert surprise(make_leaked(1), [], now, future) == pytest.approx(0.01, abs=1e-15)
+        s = quotes((99.0, 101.0), (100.0, 102.0))
+        assert surprise_series(make_leaked(1), s)[0] == \
+            pytest.approx(0.01, abs=1e-15)
 
     def test_leaked_series_tail_nan(self):
         s = planted_series(100)
@@ -167,9 +181,16 @@ class TestSurprise:
         s = planted_series(300)
         p = train(s, SPEC)
         sp = surprise_series(p, s)
-        for t in (8, 57, 200):
-            one = surprise(p, s.ticks()[t - 8:t], s.tick(t))
-            assert sp[t] == pytest.approx(one, abs=1e-15)
+        want = surprises(p, s)
+        assert np.isnan(sp[:8]).all() and np.isnan(want[:8]).all()
+        assert sp[8:] == pytest.approx(want[8:], abs=1e-15)
+
+    def test_two_hidden_layers_match_oracle(self):
+        s = planted_series(300)
+        p = train(s, TrainSpec(**{**SPEC.__dict__, "window": 5,
+                                  "hidden": (6, 4), "epochs": 30}))
+        assert surprise_series(p, s)[5:] == \
+            pytest.approx(surprises(p, s)[5:], abs=1e-15)
 
 
 class TestVariants:
@@ -206,35 +227,39 @@ class TestVariants:
     def test_variant_mean_concentrates_with_k(self):
         s = planted_series(3000)
         p = train(s, TrainSpec(**{**SPEC.__dict__, "dropout_p": 0.3}))
-        hist = s.ticks()[100 - 8:100]
-        now = s.tick(100)
         spreads = []
         for K in (8, 32, 128):
             means = []
             for seed in range(10):
                 vs = sample_variants(p, K, seed=seed)
-                means.append(np.mean([predict_variant(vs, k, hist, now)
+                means.append(np.mean([variant_surprise_series(vs, k, s)[100]
                                       for k in range(K)]))
             spreads.append(max(means) - min(means))
         assert spreads[0] > spreads[1] > spreads[2]
 
-    def test_remask_differs_from_frozen(self):
-        s = planted_series(2000)
-        p = train(s, SPEC)
-        frozen = sample_variants(p, K=2, seed=5)
-        remask = sample_variants(p, K=2, seed=5, remask_per_tick=True)
-        a = variant_surprise_series(frozen, 0, s)
-        b = variant_surprise_series(remask, 0, s)
-        assert not np.array_equal(a, b, equal_nan=True)
-        assert np.array_equal(b, variant_surprise_series(remask, 0, s),
-                              equal_nan=True)
+    def test_variants_match_oracle(self):
+        s = planted_series(300)
+        for hidden in ((16,), (6, 4)):
+            p = train(s, TrainSpec(**{**SPEC.__dict__, "hidden": hidden,
+                                      "epochs": 30}))
+            vs = sample_variants(p, K=4, seed=11)
+            dropped = 0
+            for k in range(vs.K):
+                keep = variant_keep_flags(vs, k)
+                dropped += sum(hidden) - sum(map(sum, keep))
+                got = variant_surprise_series(vs, k, s)
+                want = surprises(p, s, keep)
+                assert np.isnan(got[:8]).all() and np.isnan(want[:8]).all()
+                assert got[8:] == pytest.approx(want[8:], abs=1e-15), \
+                    (hidden, k)
+            assert dropped > 0, hidden
 
-    def test_remask_single_tick_rejected(self):
-        s = planted_series(2000)
-        p = train(s, SPEC)
-        vs = sample_variants(p, K=2, seed=5, remask_per_tick=True)
-        with pytest.raises(ValidationError, match="batch-only"):
-            predict_variant(vs, 0, s.ticks()[:8], s.tick(8))
+    def test_variants_without_dropout_match_the_base_oracle(self):
+        s = planted_series(300)
+        p = train(s, TrainSpec(**{**SPEC.__dict__, "dropout_p": 0.0,
+                                  "epochs": 30}))
+        got = variant_surprise_series(sample_variants(p, K=1, seed=3), 0, s)
+        assert got[8:] == pytest.approx(surprises(p, s)[8:], abs=1e-15)
 
 
 class TestSaveLoad:

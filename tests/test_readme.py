@@ -1,0 +1,68 @@
+"""The README stays true: its Python examples run, and the public surface it
+describes is what `risklab` exports."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import risklab
+from risklab import market_data, pml, predictor, uncertainty
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# names removed from the public surface; none may come back unnoticed
+REMOVED = {
+    risklab: ("BboTick", "mid", "predict", "surprise", "predict_variant",
+              "resample", "sr_theta_line", "rolling_to_dict",
+              "average_correlation_curves", "MODE_WINDOW"),
+    market_data: ("BboTick", "mid", "resample"),
+    predictor: ("predict", "surprise", "predict_variant"),
+    pml: ("sr_theta_line", "rolling_to_dict", "pml_fit_to_dict"),
+    uncertainty: ("MODE_WINDOW",),
+    risklab.TickSeries: ("tick", "ticks", "is_regular", "resolution_ns"),
+    risklab.VariantSet: ("remask_per_tick",),
+    risklab.McEstimate: ("mode",),
+}
+
+
+def _python_blocks():
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      flags=re.M | re.S)
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    blocks = _python_blocks()
+    assert len(blocks) >= 2
+    namespace = {"__name__": "readme"}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+    assert namespace["fit"].n_points == 10
+    assert namespace["est"].K == 8
+    assert namespace["returns"].shape == (8, namespace["est"].n_periods)
+    capsys.readouterr()
+
+
+def test_readme_names_no_removed_api():
+    text = README.read_text(encoding="utf-8")
+    for name in ("BboTick", "predict_variant", "resample", "sr_theta_line",
+                 "rolling_to_dict", "average_correlation_curves",
+                 "MODE_WINDOW", "remask_per_tick", "resolution_ns",
+                 "is_regular", "pml_fit_to_dict"):
+        assert not re.search(rf"\b{name}\b", text), name
+
+
+def test_public_names_resolve():
+    for name in risklab.__all__:
+        assert hasattr(risklab, name), name
+    assert len(set(risklab.__all__)) == len(risklab.__all__)
+
+
+@pytest.mark.parametrize("owner", list(REMOVED), ids=lambda o: o.__name__)
+def test_removed_names_are_gone(owner):
+    for name in REMOVED[owner]:
+        assert not hasattr(owner, name), name
+        assert name not in getattr(owner, "__all__", ()), name
+        if owner is risklab:
+            with pytest.raises(ImportError):
+                exec(f"from risklab import {name}", {})

@@ -72,18 +72,6 @@ class TestMcDisentangle:
         with pytest.raises(ValidationError, match="mismatched period counts"):
             mc_disentangle([fake_result([0.0, 0.1]), fake_result([0.0])])
 
-    def test_window_mode(self):
-        a = fake_result([1e-3, 3e-3])   # window mean 2e-3
-        b = fake_result([2e-3, 6e-3])   # window mean 4e-3
-        est = mc_disentangle([a, b], mode="window")
-        assert est.sigma2_mc == pytest.approx(1e-6, abs=1e-18)
-        assert est.per_period_variance.tolist() == [est.sigma2_mc]
-        assert est.n_periods == 2
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValidationError, match="unknown mode"):
-            mc_disentangle([fake_result([0.0]), fake_result([0.0])], mode="x")
-
 
 class TestEndToEnd:
     def test_dropout_variants_give_positive_variance(self):
@@ -116,3 +104,4 @@ class TestEndToEnd:
         assert set(d) == {"mu_mc", "sigma2_mc", "K", "n_periods", "mode",
                           "per_period_variance"}
         assert d["K"] == 2
+        assert d["mode"] == "per_period"
