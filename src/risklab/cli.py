@@ -3,7 +3,8 @@
 Subcommands wire the library into reproducible experiments driven by an
 INI config (sections of key-value pairs). Every artifact is a pure
 function of (config, seed): reruns are byte-identical. Every job runs
-serially; --jobs and [output] jobs are accepted for compatibility only.
+serially, BLAS included (main pins it to one thread); --jobs and [output]
+jobs are accepted for compatibility only.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 I/O failure,
 4 numerical degeneracy (nothing traded, the fit had no spread, or a
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import json
 import math
@@ -732,7 +734,37 @@ def _exit_code(error: Exception) -> int:
     return 1
 
 
+# OpenBLAS setters as numpy 2 wheels, then plain builds, export them
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Run numpy's BLAS on one thread, if it is an OpenBLAS.
+
+    OpenBLAS hands each matmul over about 262k multiply-adds (training on
+    16k rows, variant passes on 4k) to a second thread, which spins between
+    calls: on `run` that doubled the CPU time and saved no wall time. It
+    splits a matmul's output, not its sums, so the bits do not change.
+    dlsym on the handle of numpy's BLAS-linked extension also searches the
+    libraries that extension links, which is how the setter is found.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _pin_blas_to_one_thread()
     args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "jobs", None) is not None and args.jobs < 1:

@@ -93,36 +93,59 @@ def load_csv(path: Union[str, Path], symbol: Optional[str] = None) -> TickSeries
 
     Errors carry 1-based line numbers (the header is line 1): malformed
     rows, nonpositive or crossed quotes, and non-monotone timestamps are
-    all rejected, as is a file with no data rows.
+    all rejected, as is a file with no data rows or one that is not UTF-8.
 
     The body is parsed in bulk by `np.loadtxt`, and `TickSeries` checks the
     columns as arrays. Whenever the parse or a check fails, the per-row
     scan `_scan_rows` decides instead: it is the reference, so it returns
     the same series or raises the same line-numbered error. Both read the
     file in text mode, so CRLF and lone CR line ends count as newlines.
+    Only the scan holds the file's text in memory.
     """
     path = Path(path)
-    header, _, body = path.read_text(encoding="utf-8").partition("\n")
-    if header != CSV_HEADER:
-        raise ValidationError(f"{path.name}: malformed header, expected '{CSV_HEADER}'")
-    if not body:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # a long first line is rejected without being read whole
+            if fh.readline(len(CSV_HEADER) + 1).removesuffix("\n") != CSV_HEADER:
+                raise ValidationError(
+                    f"{path.name}: malformed header, expected '{CSV_HEADER}'")
+            n_rows, blank = _count_rows(fh)
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path.name}: not UTF-8 text ({e.reason})") from None
+    if n_rows == 0:
         raise ValidationError(f"{path.name}: empty file, no data rows")
     symbol = symbol if symbol is not None else path.stem
-    rows = _parse_bulk(path, body)
+    # loadtxt would only warn on a body with no row at all
+    rows = None if blank else _parse_bulk(path, n_rows)
     if rows is not None:
         try:
             return TickSeries(symbol, rows["ts"], rows["bid"], rows["ask"])
         except ValidationError:
             pass  # the scan names the first bad line
+    body = path.read_text(encoding="utf-8").partition("\n")[2]
     ts, bid, ask = _scan_rows(path, body)
     return TickSeries(symbol, ts, bid, ask)
 
 
-def _parse_bulk(path: Path, body: str) -> Optional[np.ndarray]:
-    """The body's rows, or None when loadtxt cannot parse one per line."""
-    if body.isspace():  # no row at all; loadtxt would only warn
-        return None
-    # A fresh handle, not the text in memory: fed io.StringIO(body) loadtxt
+_READ_CHUNK = 1 << 20  # characters per read while counting rows
+
+
+def _count_rows(fh) -> Tuple[int, bool]:
+    """Rows left in `fh` as the scan splits them, and whether all are blank.
+
+    A final line without a newline is a row; no text at all is no row.
+    """
+    newlines, last, blank = 0, "\n", True
+    for chunk in iter(lambda: fh.read(_READ_CHUNK), ""):
+        newlines += chunk.count("\n")
+        last = chunk[-1]
+        blank = blank and chunk.isspace()
+    return newlines + (last != "\n"), blank
+
+
+def _parse_bulk(path: Path, n_rows: int) -> Optional[np.ndarray]:
+    """The body's rows, or None unless loadtxt parses `n_rows`, one a line."""
+    # A fresh handle, not text in memory: fed io.StringIO(body) loadtxt
     # took longer and about 35 MB more peak memory on 250k ticks. Not the
     # path either: numpy would then pick a decompressor by file suffix.
     try:
@@ -132,7 +155,7 @@ def _parse_bulk(path: Path, body: str) -> Optional[np.ndarray]:
     except ValueError:
         return None
     # loadtxt skips blank lines, which the scan rejects
-    if rows.size != body.count("\n") + (not body.endswith("\n")):
+    if rows.size != n_rows:
         return None
     return rows
 

@@ -65,10 +65,10 @@ class TrainSpec:
             raise ValidationError("dropout_p must lie in [0, 1)")
         if self.epochs < 1:
             raise ValidationError("epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if self.l2 < 0:
-            raise ValidationError("l2 must be nonnegative")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValidationError("learning_rate must be positive and finite")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValidationError("l2 must be nonnegative and finite")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
 
@@ -90,6 +90,23 @@ class Predictor:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown predictor kind '{self.kind}'")
+        if not 0.0 < self.scale < math.inf:
+            raise ValidationError("scale must be positive and finite")
+        if self.horizon < 1:
+            raise ValidationError("leak horizon must be at least 1")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValidationError("noise scale must be nonnegative and finite")
+        if self.noise_seed < 0:
+            raise ValidationError("noise seed must be nonnegative")
+        if self.kind == KIND_NET:
+            if self.train_spec is None:
+                raise ValidationError("a net predictor needs its train_spec")
+            sizes = (self.train_spec.window, *self.train_spec.hidden, 1)
+            layers = list(zip(sizes[:-1], sizes[1:]))
+            if ([w.shape for w in self.weights] != layers
+                    or [b.shape for b in self.biases] != [(n,) for _, n in layers]):
+                raise ValidationError(
+                    f"net weights and biases must have the layer shapes {layers}")
         for w in (*self.weights, *self.biases):
             w.setflags(write=False)
 
@@ -107,16 +124,10 @@ def make_persistence() -> Predictor:
 
 
 def make_leaked(horizon: int = 1) -> Predictor:
-    if horizon < 1:
-        raise ValidationError("leak horizon must be at least 1")
     return Predictor(kind=KIND_LEAKED, horizon=horizon)
 
 
 def make_noise(scale: float, seed: int = 0) -> Predictor:
-    if scale < 0:
-        raise ValidationError("noise scale must be nonnegative")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
     return Predictor(kind=KIND_NOISE, noise_scale=scale, noise_seed=seed)
 
 
@@ -357,14 +368,15 @@ def predictor_from_dict(d: dict) -> Predictor:
                              learning_rate=t["learning_rate"], l2=t["l2"],
                              seed=t["seed"])
         weights = tuple(np.array(w, dtype=np.float64).reshape(shape)
-                        for w, shape in zip(d["weights"], d["weight_shapes"]))
+                        for w, shape in zip(d["weights"], d["weight_shapes"],
+                                            strict=True))
         biases = tuple(np.array(b, dtype=np.float64) for b in d["biases"])
         return Predictor(kind=d["kind"], train_spec=spec, weights=weights,
                          biases=biases, scale=d["scale"], horizon=d["horizon"],
                          noise_scale=d["noise_scale"],
                          noise_seed=d["noise_seed"],
                          final_loss=d["final_loss"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed predictor document: {e}") from None
 
 
@@ -374,4 +386,8 @@ def save_predictor(p: Predictor, path: Union[str, Path]) -> None:
 
 
 def load_predictor(path: Union[str, Path]) -> Predictor:
-    return predictor_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValidationError(f"malformed predictor document: {e}") from None
+    return predictor_from_dict(doc)

@@ -25,7 +25,8 @@ from risklab import (AssetUniverse, StrategyConfig, SweepSpec, SyntheticSpec,
                      estimate_from_matrix, rolling_pml, sample_variants,
                      sharpe, surprise_return_correlation, surprise_series,
                      sweep, sweep_configs, tangency_portfolio, train,
-                     trend_tau, variant_surprise_series, cluster_tightness)
+                     trend_tau, variant_surprise_series, write_csv,
+                     cluster_tightness)
 from risklab.cli import EXIT_OK, main
 from risklab.pml import INTERCEPT_FIXED, INTERCEPT_FREE, RiskReturnPoint
 
@@ -508,32 +509,140 @@ def test_wide_variant_sweep_memory_is_bounded():
     assert peak_mb < 25.0, f"sweep peaked at {peak_mb:.1f} MB"
 
 
+def _run_child(script, *args):
+    """The whitespace-split stdout of `script` run by a fresh interpreter."""
+    src = str(Path(risklab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.stdout.split()
+
+
+# The process's own peak RSS, in KiB. Not ru_maxrss: a child's ru_maxrss
+# starts at the peak its parent had reached when it started the child, so
+# in a long test session it hid any rise below pytest's own peak.
+_OWN_PEAK = """\
+def own_peak_kib():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+"""
+
 # Writes a million-tick series and prints how far write_csv raised the
-# process's peak RSS, in KiB (Linux's ru_maxrss unit).
-_WRITE_RSS_SCRIPT = """\
-import resource, sys
+# process's peak RSS, in KiB.
+_WRITE_RSS_SCRIPT = _OWN_PEAK + """\
+import sys
 import numpy as np
 from risklab import TickSeries, write_csv
 n = 1_000_000
 bid = 100.0 + np.random.default_rng(5).random(n)
 series = TickSeries("M", np.arange(1, n + 1), bid, bid + 0.01)
 del bid
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = own_peak_kib()
 write_csv(series, sys.argv[1])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(own_peak_kib() - before)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_million_tick_write_csv_memory_is_bounded(tmp_path):
     # the writer formats fixed-size chunks, so its peak does not grow with
-    # the rows: the rise measured 2.6 MB on a 37 MB file, where a writer
+    # the rows: the rise measured 2.8 MB on a 37 MB file, where a writer
     # holding every row's text in memory rose by 173 MB
-    src = str(Path(risklab.__file__).resolve().parents[1])
     out = tmp_path / "million.csv"
-    done = subprocess.run([sys.executable, "-c", _WRITE_RSS_SCRIPT, str(out)],
-                          capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    rise_mb = int(done.stdout) / 1024
+    rise_mb = int(*_run_child(_WRITE_RSS_SCRIPT, out)) / 1024
     assert out.stat().st_size > 30e6
     assert rise_mb < 16.0, f"write_csv raised peak RSS by {rise_mb:.1f} MB"
+
+
+# Loads a tick CSV and prints its length and how far load_csv raised the
+# process's peak RSS, in KiB.
+_LOAD_RSS_SCRIPT = _OWN_PEAK + """\
+import sys
+from risklab import load_csv
+before = own_peak_kib()
+series = load_csv(sys.argv[1])
+print(len(series), own_peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_million_tick_load_csv_memory_is_bounded(tmp_path):
+    # the loader counts rows in fixed-size chunks and hands loadtxt a file
+    # handle, so only the parsed rows and the series stay (24 MB each): the
+    # rise measured 47.6 MB on a 37 MB file, where holding the file's text
+    # twice, as read and as the body after the header, rose by 82.6 MB
+    n = 1_000_000
+    bid = 100.0 + np.random.default_rng(5).random(n)
+    path = tmp_path / "million.csv"
+    write_csv(TickSeries("M", np.arange(1, n + 1), bid, bid + 0.01), path)
+    del bid
+    ticks, rise_kib = map(int, _run_child(_LOAD_RSS_SCRIPT, path))
+    assert ticks == n
+    rise_mb = rise_kib / 1024
+    assert rise_mb < 60.0, f"load_csv raised peak RSS by {rise_mb:.1f} MB"
+
+
+# Times `risklab run` on the benchmark sweep's shape (16k training rows,
+# hidden 16, window 6, K = 16 variant passes on 4k rows) and prints its
+# exit code, CPU seconds and wall seconds. The untimed first run loads the
+# modules `run` imports lazily: reading them from a cold disk cache adds
+# wall time without CPU time.
+_RUN_CPU_SCRIPT = """\
+import contextlib, io, sys, time
+from risklab.cli import main
+argv = ["run", "--config", sys.argv[1], "--out-dir", sys.argv[2]]
+with contextlib.redirect_stdout(io.StringIO()):
+    main(argv)
+    cpu0, t0 = time.process_time(), time.perf_counter()
+    code = main(argv)
+    cpu_s, wall_s = time.process_time() - cpu0, time.perf_counter() - t0
+print(code, cpu_s, wall_s)
+"""
+
+_SWEEP_SHAPE_CONFIG = """\
+[experiment]
+seed = 41
+
+[data]
+kind = synthetic
+n_ticks = 20000
+sigma_noise = 0.0003
+phi = 0.9
+sigma_signal = 0.0002
+spread_bps = 1.0
+
+[train]
+kind = net
+window = 6
+hidden = 16
+dropout_p = 0.2
+epochs = 20
+learning_rate = 0.05
+split = 0.8
+
+[sweep]
+n_configs = 2
+threshold_lo = 0.0
+threshold_hi = 1.0
+stop_loss_lo = 30
+stop_loss_hi = 40
+take_profit_lo = 30
+take_profit_hi = 40
+fee_bps = 0.2
+k = 16
+period_ticks = 64
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_run_uses_no_more_cpu_than_wall_time(tmp_path):
+    # BLAS runs on one thread, so CPU time cannot exceed wall time; with
+    # OpenBLAS's default second thread spinning between matmuls, this run
+    # measured 0.48 s of CPU for 0.25 s of wall time on two CPUs
+    config = tmp_path / "sweep.ini"
+    config.write_text(_SWEEP_SHAPE_CONFIG, encoding="utf-8")
+    code, cpu_s, wall_s = _run_child(_RUN_CPU_SCRIPT, config, tmp_path / "out")
+    assert int(code) == EXIT_OK
+    cpu_s, wall_s = float(cpu_s), float(wall_s)
+    assert cpu_s <= 1.2 * wall_s, f"run used {cpu_s:.2f} s of CPU in {wall_s:.2f} s"

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, artifacts, determinism."""
 
+import ctypes
 import json
 import os
 import re
@@ -206,6 +207,54 @@ def test_backtest_timestamp_beyond_int64_exits_2(tmp_path, capsys):
     assert main(["backtest", "--data", data,
                  "--predictor", str(model)]) == EXIT_CONFIG
     assert "malformed row at line 3" in capsys.readouterr().err
+
+
+def test_backtest_non_utf8_data_exits_2(tmp_path, capsys):
+    data = tmp_path / "ticks.csv"
+    data.write_bytes(GOOD_CSV.encode("utf-8") + b"4,99.\xff,101.0\n")
+    model = tmp_path / "model.json"
+    config = _write(tmp_path / "train.ini", "[train]\nkind = persistence\n")
+    assert main(["train", "--data", _write(tmp_path / "ok.csv", GOOD_CSV),
+                 "--config", config, "--out", str(model)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["backtest", "--data", str(data),
+                 "--predictor", str(model)]) == EXIT_CONFIG
+    assert "ticks.csv: not UTF-8 text" in capsys.readouterr().err
+
+
+def _break_json(doc):
+    return "{" + doc
+
+
+def _misfit_weights(doc):
+    d = json.loads(doc)
+    d["weights"][0] = d["weights"][0][:-1]
+    return json.dumps(d)
+
+
+def _nan_noise_scale(doc):
+    return json.dumps({**json.loads(doc), "kind": "noise",
+                       "noise_scale": float("nan")})
+
+
+@pytest.mark.parametrize("breakage", [_break_json, _misfit_weights,
+                                      _nan_noise_scale])
+def test_backtest_malformed_predictor_exits_2(tmp_path, capsys, breakage):
+    data = _write(tmp_path / "ticks.csv", GOOD_CSV)
+    config = _write(tmp_path / "train.ini",
+                    "[train]\nkind = net\nwindow = 1\nhidden = 2\n"
+                    "epochs = 2\n")
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", data, "--config", config,
+                 "--out", str(model)]) == EXIT_OK
+    model.write_text(breakage(model.read_text(encoding="utf-8")),
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert main(["backtest", "--data", data,
+                 "--predictor", str(model)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed predictor document" in captured.err
 
 
 def test_backtest_non_finite_parameters_exit_2(tmp_path, capsys):
@@ -577,6 +626,23 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
                           text=True, check=True, cwd=src,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+def test_main_runs_blas_on_one_thread(tmp_path, capsys):
+    # a second OpenBLAS thread spins between matmuls and saves no wall time
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    getters = [getattr(lib, name) for name in (
+        "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+        "openblas_get_num_threads64_", "openblas_get_num_threads")
+        if hasattr(lib, name)]
+    if not getters:
+        pytest.skip("numpy's BLAS exports no known OpenBLAS thread getter")
+    threads = getters[0]
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    spec = _write(tmp_path / "spec.ini", GEN_SPEC)
+    assert main(["gen-data", "--spec", spec,
+                 "--out", str(tmp_path / "ticks.csv")]) == EXIT_OK
+    assert threads() == 1
 
 
 def test_out_dir_falls_back_to_environment(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from predictor_oracle import surprises, variant_keep_flags
 from risklab import SyntheticSpec, TickSeries, ValidationError, gen_synthetic
-from risklab.predictor import (TrainSpec, eps, load_predictor, make_leaked,
-                               make_noise, make_persistence, sample_variants,
-                               save_predictor, surprise_series, train,
-                               variant_surprise_series)
+from risklab.predictor import (Predictor, TrainSpec, eps, load_predictor,
+                               make_leaked, make_noise, make_persistence,
+                               sample_variants, save_predictor,
+                               surprise_series, train, variant_surprise_series)
 
 SEC = 1_000_000_000
 
@@ -80,6 +82,24 @@ class TestTrain:
             TrainSpec(epochs=0)
         with pytest.raises(ValidationError):
             TrainSpec(hidden=())
+        for bad in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="learning_rate"):
+                TrainSpec(learning_rate=bad)
+        for bad in (-1e-4, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="l2"):
+                TrainSpec(l2=bad)
+
+    def test_baseline_parameter_validation(self):
+        for bad in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="noise scale"):
+                make_noise(bad)
+            with pytest.raises(ValidationError, match="noise scale"):
+                Predictor(kind="noise", noise_scale=bad)
+        with pytest.raises(ValidationError, match="noise seed"):
+            Predictor(kind="noise", noise_scale=1e-3, noise_seed=-1)
+        for bad in (0, -1):
+            with pytest.raises(ValidationError, match="leak horizon"):
+                Predictor(kind="leaked", horizon=bad)
 
 
 class TestPredict:
@@ -286,5 +306,26 @@ class TestSaveLoad:
     def test_malformed_document(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text('{"kind": "dropout-net"}')
+        with pytest.raises(ValidationError, match="malformed predictor"):
+            load_predictor(f)
+
+    def test_broken_documents_are_malformed(self, tmp_path):
+        f = tmp_path / "p.json"
+        save_predictor(train(planted_series(200), SPEC), f)
+        good = json.loads(f.read_text())
+        broken = [{**good, "weights": [w[:-1] for w in good["weights"]]},
+                  {**good, "weight_shapes": good["weight_shapes"][:-1]},
+                  {**good, "noise_scale": float("nan")},
+                  {**good, "scale": float("nan")}, {**good, "scale": 0.0},
+                  {**good, "noise_seed": -1}, {**good, "horizon": 0},
+                  {**good, "weight_shapes": [s[::-1]
+                                             for s in good["weight_shapes"]]},
+                  {**good, "biases": [b[:-1] for b in good["biases"]]},
+                  {**good, "train_spec": None}]
+        for text in ("{", *map(json.dumps, broken)):
+            f.write_text(text)
+            with pytest.raises(ValidationError, match="malformed predictor"):
+                load_predictor(f)
+        f.write_bytes(b'{"kind": "\xff"}')
         with pytest.raises(ValidationError, match="malformed predictor"):
             load_predictor(f)
