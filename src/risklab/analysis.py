@@ -1,9 +1,8 @@
-"""Experiment orchestration over one series and one trained predictor.
-
-Three studies: a hyperparameter sweep that turns a predictor into a
-cloud of (strategy, backtest, variant-spread) triples, a lead-lag
-correlation between surprise and nearby mid returns, and a tightness
-score for comparing risk-return point clusters.
+"""Studies of one predictor on one series: a hyperparameter sweep that
+turns the predictor into a cloud of (strategy, backtest, variant-spread)
+triples and a lead-lag correlation between surprise and nearby mid
+returns, which `risklab.pipeline` chains into the experiment; plus a
+tightness score for comparing risk-return point clusters.
 """
 
 from __future__ import annotations

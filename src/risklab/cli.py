@@ -1,10 +1,9 @@
-"""Command-line front end.
-
-Subcommands wire the library into reproducible experiments driven by an
-INI config (sections of key-value pairs). Every artifact is a pure
-function of (config, seed): reruns are byte-identical. Every job runs
-serially, BLAS included (main pins it to one thread); --jobs and [output]
-jobs are accepted for compatibility only.
+"""Command-line front end: it parses arguments and INI configs (sections
+of key-value pairs), prints summaries, writes artifacts and the manifest
+and maps errors to exit codes; `risklab.pipeline` runs the experiments.
+Every artifact is a pure function of (config, seed): reruns are
+byte-identical. Every job runs serially, BLAS included (main pins it to
+one thread); --jobs and [output] jobs are accepted for compatibility only.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 I/O failure,
 4 numerical degeneracy (nothing traded, the fit had no spread, or a
@@ -19,54 +18,30 @@ import argparse
 import configparser
 import ctypes
 import dataclasses
-import json
 import math
 import os
 import platform
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import CorrelationCurve, SweepSpec, surprise_return_correlation, sweep
+from .analysis import SweepSpec, surprise_return_correlation, sweep
 from .backtest import StrategyConfig, annualized_sharpe, run_backtest, sharpe
 from .errors import DegenerateError, ValidationError
-from .market_data import SyntheticSpec, TickSeries, gen_synthetic, load_csv, write_csv
-from .pml import (
-    AXIS_MC,
-    AXIS_PRICED,
-    DEFAULT_PERIODS_PER_YEAR,
-    DEFAULT_RF_ANNUAL,
-    INTERCEPT_FIXED,
-    INTERCEPT_FREE,
-    PmlFit,
-    RiskReturnPoint,
-    RollingPmlResult,
-    fit_pml,
-    load_points_csv,
-    rolling_pml,
-    sweep_points,
-    trend_tau,
-    write_points_csv,
-)
-from .predictor import (
-    KIND_LEAKED,
-    KIND_NET,
-    KIND_NOISE,
-    KIND_PERSISTENCE,
-    TrainSpec,
-    load_predictor,
-    make_leaked,
-    make_noise,
-    make_persistence,
-    save_predictor,
-    train,
-)
-from .uncertainty import mc_estimate_to_dict
+from .market_data import SyntheticSpec, gen_synthetic, load_csv, write_csv
+from .pipeline import (Experiment, PmlParams, RollingParams, TrainSetup,
+                       correlation_csv, json_text, rolling_csv, run_decay,
+                       run_experiment, write_sweep)
+from .pml import (AXIS_MC, AXIS_PRICED, DEFAULT_PERIODS_PER_YEAR,
+                  DEFAULT_RF_ANNUAL, INTERCEPT_FIXED, INTERCEPT_FREE, fit_pml,
+                  load_points_csv, rolling_train_len, trend_tau)
+from .predictor import (KIND_LEAKED, KIND_NET, KIND_NOISE, KIND_PERSISTENCE,
+                        TrainSpec, load_predictor, make_leaked, make_noise,
+                        make_persistence, save_predictor)
 
 ENV_OUT_DIR = "RISKLAB_OUT"
 
@@ -84,14 +59,6 @@ _RUN_ARTIFACTS = ("points.csv", "mc.json", "pml.json", "correlation.csv",
 
 
 # ---------------------------------------------------------------- config
-
-
-def _as_str(raw: str) -> str:
-    return raw.strip()
-
-
-def _as_int(raw: str) -> int:
-    return int(raw.strip())
 
 
 def _as_float(raw: str) -> float:
@@ -162,74 +129,51 @@ def _section(parser: configparser.ConfigParser, name: str) -> _Section:
 
 
 def _synthetic_spec(sec: _Section, default_seed: int) -> SyntheticSpec:
-    spec = SyntheticSpec(n_ticks=sec.take("n_ticks", _as_int),
-                         dt_ns=sec.take("dt_ns", _as_int, 1_000_000_000),
+    spec = SyntheticSpec(n_ticks=sec.take("n_ticks", int),
+                         dt_ns=sec.take("dt_ns", int, 1_000_000_000),
                          sigma_noise=sec.take("sigma_noise", _as_float, 5e-4),
                          phi=sec.take("phi", _as_float, 0.0),
                          sigma_signal=sec.take("sigma_signal", _as_float, 0.0),
                          spread_bps=sec.take("spread_bps", _as_float, 1.0),
-                         seed=sec.take("seed", _as_int, default_seed),
+                         seed=sec.take("seed", int, default_seed),
                          decay_to=sec.take("decay_to", _as_opt_float, None))
     sec.done()
     return spec
 
 
-@dataclass(frozen=True)
-class TrainSetup:
-    kind: str
-    spec: Optional[TrainSpec]
-    horizon: int
-    noise_scale: float
-    noise_seed: int
-    split: float
-
-
 def _train_setup(sec: _Section, default_seed: int) -> TrainSetup:
-    kind = sec.take("kind", _as_str, KIND_NET)
+    kind = sec.take("kind", str, KIND_NET)
     if kind == "net":
         kind = KIND_NET
     split = sec.take("split", _as_float, 0.5)
     if not 0.0 < split < 1.0:
         raise ValidationError("[train] split must lie in (0, 1)")
-    spec = None
-    horizon = 1
-    noise_scale = 1e-4
-    noise_seed = default_seed
+    spec = baseline = None
     if kind == KIND_NET:
-        spec = TrainSpec(window=sec.take("window", _as_int, 8),
+        spec = TrainSpec(window=sec.take("window", int, 8),
                          hidden=sec.take("hidden", _as_hidden, (16,)),
                          dropout_p=sec.take("dropout_p", _as_float, 0.2),
-                         epochs=sec.take("epochs", _as_int, 200),
+                         epochs=sec.take("epochs", int, 200),
                          learning_rate=sec.take("learning_rate", _as_float,
                                                 0.05),
                          l2=sec.take("l2", _as_float, 1e-4),
-                         seed=sec.take("seed", _as_int, default_seed))
+                         seed=sec.take("seed", int, default_seed))
     elif kind == KIND_LEAKED:
-        horizon = sec.take("horizon", _as_int, 1)
+        baseline = make_leaked(sec.take("horizon", int, 1))
     elif kind == KIND_NOISE:
-        noise_scale = sec.take("scale", _as_float, 1e-4)
-        noise_seed = sec.take("seed", _as_int, default_seed)
-    elif kind != KIND_PERSISTENCE:
+        baseline = make_noise(sec.take("scale", _as_float, 1e-4),
+                              seed=sec.take("seed", int, default_seed))
+    elif kind == KIND_PERSISTENCE:
+        baseline = make_persistence()
+    else:
         raise ValidationError(f"[train] unknown kind '{kind}'")
     sec.done()
-    return TrainSetup(kind=kind, spec=spec, horizon=horizon,
-                      noise_scale=noise_scale, noise_seed=noise_seed,
-                      split=split)
-
-
-def _build_predictor(setup: TrainSetup, train_series: TickSeries):
-    if setup.kind == KIND_NET:
-        return train(train_series, setup.spec)
-    if setup.kind == KIND_PERSISTENCE:
-        return make_persistence()
-    if setup.kind == KIND_LEAKED:
-        return make_leaked(setup.horizon)
-    return make_noise(setup.noise_scale, seed=setup.noise_seed)
+    return TrainSetup(split=split, spec=spec, baseline=baseline)
 
 
 def _sweep_spec(sec: _Section, default_seed: int) -> SweepSpec:
     spec = SweepSpec(
-        n_configs=sec.take("n_configs", _as_int, 16),
+        n_configs=sec.take("n_configs", int, 16),
         threshold_range=(sec.take("threshold_lo", _as_float, 5.0),
                          sec.take("threshold_hi", _as_float, 50.0)),
         stop_loss_range=(sec.take("stop_loss_lo", _as_float, 10.0),
@@ -237,26 +181,12 @@ def _sweep_spec(sec: _Section, default_seed: int) -> SweepSpec:
         take_profit_range=(sec.take("take_profit_lo", _as_float, 10.0),
                            sec.take("take_profit_hi", _as_float, 100.0)),
         fee_bps=sec.take("fee_bps", _as_float, 1.0),
-        seed=sec.take("seed", _as_int, default_seed),
-        K=sec.take("k", _as_int, 32),
-        period_ticks=sec.take("period_ticks", _as_int, 256),
+        seed=sec.take("seed", int, default_seed),
+        K=sec.take("k", int, 32),
+        period_ticks=sec.take("period_ticks", int, 256),
         allow_short=sec.take("allow_short", _as_bool, True))
     sec.done()
     return spec
-
-
-@dataclass(frozen=True)
-class PmlParams:
-    rf_annual: float
-    periods_per_year: float
-    intercept_mode: str
-    risk_axis: str
-    bootstrap: int
-    bootstrap_seed: int
-
-    @property
-    def r_f_per_period(self) -> float:
-        return self.rf_annual / self.periods_per_year
 
 
 def _pml_params(sec: _Section) -> PmlParams:
@@ -264,10 +194,10 @@ def _pml_params(sec: _Section) -> PmlParams:
         rf_annual=sec.take("rf_annual", _as_float, DEFAULT_RF_ANNUAL),
         periods_per_year=sec.take("periods_per_year", _as_float,
                                   float(DEFAULT_PERIODS_PER_YEAR)),
-        intercept_mode=sec.take("intercept", _as_str, INTERCEPT_FIXED),
-        risk_axis=sec.take("risk_axis", _as_str, AXIS_PRICED),
-        bootstrap=sec.take("bootstrap", _as_int, 0),
-        bootstrap_seed=sec.take("bootstrap_seed", _as_int, 0))
+        intercept_mode=sec.take("intercept", str, INTERCEPT_FIXED),
+        risk_axis=sec.take("risk_axis", str, AXIS_PRICED),
+        bootstrap=sec.take("bootstrap", int, 0),
+        bootstrap_seed=sec.take("bootstrap_seed", int, 0))
     sec.done()
     if params.rf_annual < 0:
         raise ValidationError("[pml] rf_annual must be nonnegative")
@@ -283,28 +213,6 @@ def _pml_params(sec: _Section) -> PmlParams:
     return params
 
 
-@dataclass(frozen=True)
-class RollingParams:
-    window: int
-    step: int
-    train_frac: float
-
-
-@dataclass(frozen=True)
-class Experiment:
-    data_kind: str
-    synthetic: Optional[SyntheticSpec]
-    data_path: Optional[str]
-    train: TrainSetup
-    sweep: SweepSpec
-    pml: PmlParams
-    rolling: Optional[RollingParams]
-    max_lag: int
-    out_dir: Optional[str]
-    seed: int
-    echo: dict
-
-
 def load_experiment(path) -> Experiment:
     parser = _read_ini(path)
     known = {"data", "train", "sweep", "pml", "rolling", "correlation",
@@ -315,7 +223,7 @@ def load_experiment(path) -> Experiment:
             f"unknown config sections: {', '.join(sorted(unknown))}")
 
     exp_sec = _section(parser, "experiment")
-    seed = exp_sec.take("seed", _as_int, 0)
+    seed = exp_sec.take("seed", int, 0)
     exp_sec.done()
     if seed < 0:
         raise ValidationError("[experiment] seed must be nonnegative")
@@ -323,84 +231,83 @@ def load_experiment(path) -> Experiment:
     if not parser.has_section("data"):
         raise ValidationError("config needs a [data] section")
     data_sec = _section(parser, "data")
-    data_kind = data_sec.take("kind", _as_str)
-    synthetic = None
-    data_path = None
+    data_kind = data_sec.take("kind", str)
+    synthetic = data_path = None
     if data_kind == "synthetic":
         synthetic = _synthetic_spec(data_sec, default_seed=seed)
     elif data_kind == "csv":
-        data_path = data_sec.take("path", _as_str)
+        data_path = data_sec.take("path", str)
         data_sec.done()
     else:
         raise ValidationError(f"[data] unknown kind '{data_kind}'")
 
     train_setup = _train_setup(_section(parser, "train"), default_seed=seed)
+    net = train_setup.spec
     sweep_spec = _sweep_spec(_section(parser, "sweep"), default_seed=seed)
+    if sweep_spec.K > 1 and (net is None or net.dropout_p == 0.0):
+        raise ValidationError("[sweep] k > 1 needs dropout variants: "
+                              f"[train] kind = {KIND_NET}, dropout_p > 0")
     pml_params = _pml_params(_section(parser, "pml"))
 
     rolling = None
     if parser.has_section("rolling"):
         roll_sec = _section(parser, "rolling")
-        rolling = RollingParams(window=roll_sec.take("window", _as_int),
-                                step=roll_sec.take("step", _as_int),
+        rolling = RollingParams(window=roll_sec.take("window", int),
+                                step=roll_sec.take("step", int),
                                 train_frac=roll_sec.take("train_frac",
                                                          _as_float, 0.5))
         roll_sec.done()
-        if train_setup.kind != KIND_NET:
+        if net is None:
             raise ValidationError(
                 "[rolling] needs a trainable predictor ([train] kind = "
                 f"{KIND_NET})")
+        try:
+            rolling_train_len(rolling.window, rolling.step,
+                              rolling.train_frac, net.window,
+                              n_ticks=synthetic.n_ticks if synthetic else None)
+        except ValidationError as e:
+            raise ValidationError(f"[rolling] {e}") from None
 
     corr_sec = _section(parser, "correlation")
-    max_lag = corr_sec.take("max_lag", _as_int, 5)
+    max_lag = corr_sec.take("max_lag", int, 5)
     corr_sec.done()
     if max_lag < 1:
         raise ValidationError("[correlation] max_lag must be at least 1")
 
     out_sec = _section(parser, "output")
-    out_dir = out_sec.take("dir", _as_str, None)
-    jobs = out_sec.take("jobs", _as_int, 1)
+    out_dir = out_sec.take("dir", str, None)
+    jobs = out_sec.take("jobs", int, 1)
     out_sec.done()
     if jobs < 1:
         raise ValidationError("[output] jobs must be at least 1")
 
+    baseline = train_setup.baseline
     echo = {
         "experiment": {"seed": seed},
         "data": ({"kind": "synthetic", **dataclasses.asdict(synthetic)}
                  if synthetic is not None
                  else {"kind": "csv", "path": data_path}),
-        "train": {"kind": train_setup.kind, "split": train_setup.split,
-                  **({"horizon": train_setup.horizon}
-                     if train_setup.kind == KIND_LEAKED else {}),
-                  **({"scale": train_setup.noise_scale,
-                      "seed": train_setup.noise_seed}
-                     if train_setup.kind == KIND_NOISE else {}),
-                  **({k: (list(v) if isinstance(v, tuple) else v)
-                      for k, v in dataclasses.asdict(train_setup.spec).items()}
-                     if train_setup.spec is not None else {})},
-        "sweep": {k: (list(v) if isinstance(v, tuple) else v)
-                  for k, v in dataclasses.asdict(sweep_spec).items()},
+        "train": {"split": train_setup.split,
+                  **({"kind": KIND_NET, **dataclasses.asdict(net)}
+                     if net is not None else {"kind": baseline.kind}),
+                  **({"horizon": baseline.horizon}
+                     if baseline and baseline.kind == KIND_LEAKED else {}),
+                  **({"scale": baseline.noise_scale,
+                      "seed": baseline.noise_seed}
+                     if baseline and baseline.kind == KIND_NOISE else {})},
+        "sweep": dataclasses.asdict(sweep_spec),
         "pml": dataclasses.asdict(pml_params),
         "rolling": dataclasses.asdict(rolling) if rolling else None,
         "correlation": {"max_lag": max_lag},
         "output": {"dir": out_dir},
     }
-    return Experiment(data_kind=data_kind, synthetic=synthetic,
-                      data_path=data_path, train=train_setup,
-                      sweep=sweep_spec, pml=pml_params, rolling=rolling,
-                      max_lag=max_lag, out_dir=out_dir, seed=seed,
-                      echo=echo)
+    return Experiment(synthetic=synthetic, data_path=data_path,
+                      train=train_setup, sweep=sweep_spec, pml=pml_params,
+                      rolling=rolling, max_lag=max_lag, out_dir=out_dir,
+                      seed=seed, echo=echo)
 
 
 # ------------------------------------------------------------- artifacts
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
 
 
 def _resolve_out_dir(flag: Optional[str], configured: Optional[str]) -> Path:
@@ -410,38 +317,9 @@ def _resolve_out_dir(flag: Optional[str], configured: Optional[str]) -> Path:
     return path
 
 
-def _fmt(value: float) -> str:
-    return "" if not np.isfinite(value) else f"{value:.12g}"
-
-
-def _correlation_csv(curve: CorrelationCurve) -> str:
-    lines = ["lag,corr,n"]
-    for lag, corr, n in zip(curve.lags, curve.corr, curve.n):
-        lines.append(f"{int(lag)},{_fmt(corr)},{int(n)}")
-    return "\n".join(lines) + "\n"
-
-
-def _rolling_csv(result: RollingPmlResult) -> str:
-    lines = ["window_start,sr_theta,sr_observed,gap"]
-    for start, theta, observed, gap in zip(result.window_starts,
-                                           result.sr_theta_series,
-                                           result.sr_observed_series,
-                                           result.gap_series):
-        lines.append(f"{int(start)},{_fmt(theta)},{_fmt(observed)},{_fmt(gap)}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_sweep(triples, out_dir: Path) -> List[RiskReturnPoint]:
-    """Write a sweep's points.csv and mc.json; returns its priced points."""
-    points = sweep_points(triples)
-    write_points_csv(points, out_dir / "points.csv")
-    mc_doc = [{"config_id": point.config_id,
-               "strategy": dataclasses.asdict(cfg),
-               "n_trades": result.n_trades,
-               **mc_estimate_to_dict(mc)}
-              for point, (cfg, result, mc) in zip(points, triples)]
-    _write_text(out_dir / "mc.json", _json_text(mc_doc))
-    return points
+def _writer(out_dir: Path):
+    """write(name, text) into out_dir."""
+    return lambda name, text: (out_dir / name).write_text(text, "utf-8")
 
 
 # --------------------------------------------------------------- commands
@@ -459,11 +337,11 @@ def _cmd_train(args) -> None:
     series = load_csv(args.data)
     setup = _train_setup(_section(_read_ini(args.config), "train"),
                          default_seed=0)
-    predictor = _build_predictor(setup, series)
+    predictor = setup.fit(series)
     save_predictor(predictor, args.out)
-    print(_json_text({"kind": predictor.kind,
-                      "final_loss": predictor.final_loss,
-                      "n_ticks": len(series)}), end="")
+    print(json_text({"kind": predictor.kind,
+                     "final_loss": predictor.final_loss,
+                     "n_ticks": len(series)}), end="")
 
 
 def _cmd_backtest(args) -> None:
@@ -476,13 +354,13 @@ def _cmd_backtest(args) -> None:
                          allow_short=not args.no_short,
                          period_ticks=args.period_ticks)
     result = run_backtest(series, predictor, cfg)
-    print(_json_text({"mean": result.mean,
-                      "stdev": result.stdev,
-                      "n_trades": result.n_trades,
-                      "n_periods": int(result.period_returns.size),
-                      "sharpe": sharpe(result, args.rf),
-                      "sharpe_annualized": annualized_sharpe(
-                          result, args.rf, args.periods_per_year)}), end="")
+    print(json_text({"mean": result.mean,
+                     "stdev": result.stdev,
+                     "n_trades": result.n_trades,
+                     "n_periods": int(result.period_returns.size),
+                     "sharpe": sharpe(result, args.rf),
+                     "sharpe_annualized": annualized_sharpe(
+                         result, args.rf, args.periods_per_year)}), end="")
 
 
 def _cmd_sweep(args) -> None:
@@ -492,10 +370,10 @@ def _cmd_sweep(args) -> None:
                        default_seed=0)
     triples = sweep(series, predictor, spec)
     out_dir = _resolve_out_dir(args.out_dir, None)
-    points = _write_sweep(triples, out_dir)
-    print(_json_text({"n_configs": len(triples),
-                      "n_clamped": sum(1 for p in points if p.clamped),
-                      "out_dir": str(out_dir)}), end="")
+    points = write_sweep(triples, _writer(out_dir))
+    print(json_text({"n_configs": len(triples),
+                     "n_clamped": sum(1 for p in points if p.clamped),
+                     "out_dir": str(out_dir)}), end="")
 
 
 def _cmd_fit_pml(args) -> None:
@@ -504,7 +382,7 @@ def _cmd_fit_pml(args) -> None:
                   intercept_mode=args.intercept, risk_axis=args.risk_axis,
                   periods_per_year=args.periods_per_year,
                   bootstrap=args.bootstrap, bootstrap_seed=args.bootstrap_seed)
-    print(_json_text(dataclasses.asdict(fit)), end="")
+    print(json_text(dataclasses.asdict(fit)), end="")
 
 
 def _cmd_correlate(args) -> None:
@@ -512,43 +390,27 @@ def _cmd_correlate(args) -> None:
     predictor = load_predictor(args.predictor)
     curve = surprise_return_correlation(series, predictor,
                                         max_lag=args.max_lag)
-    text = _correlation_csv(curve)
+    text = correlation_csv(curve)
     if args.out is None:
         print(text, end="")
     else:
-        _write_text(Path(args.out), text)
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 def _cmd_decay(args) -> None:
     exp = load_experiment(args.config)
-    if exp.rolling is None:
-        raise ValidationError("decay needs a [rolling] section")
-    result = _rolling(exp, _load_series(exp))
+    result = run_decay(exp)
     out_dir = _resolve_out_dir(args.out_dir, exp.out_dir)
-    _write_text(out_dir / "rolling.csv", _rolling_csv(result))
-    print(_json_text({"n_windows": len(result),
-                      "kendall_tau": trend_tau(result.sr_theta_series),
-                      "out_dir": str(out_dir)}), end="")
-
-
-def _load_series(exp: Experiment) -> TickSeries:
-    if exp.synthetic is not None:
-        return gen_synthetic(exp.synthetic)
-    return load_csv(exp.data_path)
-
-
-def _rolling(exp: Experiment, series: TickSeries) -> RollingPmlResult:
-    return rolling_pml(series, exp.train.spec, exp.sweep,
-                       window=exp.rolling.window, step=exp.rolling.step,
-                       r_f_per_period=exp.pml.r_f_per_period,
-                       train_frac=exp.rolling.train_frac,
-                       intercept_mode=exp.pml.intercept_mode,
-                       risk_axis=exp.pml.risk_axis)
+    _writer(out_dir)("rolling.csv", rolling_csv(result))
+    print(json_text({"n_windows": len(result),
+                     "kendall_tau": trend_tau(result.sr_theta_series),
+                     "out_dir": str(out_dir)}), end="")
 
 
 def _cmd_run(args) -> None:
     exp = load_experiment(args.config)
     out_dir = _resolve_out_dir(args.out_dir, exp.out_dir)
+    write = _writer(out_dir)
     for name in _RUN_ARTIFACTS:
         (out_dir / name).unlink(missing_ok=True)
     manifest = {
@@ -567,52 +429,18 @@ def _cmd_run(args) -> None:
     # the manifest is written last, on failure too, so it records how the
     # run ended
     try:
-        fit, n_trades = _run_artifacts(exp, out_dir)
+        fit, n_trades = run_experiment(exp, write)
     except Exception as e:
         manifest.update(status="failed", error=type(e).__name__,
                         message=str(e), exit_code=_exit_code(e))
-        _write_text(out_dir / "manifest.json", _json_text(manifest))
+        write("manifest.json", json_text(manifest))
         raise
     manifest.update(fit={"n_points": fit.n_points, "n_clamped": fit.n_clamped},
                     n_trades_total=n_trades)
-    _write_text(out_dir / "manifest.json", _json_text(manifest))
-    print(_json_text({"out_dir": str(out_dir),
-                      "sr_theta": fit.sr_theta,
-                      "r2": fit.r2}), end="")
-
-
-def _run_artifacts(exp: Experiment, out_dir: Path) -> Tuple[PmlFit, int]:
-    """Write every `run` artifact but the manifest; returns the fit and the
-    total trade count."""
-    series = _load_series(exp)
-    cut = int(len(series) * exp.train.split)
-    predictor = _build_predictor(exp.train, series.window(0, cut))
-    evaluation = series.window(cut, len(series))
-
-    triples = sweep(evaluation, predictor, exp.sweep)
-    points = _write_sweep(triples, out_dir)
-    if all(result.n_trades == 0 for _, result, _ in triples):
-        raise DegenerateError(
-            "degenerate sweep: no strategy traded in any configuration")
-    try:
-        fit = fit_pml(points, r_f_per_period=exp.pml.r_f_per_period,
-                      intercept_mode=exp.pml.intercept_mode,
-                      risk_axis=exp.pml.risk_axis,
-                      periods_per_year=exp.pml.periods_per_year,
-                      bootstrap=exp.pml.bootstrap,
-                      bootstrap_seed=exp.pml.bootstrap_seed)
-    except DegenerateError as e:
-        raise DegenerateError(f"degenerate sweep: {e}") from None
-    _write_text(out_dir / "pml.json", _json_text(dataclasses.asdict(fit)))
-
-    curve = surprise_return_correlation(evaluation, predictor,
-                                        max_lag=exp.max_lag)
-    _write_text(out_dir / "correlation.csv", _correlation_csv(curve))
-
-    if exp.rolling is not None:
-        _write_text(out_dir / "rolling.csv",
-                    _rolling_csv(_rolling(exp, series)))
-    return fit, int(sum(r.n_trades for _, r, _ in triples))
+    write("manifest.json", json_text(manifest))
+    print(json_text({"out_dir": str(out_dir),
+                     "sr_theta": fit.sr_theta,
+                     "r2": fit.r2}), end="")
 
 
 # ------------------------------------------------------------------ main
@@ -707,18 +535,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="output CSV (default: standard output)")
     p.set_defaults(func=_cmd_correlate)
 
-    p = sub.add_parser("decay",
-                       help="rolling refit: rolling.csv + trend summary")
-    p.add_argument("--config", required=True, help="experiment INI")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-    p.set_defaults(func=_cmd_decay)
-
-    p = sub.add_parser("run", help="full experiment: all artifacts")
-    p.add_argument("--config", required=True, help="experiment INI")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-    p.set_defaults(func=_cmd_run)
+    for name, func, summary in (
+            ("decay", _cmd_decay, "rolling refit: rolling.csv + trend summary"),
+            ("run", _cmd_run, "full experiment: all artifacts")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", required=True, help="experiment INI")
+        p.add_argument("--out-dir", default=None)
+        p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -257,6 +257,27 @@ class RollingPmlResult:
         return int(self.window_starts.size)
 
 
+def rolling_train_len(window: int, step: int, train_frac: float,
+                      train_window: int, n_ticks: Optional[int] = None) -> int:
+    """Check a rolling refit's geometry against the net's input window and,
+    when known, the series length; returns each window's training ticks."""
+    if not 0.0 < train_frac < 1.0:
+        raise ValidationError("train_frac must lie in (0, 1)")
+    if step < 1:
+        raise ValidationError("step must be at least 1")
+    if n_ticks is not None and window > n_ticks:
+        raise ValidationError(
+            f"window {window} exceeds series length {n_ticks}")
+    train_len = int(window * train_frac)
+    if train_len < train_window + 2:
+        raise ValidationError(
+            f"window too short for training: {train_len} leading ticks, "
+            f"need at least {train_window + 2}")
+    if window - train_len < 3:
+        raise ValidationError("window too short for evaluation")
+    return train_len
+
+
 def rolling_pml(series: TickSeries, train_spec: TrainSpec,
                 sweep_spec: SweepSpec, window: int, step: int,
                 r_f_per_period: float = DEFAULT_RF_PER_PERIOD,
@@ -273,19 +294,8 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
     than aborting the run. Windows are evaluated in order of start.
     """
     n = len(series)
-    if not 0.0 < train_frac < 1.0:
-        raise ValidationError("train_frac must lie in (0, 1)")
-    if step < 1:
-        raise ValidationError("step must be at least 1")
-    if window > n:
-        raise ValidationError(f"window {window} exceeds series length {n}")
-    train_len = int(window * train_frac)
-    if train_len < train_spec.window + 2:
-        raise ValidationError(
-            f"window too short for training: {train_len} leading ticks, "
-            f"need at least {train_spec.window + 2}")
-    if window - train_len < 3:
-        raise ValidationError("window too short for evaluation")
+    train_len = rolling_train_len(window, step, train_frac, train_spec.window,
+                                  n_ticks=n)
     starts = list(range(0, n - window + 1, step))
 
     def _one_window(start: int) -> Tuple[float, float]:

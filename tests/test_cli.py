@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import risklab
-from risklab import cli
+from risklab import pipeline
 from risklab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from risklab.pml import RollingPmlResult, write_points_csv
 from risklab.market_data import load_csv
@@ -581,6 +581,34 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o10")]) == EXIT_CONFIG
     assert "[train] scale must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o10").exists()
+    # a [rolling] section that cannot run fails before any work is done
+    for old, new in (("step = 900", "step = 0"),
+                     ("step = 900", "step = 900\ntrain_frac = 1.5"),
+                     ("window = 1200", "window = 5000"),
+                     ("window = 1200", "window = 10")):
+        config = _write(tmp_path / "j.ini", RUN_CONFIG.replace(old, new))
+        for command in ("run", "decay"):
+            out = tmp_path / f"o11-{command}"
+            assert main([command, "--config", config,
+                         "--out-dir", str(out)]) == EXIT_CONFIG, new
+            assert "[rolling] " in capsys.readouterr().err
+            assert not out.exists()
+    # so does a sweep that asks for dropout variants of a predictor without
+    # dropout
+    without_rolling = RUN_CONFIG[:RUN_CONFIG.index("[rolling]")]
+    train = without_rolling[without_rolling.index("[train]"):
+                            without_rolling.index("[sweep]")]
+    for kind in ("noise", "leaked", "persistence", None):
+        config = (_with_key(RUN_CONFIG, "train", "dropout_p", "0")
+                  if kind is None else
+                  without_rolling.replace(train, f"[train]\nkind = {kind}\n\n"))
+        _write(tmp_path / "k.ini", config)
+        for command in ("run", "decay") if kind is None else ("run",):
+            out = tmp_path / f"o12-{command}"
+            assert main([command, "--config", str(tmp_path / "k.ini"),
+                         "--out-dir", str(out)]) == EXIT_CONFIG, kind
+            assert "[sweep] k > 1" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_decay_command(tmp_path, capsys):
@@ -607,7 +635,7 @@ def test_decay_with_all_tied_windows_exits_4(tmp_path, capsys, monkeypatch):
                                 sr_observed_series=theta.copy(),
                                 gap_series=np.zeros(3))
 
-    monkeypatch.setattr(cli, "rolling_pml", tied)
+    monkeypatch.setattr(pipeline, "rolling_pml", tied)
     config = _write(tmp_path / "exp.ini", RUN_CONFIG)
     out = tmp_path / "decay-out"
     assert main(["decay", "--config", config,
