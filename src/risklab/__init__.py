@@ -8,6 +8,10 @@ the slope of the risk-return line a pretrained signal family traces out.
 Every run is seed-deterministic down to the output bytes.
 """
 
+# numpy imports numpy.random on first use; import it with risklab so the
+# first seeded call inside a command does not pay for it
+import numpy.random  # noqa: F401
+
 from .analysis import (CorrelationCurve, SweepSpec, cluster_tightness,
                        surprise_return_correlation, sweep, sweep_configs)
 from .backtest import (BacktestResult, Fill, StrategyConfig, annualized_sharpe,

@@ -15,7 +15,8 @@ from .analysis import CorrelationCurve, SweepSpec, surprise_return_correlation, 
 from .errors import DegenerateError, ValidationError
 from .market_data import SyntheticSpec, TickSeries, gen_synthetic, load_csv
 from .pml import (PmlFit, RiskReturnPoint, RollingPmlResult, fit_pml,
-                  points_to_csv, rolling_pml, sweep_points)
+                  points_to_csv, rolling_pml, rolling_train_len,
+                  sweep_points)
 from .predictor import Predictor, TrainSpec, train
 from .uncertainty import mc_estimate_to_dict
 
@@ -111,8 +112,18 @@ def write_sweep(triples, write: Write) -> List[RiskReturnPoint]:
 
 
 def _load_series(exp: Experiment) -> TickSeries:
-    return (gen_synthetic(exp.synthetic) if exp.synthetic is not None
-            else load_csv(exp.data_path))
+    """The experiment's series, its [rolling] geometry checked against it
+    (a CSV's length is known only here, before anything is written)."""
+    series = (gen_synthetic(exp.synthetic) if exp.synthetic is not None
+              else load_csv(exp.data_path))
+    if exp.rolling is not None:
+        try:
+            rolling_train_len(exp.rolling.window, exp.rolling.step,
+                              exp.rolling.train_frac, exp.train.spec.window,
+                              n_ticks=len(series))
+        except ValidationError as e:
+            raise ValidationError(f"[rolling] {e}") from None
+    return series
 
 
 def run_decay(exp: Experiment,

@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateError, ValidationError
 from .market_data import TickSeries
@@ -235,18 +234,91 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+# Cephes ndtri (Moshier, ndtri.c), the code behind scipy.special.ndtri.
+# _P0/_Q0: the middle, u - 1/2 in [-3/8, 3/8]; _P1/_Q1: x = sqrt(-2 log u)
+# in [2, 8); _P2/_Q2: x in [8, 64). Each Q has an implied leading 1.
+_S2PI = 2.50662827463100050242E0
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _polevl(x: np.ndarray, coef: Sequence[float],
+            leading_one: bool = False) -> np.ndarray:
+    """Horner's rule in Cephes' order (polevl, or p1evl with leading_one)."""
+    acc = x + coef[0] if leading_one else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # np.log's SIMD loop can differ from libm in the last bit; math.log is libm
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def _ndtri_lower(u: np.ndarray) -> np.ndarray:
+    """Cephes ndtri on u in (0, 1/2], bit for bit.
+
+    The middle is a rational function of (u - 1/2)^2; the tail is
+    -(x - log(x)/x - z P(z)/Q(z)) with x = sqrt(-2 log u) and z = 1/x.
+    """
+    out = np.empty_like(u)
+    middle = u > _EXP_M2
+    y = u[middle] - 0.5
+    y2 = y * y
+    ratio = y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, True)
+    out[middle] = (y + y * ratio) * _S2PI
+    tail = ~middle
+    x = np.sqrt(-2.0 * _libm_log(u[tail]))
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _polevl(z, _Q1, True)
+    far = x >= 8.0
+    if far.any():
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2, True)
+    out[tail] = -((x - _libm_log(x) / x) - x1)
+    return out
+
+
 def eps(seed: int, ts: np.ndarray) -> np.ndarray:
     """Standard normal draw per timestamp, a pure function of (seed, ts).
 
     Counter-based (Salmon et al., SC 2011): each (seed, ts) pair is hashed
     to 64 bits, the top 53 give u = (k + 1/2) / 2**53 in (0, 1), and the
-    draw is ndtri(u). Upper-half u are reflected, ndtri(u) = -ndtri(1 - u),
-    so u is formed exactly and never rounds onto 1.
+    draw is the gaussian inverse ndtri(u). Upper-half u are reflected,
+    ndtri(u) = -ndtri(1 - u), so u is formed exactly and never rounds onto
+    1. ndtri is a numpy port of Cephes' (`_ndtri_lower`) for u in (0, 1/2],
+    held bit for bit to `scipy.special.ndtri` by the tests, so the CLI
+    imports no scipy submodule for it.
     """
     key = _mix64(np.array([seed % (1 << 64)], dtype=np.uint64) + _GOLDEN)
     ts_bits = np.ascontiguousarray(ts, dtype=np.int64).view(np.uint64)
     k = _mix64(_mix64(ts_bits) + key) >> np.uint64(11)
-    draw = ndtri((np.minimum(k, k ^ _MASK53) + 0.5) * 2.0 ** -53)
+    draw = _ndtri_lower((np.minimum(k, k ^ _MASK53) + 0.5) * 2.0 ** -53)
     return np.where(k >= _TOP_HALF, -draw, draw)
 
 

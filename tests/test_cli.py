@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import risklab
-from risklab import pipeline
+from risklab import SyntheticSpec, gen_synthetic, pipeline, write_csv
 from risklab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from risklab.pml import RollingPmlResult, write_points_csv
 from risklab.market_data import load_csv
@@ -94,13 +95,30 @@ def _write(path, text):
 
 
 def _with_key(config, section, key, value):
-    """`config` with `key = value` in `[section]`, replacing a value it has."""
+    """`config` with `key = value` in `[section]`, replacing a value it has
+    there; other sections keep theirs."""
     line = f"{key} = {value}\n"
-    if re.search(f"^{key} = ", config, flags=re.M):
-        return re.sub(f"^{key} = .*\n", line, config, flags=re.M)
-    if f"[{section}]\n" in config:
-        return config.replace(f"[{section}]\n", f"[{section}]\n{line}")
-    return config + f"\n[{section}]\n{line}"
+    header = f"[{section}]\n"
+    if header not in config:
+        return config + f"\n{header}{line}"
+    start = config.index(header) + len(header)
+    end = config.find("\n[", start) + 1 or len(config)
+    body = config[start:end]
+    if re.search(f"^{key} = ", body, flags=re.M):
+        body = re.sub(f"^{key} = .*\n", line, body, flags=re.M)
+    else:
+        body = line + body
+    return config[:start] + body + config[end:]
+
+
+def test_with_key_edits_only_its_section():
+    config = _with_key(RUN_CONFIG, "rolling", "window", "5000")
+    assert config == RUN_CONFIG.replace("window = 1200", "window = 5000")
+    assert "[train]\nkind = net\nwindow = 6\n" in config
+    added = _with_key(RUN_CONFIG, "train", "l2", "0.5")
+    assert added == RUN_CONFIG.replace("[train]\n", "[train]\nl2 = 0.5\n")
+    assert _with_key(RUN_CONFIG, "pml", "bootstrap", "5") \
+        == RUN_CONFIG + "\n[pml]\nbootstrap = 5\n"
 
 
 def _exit_code(argv):
@@ -611,6 +629,36 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_rolling_window_longer_than_a_csv_exits_2_before_the_sweep(
+        tmp_path, capsys):
+    # a CSV's length is known only once it is loaded, after the out-dir exists
+    data = tmp_path / "ticks.csv"
+    write_csv(gen_synthetic(SyntheticSpec(n_ticks=1000, seed=3)), data)
+    csv_data = RUN_CONFIG[RUN_CONFIG.index("[data]"):RUN_CONFIG.index("[train]")]
+    on_csv = RUN_CONFIG.replace(csv_data, f"[data]\nkind = csv\npath = {data}\n\n")
+    config = _write(tmp_path / "long.ini",
+                    _with_key(on_csv, "rolling", "window", "1500"))
+    run_out, decay_out = tmp_path / "run-out", tmp_path / "decay-out"
+    assert main(["run", "--config", config,
+                 "--out-dir", str(run_out)]) == EXIT_CONFIG
+    assert "[rolling] window 1500 exceeds series length 1000" \
+        in capsys.readouterr().err
+    # only the manifest, which records the failure
+    assert [p.name for p in run_out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((run_out / "manifest.json").read_text("utf-8"))
+    assert (manifest["status"], manifest["exit_code"]) == ("failed", EXIT_CONFIG)
+    assert main(["decay", "--config", config,
+                 "--out-dir", str(decay_out)]) == EXIT_CONFIG
+    assert "[rolling] window 1500" in capsys.readouterr().err
+    assert not decay_out.exists()
+    # the same file with a window that fits runs
+    fits = _write(tmp_path / "fits.ini",
+                  _with_key(on_csv, "rolling", "window", "1000"))
+    assert main(["run", "--config", fits,
+                 "--out-dir", str(run_out)]) == EXIT_OK
+    assert sorted(p.name for p in run_out.iterdir()) == sorted(ARTIFACTS)
+
+
 def test_decay_command(tmp_path, capsys):
     config = _write(tmp_path / "exp.ini", RUN_CONFIG)
     out = tmp_path / "decay-out"
@@ -645,15 +693,38 @@ def test_decay_with_all_tied_windows_exits_4(tmp_path, capsys, monkeypatch):
     assert "equal" in captured.err
 
 
+def _child_stdout(code, cwd=None):
+    """Standard output of `python -c code` in a fresh interpreter that
+    imports risklab from this checkout."""
+    src = str(Path(risklab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=cwd or src,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.stdout
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
     code = ("import sys, risklab.cli; "
             "print(sorted(m for m in ('scipy.signal', 'scipy.stats', "
-            "'scipy.linalg') if m in sys.modules))")
-    src = str(Path(risklab.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, cwd=src,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "[]"
+            "'scipy.linalg', 'scipy.special') if m in sys.modules))")
+    assert _child_stdout(code).strip() == "[]"
+
+
+def test_commands_load_no_numpy_or_scipy_module_after_import(tmp_path):
+    # numpy imports numpy.random and numpy.ma on first use; a command that
+    # is first to use one pays for the import inside its own run
+    config = _write(tmp_path / "exp.ini", RUN_CONFIG)
+    code = textwrap.dedent(f"""\
+        import sys
+        import risklab.cli
+        loaded = set(sys.modules)
+        for command in ("run", "decay"):
+            argv = [command, "--config", {config!r}, "--out-dir", "out"]
+            assert risklab.cli.main(argv) == 0
+        print(sorted(m for m in set(sys.modules) - loaded
+                     if m.split(".")[0] in ("numpy", "scipy")))
+        """)
+    assert _child_stdout(code, cwd=tmp_path).splitlines()[-1] == "[]"
 
 
 def test_main_runs_blas_on_one_thread(tmp_path, capsys):

@@ -19,6 +19,7 @@ from risklab.pml import (
     DEFAULT_RF_PER_PERIOD,
     INTERCEPT_FREE,
     RiskReturnPoint,
+    _one_value,
     fit_pml,
     load_points_csv,
     points_to_csv,
@@ -199,6 +200,17 @@ def test_fit_on_mc_axis():
     zero_mc = _points(x, y)
     with pytest.raises(DegenerateError, match="sigma_mc"):
         fit_pml(zero_mc, risk_axis=AXIS_MC)
+
+
+def test_one_value_counts_distinct_values_as_np_unique_does():
+    # the fit's degeneracy check, NaNs counting as one value
+    rng = np.random.default_rng(5)
+    values = np.array([0.0, 1.0, 2.0, np.nan])
+    for size in [0, 1] + [int(n) for n in rng.integers(2, 7, 2000)]:
+        x = rng.choice(values, size)
+        assert _one_value(x) == (np.unique(x).size < 2), x.tolist()
+    assert _one_value(np.array([np.nan, np.nan, np.nan]))
+    assert not _one_value(np.array([np.nan, 1.0, np.nan]))
 
 
 def test_bootstrap_stderr():

@@ -1,14 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from predictor_oracle import surprises, variant_keep_flags
 from risklab import SyntheticSpec, TickSeries, ValidationError, gen_synthetic
-from risklab.predictor import (Predictor, TrainSpec, eps, load_predictor,
-                               make_leaked, make_noise, make_persistence,
-                               sample_variants, save_predictor,
-                               surprise_series, train, variant_surprise_series)
+from risklab.predictor import (Predictor, TrainSpec, _ndtri_lower, eps,
+                               load_predictor, make_leaked, make_noise,
+                               make_persistence, sample_variants,
+                               save_predictor, surprise_series, train,
+                               variant_surprise_series)
 
 SEC = 1_000_000_000
 
@@ -149,7 +151,24 @@ class TestPredict:
         got = eps(5, SEC * np.arange(1, 6))
         want = [-0.30318183951831096, -0.7799233783785192, 1.7711333622123893,
                 0.4320873708155903, 0.43924866017929787]
-        assert got.tolist() == pytest.approx(want, rel=1e-12)
+        assert got.tolist() == want
+
+    def test_ndtri_port_matches_scipy_bitwise(self):
+        # eps's inputs (k + 1/2) 2**-53 for random k and for the smallest k
+        # (whose x = sqrt(-2 log u) reaches the x >= 8 branch), the 2,001
+        # doubles around the middle/tail cut at exp(-2), and the tail swept
+        # by exp(-t)
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        rng = np.random.default_rng(2024)
+        k = np.concatenate([rng.integers(0, 1 << 52, 1_000_000, dtype=np.uint64),
+                            np.arange(200_000, dtype=np.uint64)])
+        cut = np.array([math.exp(-2.0)]).view(np.int64) + np.arange(-1000, 1001)
+        u = np.concatenate([(k + 0.5) * 2.0 ** -53, cut.view(np.float64),
+                            np.exp(-np.linspace(2.0, 37.4, 100_001))])
+        assert u.min() < 2.0 ** -52 and u.max() < 0.5
+        assert (np.sqrt(-2.0 * np.log(u)) >= 8.0).sum() > 1000
+        got, want = _ndtri_lower(u), ndtri(u)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_noise_predict_matches_series_bitwise(self):
         s = planted_series(3000)
