@@ -3,8 +3,8 @@
 Closed-form two-constraint minimum-variance weights, the tangency
 portfolio, the capital market line, and the beta decomposition of an
 asset's variance into a systematic and an idiosyncratic part. Solves go
-through a symmetric (Cholesky) factorization after an explicit
-positive-definiteness check; shorting is unrestricted throughout.
+through `np.linalg.solve` after `AssetUniverse`'s positive-definiteness
+check; shorting is unrestricted throughout.
 """
 
 from __future__ import annotations
@@ -107,12 +107,9 @@ def min_variance_portfolio(universe: AssetUniverse,
     return; the target is then only attainable if it equals that value,
     in which case the global minimum-variance portfolio is returned.
     """
-    from scipy.linalg import cho_factor, cho_solve  # off the CLI's import path
-
-    cho = cho_factor(universe.sigma, lower=True)
     ones = np.ones(universe.n)
-    sinv_one = cho_solve(cho, ones)
-    sinv_mu = cho_solve(cho, universe.mu)
+    sinv_one, sinv_mu = np.linalg.solve(
+        universe.sigma, np.column_stack((ones, universe.mu))).T
     a = float(ones @ sinv_one)
     b = float(ones @ sinv_mu)
     c = float(universe.mu @ sinv_mu)
@@ -134,10 +131,7 @@ def tangency_portfolio(universe: AssetUniverse, r_f: float) -> Portfolio:
     excess = universe.mu - r_f
     if float(np.abs(excess).max()) == 0.0:
         raise ValidationError("no tangency: all excess returns are zero")
-    from scipy.linalg import cho_factor, cho_solve
-
-    cho = cho_factor(universe.sigma, lower=True)
-    z = cho_solve(cho, excess)
+    z = np.linalg.solve(universe.sigma, excess)
     total = float(z.sum())
     if abs(total) <= _DEGENERATE_REL * float(np.abs(z).sum()):
         raise ValidationError("no tangency: aggregate excess position is zero")

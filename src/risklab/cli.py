@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import SweepSpec, surprise_return_correlation, sweep
@@ -108,6 +107,13 @@ class _Section:
             raise ValidationError(
                 f"[{self.name}] invalid value for '{key}': '{raw}'") from None
 
+    def build(self, factory, *args, **kwargs):
+        """Call factory, naming the section in its ValidationError."""
+        try:
+            return factory(*args, **kwargs)
+        except ValidationError as e:
+            raise ValidationError(f"[{self.name}] {e}") from None
+
     def done(self) -> None:
         if self._pairs:
             raise ValidationError(
@@ -129,14 +135,14 @@ def _section(parser: configparser.ConfigParser, name: str) -> _Section:
 
 
 def _synthetic_spec(sec: _Section, default_seed: int) -> SyntheticSpec:
-    spec = SyntheticSpec(n_ticks=sec.take("n_ticks", int),
-                         dt_ns=sec.take("dt_ns", int, 1_000_000_000),
-                         sigma_noise=sec.take("sigma_noise", _as_float, 5e-4),
-                         phi=sec.take("phi", _as_float, 0.0),
-                         sigma_signal=sec.take("sigma_signal", _as_float, 0.0),
-                         spread_bps=sec.take("spread_bps", _as_float, 1.0),
-                         seed=sec.take("seed", int, default_seed),
-                         decay_to=sec.take("decay_to", _as_opt_float, None))
+    spec = sec.build(SyntheticSpec, n_ticks=sec.take("n_ticks", int),
+                     dt_ns=sec.take("dt_ns", int, 1_000_000_000),
+                     sigma_noise=sec.take("sigma_noise", _as_float, 5e-4),
+                     phi=sec.take("phi", _as_float, 0.0),
+                     sigma_signal=sec.take("sigma_signal", _as_float, 0.0),
+                     spread_bps=sec.take("spread_bps", _as_float, 1.0),
+                     seed=sec.take("seed", int, default_seed),
+                     decay_to=sec.take("decay_to", _as_opt_float, None))
     sec.done()
     return spec
 
@@ -150,7 +156,7 @@ def _train_setup(sec: _Section, default_seed: int) -> TrainSetup:
         raise ValidationError("[train] split must lie in (0, 1)")
     spec = baseline = None
     if kind == KIND_NET:
-        spec = TrainSpec(window=sec.take("window", int, 8),
+        spec = sec.build(TrainSpec, window=sec.take("window", int, 8),
                          hidden=sec.take("hidden", _as_hidden, (16,)),
                          dropout_p=sec.take("dropout_p", _as_float, 0.2),
                          epochs=sec.take("epochs", int, 200),
@@ -159,10 +165,10 @@ def _train_setup(sec: _Section, default_seed: int) -> TrainSetup:
                          l2=sec.take("l2", _as_float, 1e-4),
                          seed=sec.take("seed", int, default_seed))
     elif kind == KIND_LEAKED:
-        baseline = make_leaked(sec.take("horizon", int, 1))
+        baseline = sec.build(make_leaked, sec.take("horizon", int, 1))
     elif kind == KIND_NOISE:
-        baseline = make_noise(sec.take("scale", _as_float, 1e-4),
-                              seed=sec.take("seed", int, default_seed))
+        baseline = sec.build(make_noise, sec.take("scale", _as_float, 1e-4),
+                             seed=sec.take("seed", int, default_seed))
     elif kind == KIND_PERSISTENCE:
         baseline = make_persistence()
     else:
@@ -172,7 +178,8 @@ def _train_setup(sec: _Section, default_seed: int) -> TrainSetup:
 
 
 def _sweep_spec(sec: _Section, default_seed: int) -> SweepSpec:
-    spec = SweepSpec(
+    spec = sec.build(
+        SweepSpec,
         n_configs=sec.take("n_configs", int, 16),
         threshold_range=(sec.take("threshold_lo", _as_float, 5.0),
                          sec.take("threshold_hi", _as_float, 50.0)),
@@ -261,12 +268,9 @@ def load_experiment(path) -> Experiment:
             raise ValidationError(
                 "[rolling] needs a trainable predictor ([train] kind = "
                 f"{KIND_NET})")
-        try:
-            rolling_train_len(rolling.window, rolling.step,
-                              rolling.train_frac, net.window,
-                              n_ticks=synthetic.n_ticks if synthetic else None)
-        except ValidationError as e:
-            raise ValidationError(f"[rolling] {e}") from None
+        roll_sec.build(rolling_train_len, rolling.window, rolling.step,
+                       rolling.train_frac, net.window,
+                       n_ticks=synthetic.n_ticks if synthetic else None)
 
     corr_sec = _section(parser, "correlation")
     max_lag = corr_sec.take("max_lag", int, 5)
@@ -417,8 +421,7 @@ def _cmd_run(args) -> None:
         "command": "run",
         "artifact": {"name": "risklab", "version": __version__},
         "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "numpy": np.__version__},
         "config": exp.echo,
         "seeds": {"experiment": exp.seed,
                   "data": exp.synthetic.seed if exp.synthetic else None,

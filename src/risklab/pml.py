@@ -182,8 +182,8 @@ def fit_pml(points: Sequence[RiskReturnPoint],
             f"{intercept_mode} intercept")
     if periods_per_year <= 0:
         raise ValidationError("periods_per_year must be positive")
-    if bootstrap < 0:
-        raise ValidationError("bootstrap must be nonnegative")
+    if bootstrap < 0 or bootstrap_seed < 0:
+        raise ValidationError("bootstrap settings must be nonnegative")
     x = _risk_coordinate(points, risk_axis)
     y = np.array([p.mean_return for p in points]) - r_f_per_period
     if _one_value(x):

@@ -312,8 +312,8 @@ def eps(seed: int, ts: np.ndarray) -> np.ndarray:
     draw is the gaussian inverse ndtri(u). Upper-half u are reflected,
     ndtri(u) = -ndtri(1 - u), so u is formed exactly and never rounds onto
     1. ndtri is a numpy port of Cephes' (`_ndtri_lower`) for u in (0, 1/2],
-    held bit for bit to `scipy.special.ndtri` by the tests, so the CLI
-    imports no scipy submodule for it.
+    held bit for bit to `scipy.special.ndtri` by the tests, so risklab
+    needs no scipy for it.
     """
     key = _mix64(np.array([seed % (1 << 64)], dtype=np.uint64) + _GOLDEN)
     ts_bits = np.ascontiguousarray(ts, dtype=np.int64).view(np.uint64)

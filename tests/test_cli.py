@@ -15,7 +15,7 @@ import pytest
 import risklab
 from risklab import SyntheticSpec, gen_synthetic, pipeline, write_csv
 from risklab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-from risklab.pml import RollingPmlResult, write_points_csv
+from risklab.pml import RiskReturnPoint, RollingPmlResult, write_points_csv
 from risklab.market_data import load_csv
 
 GEN_SPEC = """\
@@ -148,7 +148,11 @@ def test_gen_data_invalid_spec_exits_2(tmp_path, capsys):
                   "[synthetic]\nn_ticks = 100\nphi = 1.5\n")
     assert main(["gen-data", "--spec", spec,
                  "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
-    assert "phi" in capsys.readouterr().err
+    assert "[synthetic] phi must satisfy |phi| < 1" in capsys.readouterr().err
+    spec = _write(tmp_path / "spec.ini", "[synthetic]\nn_ticks = 1\n")
+    assert main(["gen-data", "--spec", spec,
+                 "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    assert "[synthetic] n_ticks must be at least 2" in capsys.readouterr().err
     for key, value in (("sigma_noise", "nan"), ("spread_bps", "nan"),
                        ("decay_to", "nan"), ("sigma_signal", "inf"),
                        ("phi", "-inf")):
@@ -380,7 +384,6 @@ def test_sweep_and_fit_pml_documents_are_pinned(tmp_path, capsys):
 def test_fit_pml_exact_line(tmp_path, capsys):
     rf = 0.05 / 252
     x = np.linspace(0.001, 0.02, 8)
-    from risklab.pml import RiskReturnPoint
     pts = [RiskReturnPoint(f"c{i}", rf + 3.0 * xi, xi, 0.0, xi, False)
            for i, xi in enumerate(x)]
     path = tmp_path / "points.csv"
@@ -411,6 +414,15 @@ def test_fit_pml_error_paths(tmp_path, capsys):
         encoding="utf-8")
     assert main(["fit-pml", "--points", str(same)]) == EXIT_NUMERIC
     assert "degenerate" in capsys.readouterr().err
+    points = tmp_path / "points.csv"
+    write_points_csv([RiskReturnPoint(f"c{i}", 0.3 * x, x, 0.0, x, False)
+                      for i, x in enumerate((0.01, 0.02, 0.03))], points)
+    for flags in (["--bootstrap", "-1"],
+                  ["--bootstrap", "5", "--bootstrap-seed", "-1"]):
+        assert main(["fit-pml", "--points", str(points), *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be nonnegative" in captured.err
     # a non-finite rate or year length would put NaN or inf in the JSON
     for flag, value in (("--rf", "nan"), ("--rf", "inf"),
                         ("--periods-per-year", "inf")):
@@ -599,6 +611,27 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o10")]) == EXIT_CONFIG
     assert "[train] scale must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o10").exists()
+    # a spec's own check names the section its value came from
+    for section, key, value, message in (
+            ("train", "window", "0", "window must be at least 1"),
+            ("data", "n_ticks", "1", "n_ticks must be at least 2"),
+            ("sweep", "threshold_lo", "9",
+             "threshold_range must be a nonempty interval")):
+        config = _write(tmp_path / "l.ini",
+                        _with_key(RUN_CONFIG, section, key, value))
+        out = tmp_path / f"o13-{key}"
+        assert main(["run", "--config", config,
+                     "--out-dir", str(out)]) == EXIT_CONFIG, key
+        assert f"error: [{section}] {message}" in capsys.readouterr().err
+        assert not out.exists()
+    for kind, setting, message in (
+            ("leaked", "horizon = 0", "leak horizon must be at least 1"),
+            ("noise", "seed = -1", "noise seed must be nonnegative")):
+        config = _write(tmp_path / "m.ini", RUN_CONFIG.replace(
+            "kind = net", f"kind = {kind}\n{setting}"))
+        assert main(["run", "--config", config,
+                     "--out-dir", str(tmp_path / "o14")]) == EXIT_CONFIG
+        assert f"error: [train] {message}" in capsys.readouterr().err
     # a [rolling] section that cannot run fails before any work is done
     for old, new in (("step = 900", "step = 0"),
                      ("step = 900", "step = 900\ntrain_frac = 1.5"),
@@ -703,11 +736,54 @@ def _child_stdout(code, cwd=None):
     return done.stdout
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
-    code = ("import sys, risklab.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', "
-            "'scipy.linalg', 'scipy.special') if m in sys.modules))")
-    assert _child_stdout(code).strip() == "[]"
+def test_no_scipy_module_is_loaded(tmp_path):
+    # numpy is risklab's only runtime dependency: the scipy modules loaded
+    # after the import, each command and each mean-variance solve
+    _write(tmp_path / "spec.ini", GEN_SPEC)
+    _write(tmp_path / "train.ini", "[train]\nkind = net\nwindow = 6\n"
+           "hidden = 8\ndropout_p = 0.2\nepochs = 30\nseed = 1\n")
+    _write(tmp_path / "sweep.ini", "[sweep]\nn_configs = 4\nthreshold_lo = 1\n"
+           "threshold_hi = 10\nfee_bps = 0.2\nk = 2\nperiod_ticks = 64\n")
+    _write(tmp_path / "exp.ini", RUN_CONFIG)
+    code = textwrap.dedent("""\
+        import json, sys
+        loaded = {}
+
+        def record(step):
+            loaded[step] = sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")
+
+        import risklab
+        record("import")
+        from risklab import capm, cli
+        data, model = ["--data", "ticks.csv"], ["--predictor", "model.json"]
+        for argv in (["gen-data", "--spec", "spec.ini", "--out", "ticks.csv"],
+                     ["train", *data, "--config", "train.ini",
+                      "--out", "model.json"],
+                     ["backtest", *data, *model],
+                     ["sweep", *data, *model, "--config", "sweep.ini",
+                      "--out-dir", "out"],
+                     ["fit-pml", "--points", "out/points.csv"],
+                     ["correlate", *data, *model],
+                     ["run", "--config", "exp.ini", "--out-dir", "out"],
+                     ["decay", "--config", "exp.ini", "--out-dir", "out"]):
+            assert cli.main(argv) == 0, argv
+            record(argv[0])
+        universe = capm.AssetUniverse(mu=[0.05, 0.1, 0.15],
+                                      sigma=[[0.01, 0, 0], [0, 0.04, 0],
+                                             [0, 0, 0.09]])
+        capm.min_variance_portfolio(universe, 0.1)
+        record("min_variance_portfolio")
+        capm.tangency_portfolio(universe, 0.01)
+        record("tangency_portfolio")
+        print(json.dumps(loaded))
+        """)
+    loaded = json.loads(_child_stdout(code, cwd=tmp_path).splitlines()[-1])
+    assert list(loaded) == [
+        "import", "gen-data", "train", "backtest", "sweep", "fit-pml",
+        "correlate", "run", "decay", "min_variance_portfolio",
+        "tangency_portfolio"]
+    assert loaded == dict.fromkeys(loaded, [])
 
 
 def test_commands_load_no_numpy_or_scipy_module_after_import(tmp_path):

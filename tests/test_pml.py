@@ -169,6 +169,9 @@ def test_fit_input_errors():
         fit_pml(pts, intercept_mode="banana")
     with pytest.raises(ValidationError, match="risk_axis"):
         fit_pml(pts, risk_axis="banana")
+    for bootstrap, seed in ((-1, 0), (5, -1)):
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            fit_pml(pts, bootstrap=bootstrap, bootstrap_seed=seed)
     same = _points([0.01, 0.01, 0.01], [0.001, 0.002, 0.003])
     with pytest.raises(DegenerateError, match="degenerate fit"):
         fit_pml(same)
