@@ -20,8 +20,8 @@ from .backtest import (
 )
 from .errors import ValidationError
 from .market_data import TickSeries
-from .predictor import (Predictor, sample_variants, surprise_series,
-                        variant_surprise_series)
+from .predictor import (Predictor, first_layer, sample_variants,
+                        surprise_series, variant_surprise_series)
 from .uncertainty import McEstimate, estimate_from_matrix
 
 # child-stream tags: config draws must not share a stream with mask seeds
@@ -108,8 +108,10 @@ def sweep(series: TickSeries, predictor: Predictor,
     else:
         variant_sets = [sample_variants(predictor, spec.K, seed=int(seed))
                         for seed in variant_seeds]
-        # a generator: the engine reads one block of variant rows at a time
-        rows = (variant_surprise_series(vs, k, series)
+        # a generator: the engine reads one block of variant rows at a time;
+        # every variant starts from the same first hidden layer
+        first = first_layer(predictor, series)
+        rows = (variant_surprise_series(vs, k, series, first)
                 for vs in variant_sets for k in range(spec.K))
         returns = run_backtest_columns(
             series, rows, [cfg for cfg in configs for _ in range(spec.K)])

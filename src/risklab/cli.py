@@ -51,8 +51,8 @@ EXIT_NUMERIC = 4
 
 _REQUIRED = object()
 
-# every file `run` may write; a rerun clears them all so an out-dir never
-# mixes files from two runs
+# every file `run` may write; `run`, `sweep` and `decay` clear them all so
+# an out-dir never mixes files from two runs
 _RUN_ARTIFACTS = ("points.csv", "mc.json", "pml.json", "correlation.csv",
                   "rolling.csv", "manifest.json")
 
@@ -314,10 +314,13 @@ def load_experiment(path) -> Experiment:
 # ------------------------------------------------------------- artifacts
 
 
-def _resolve_out_dir(flag: Optional[str], configured: Optional[str]) -> Path:
+def _fresh_out_dir(flag: Optional[str], configured: Optional[str]) -> Path:
+    """The chosen out-dir, created, with no file of an earlier run left."""
     chosen = flag or configured or os.environ.get(ENV_OUT_DIR) or "risklab-out"
     path = Path(chosen)
     path.mkdir(parents=True, exist_ok=True)
+    for name in _RUN_ARTIFACTS:
+        (path / name).unlink(missing_ok=True)
     return path
 
 
@@ -373,7 +376,7 @@ def _cmd_sweep(args) -> None:
     spec = _sweep_spec(_section(_read_ini(args.config), "sweep"),
                        default_seed=0)
     triples = sweep(series, predictor, spec)
-    out_dir = _resolve_out_dir(args.out_dir, None)
+    out_dir = _fresh_out_dir(args.out_dir, None)
     points = write_sweep(triples, _writer(out_dir))
     print(json_text({"n_configs": len(triples),
                      "n_clamped": sum(1 for p in points if p.clamped),
@@ -404,7 +407,7 @@ def _cmd_correlate(args) -> None:
 def _cmd_decay(args) -> None:
     exp = load_experiment(args.config)
     result = run_decay(exp)
-    out_dir = _resolve_out_dir(args.out_dir, exp.out_dir)
+    out_dir = _fresh_out_dir(args.out_dir, exp.out_dir)
     _writer(out_dir)("rolling.csv", rolling_csv(result))
     print(json_text({"n_windows": len(result),
                      "kendall_tau": trend_tau(result.sr_theta_series),
@@ -413,10 +416,8 @@ def _cmd_decay(args) -> None:
 
 def _cmd_run(args) -> None:
     exp = load_experiment(args.config)
-    out_dir = _resolve_out_dir(args.out_dir, exp.out_dir)
+    out_dir = _fresh_out_dir(args.out_dir, exp.out_dir)
     write = _writer(out_dir)
-    for name in _RUN_ARTIFACTS:
-        (out_dir / name).unlink(missing_ok=True)
     manifest = {
         "command": "run",
         "artifact": {"name": "risklab", "version": __version__},

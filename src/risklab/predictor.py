@@ -15,7 +15,8 @@ Forecasts come as whole series: `surprise_series` gives the relative
 predicted move at every tick. Variants: `sample_variants` freezes K dropout
 masks; each variant applies its mask at inference across all timesteps, so
 variant k is a deterministic function of (base predictor, mask seed k), and
-`variant_surprise_series` gives its series.
+`variant_surprise_series` gives its series. `first_layer` computes the first
+hidden layer once per series, for all variants to share.
 
 Everything is seed-deterministic: training the same series with the same
 spec twice yields bit-identical weights, and no call touches global random
@@ -130,17 +131,26 @@ def make_noise(scale: float, seed: int = 0) -> Predictor:
     return Predictor(kind=KIND_NOISE, noise_scale=scale, noise_seed=seed)
 
 
-def _forward(x: np.ndarray, weights: Sequence[np.ndarray],
+def _forward(x: Optional[np.ndarray], weights: Sequence[np.ndarray],
              biases: Sequence[np.ndarray],
              masks: Optional[Sequence[np.ndarray]] = None,
-             keep_scale: float = 1.0) -> np.ndarray:
-    """Batch forward pass; masks (if given) multiply hidden activations."""
+             keep_scale: float = 1.0,
+             first: Optional[np.ndarray] = None) -> np.ndarray:
+    """Batch forward pass; masks (if given) multiply hidden activations.
+
+    `first`, if given, is layer 0's output tanh(x @ W0 + b0), computed once
+    and shared by several passes; x is then not read.
+    """
     h = x
     last = len(weights) - 1
     for l in range(last):
-        h = np.tanh(h @ weights[l] + biases[l])
+        if l == 0 and first is not None:
+            h = first
+        else:
+            h = np.tanh(h @ weights[l] + biases[l])
         if masks is not None:
-            h = h * masks[l] * keep_scale
+            # exact reassociation of (h * mask) * keep_scale: mask is 0 or 1
+            h = h * (masks[l] * keep_scale)
     return (h @ weights[last] + biases[last])[:, 0]
 
 
@@ -149,6 +159,67 @@ def _training_arrays(series: TickSeries, window: int) -> Tuple[np.ndarray, np.nd
     x = np.lib.stride_tricks.sliding_window_view(r, window)[:-1]
     y = r[window:]
     return x, y
+
+
+def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
+             biases: List[np.ndarray], spec: TrainSpec,
+             rng: np.random.Generator) -> None:
+    """Run spec.epochs of full-batch gradient descent on weights and biases.
+
+    Each hidden layer's (n, width) arrays are allocated once and rewritten
+    in place every epoch: the tanh output, the keep mask (as 0 or
+    keep_scale; after the backward pass has applied it, the scratch for the
+    tanh derivative), the masked activation and the gradient.
+    """
+    n = x.shape[0]
+    last = len(weights) - 1
+    p = spec.dropout_p
+    keep_scale = 1.0 / (1.0 - p) if p > 0 else 1.0
+    tanhs = [np.empty((n, width)) for width in spec.hidden]
+    masks = [np.empty((n, width)) for width in spec.hidden]
+    acts = [np.empty((n, width)) for width in spec.hidden] if p > 0 else tanhs
+    grads = [np.empty((n, width)) for width in spec.hidden]
+    inputs = [x, *acts]     # what each weight layer reads
+    for epoch in range(spec.epochs):
+        h = x
+        for l in range(last):
+            a = tanhs[l]
+            np.matmul(h, weights[l], out=a)
+            a += biases[l]
+            np.tanh(a, out=a)
+            if p > 0:
+                m = masks[l]
+                rng.random(out=m)
+                np.greater_equal(m, p, out=m)
+                m *= keep_scale
+                # exact reassociation of (a * keep) * keep_scale
+                np.multiply(a, m, out=acts[l])
+            h = acts[l]
+        pred = (h @ weights[last] + biases[last])[:, 0]
+        resid = pred - y
+        loss = float(np.mean(resid ** 2)) \
+            + spec.l2 * sum(float((w ** 2).sum()) for w in weights)
+        if not math.isfinite(loss):
+            raise DegenerateError(f"non-finite training loss at epoch {epoch}")
+        grad = (2.0 / n) * resid[:, None]
+        for l in range(last, -1, -1):
+            gw = inputs[l].T @ grad + 2.0 * spec.l2 * weights[l]
+            gb = grad.sum(axis=0)
+            if l > 0:
+                g, d, t = grads[l - 1], masks[l - 1], tanhs[l - 1]
+                if l == last:
+                    # one column: grad @ W.T is a single product per element
+                    np.multiply(grad, weights[l].T, out=g)
+                else:
+                    np.matmul(grad, weights[l].T, out=g)
+                if p > 0:
+                    g *= d
+                np.multiply(t, t, out=d)
+                np.subtract(1.0, d, out=d)
+                g *= d
+                grad = g
+            weights[l] = weights[l] - spec.learning_rate * gw
+            biases[l] = biases[l] - spec.learning_rate * gb
 
 
 def train(series: TickSeries, spec: TrainSpec) -> Predictor:
@@ -167,7 +238,6 @@ def train(series: TickSeries, spec: TrainSpec) -> Predictor:
     scale = float(y_raw.std()) if float(y_raw.std()) > 0 else 1.0
     x = x_raw / scale
     y = y_raw / scale
-    n = x.shape[0]
 
     rng = np.random.default_rng(spec.seed)
     sizes = (spec.window, *spec.hidden, 1)
@@ -175,42 +245,7 @@ def train(series: TickSeries, spec: TrainSpec) -> Predictor:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    last = len(weights) - 1
-    p = spec.dropout_p
-    keep_scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-
-    for epoch in range(spec.epochs):
-        acts = [x]      # input fed into each weight layer (post-mask)
-        tanhs = []      # unmasked tanh outputs, for the backward pass
-        masks = []
-        h = x
-        for l in range(last):
-            a = np.tanh(h @ weights[l] + biases[l])
-            tanhs.append(a)
-            if p > 0:
-                m = rng.random(a.shape) >= p
-                h = a * m * keep_scale
-                masks.append(m)
-            else:
-                h = a
-            acts.append(h)
-        pred = (h @ weights[last] + biases[last])[:, 0]
-        resid = pred - y
-        loss = float(np.mean(resid ** 2)) \
-            + spec.l2 * sum(float((w ** 2).sum()) for w in weights)
-        if not math.isfinite(loss):
-            raise DegenerateError(f"non-finite training loss at epoch {epoch}")
-        grad = (2.0 / n) * resid[:, None]
-        for l in range(last, -1, -1):
-            gw = acts[l].T @ grad + 2.0 * spec.l2 * weights[l]
-            gb = grad.sum(axis=0)
-            if l > 0:
-                grad = grad @ weights[l].T
-                if p > 0:
-                    grad = grad * masks[l - 1] * keep_scale
-                grad = grad * (1.0 - tanhs[l - 1] ** 2)
-            weights[l] = weights[l] - spec.learning_rate * gw
-            biases[l] = biases[l] - spec.learning_rate * gb
+    _descend(x, y, weights, biases, spec, rng)
 
     # report the dropout-free in-sample MSE in raw return units
     final = _forward(x, weights, biases) - y
@@ -344,22 +379,46 @@ def surprise_series(p: Predictor, series: TickSeries) -> np.ndarray:
     return _net_surprise(p, series, None, 1.0)
 
 
+def _features(p: Predictor, series: TickSeries) -> np.ndarray:
+    """The net's input at every tick from `window` on: the last `window`
+    log returns over the training scale."""
+    r = np.diff(np.log(series.mid))
+    return np.lib.stride_tricks.sliding_window_view(r, p.window) / p.scale
+
+
 def _net_surprise(p: Predictor, series: TickSeries,
                   masks: Optional[Sequence[np.ndarray]],
-                  keep_scale: float) -> np.ndarray:
+                  keep_scale: float,
+                  first: Optional[np.ndarray] = None) -> np.ndarray:
     n = len(series)
     w = p.window
     out = np.full(n, np.nan)
     if n < w + 1:
         return out
-    r = np.diff(np.log(series.mid))
-    x = np.lib.stride_tricks.sliding_window_view(r, w) / p.scale
-    y = _forward(x, p.weights, p.biases, masks, keep_scale) * p.scale
+    if first is not None and first.shape[0] != n - w:
+        raise ValidationError("the shared first layer was computed on a "
+                              "series of another length")
+    x = _features(p, series) if first is None else None
+    y = _forward(x, p.weights, p.biases, masks, keep_scale, first) * p.scale
     with np.errstate(over="ignore"):
         out[w:] = np.exp(y) - 1.0
     if not np.isfinite(out[w:]).all():
         raise DegenerateError("non-finite forecast")
     return out
+
+
+def first_layer(p: Predictor, series: TickSeries) -> Optional[np.ndarray]:
+    """tanh(x @ W0 + b0) of net `p` on `series`, read-only.
+
+    This is the part of a forward pass that every dropout variant of `p`
+    shares: computed once, it is handed to `variant_surprise_series` for
+    each variant. None when `p` is no net or `series` gives no forecast.
+    """
+    if p.kind != KIND_NET or len(series) < p.window + 1:
+        return None
+    first = np.tanh(_features(p, series) @ p.weights[0] + p.biases[0])
+    first.setflags(write=False)
+    return first
 
 
 @dataclass(frozen=True)
@@ -397,15 +456,21 @@ def _variant_masks(p: Predictor, mask_seed: int) -> List[np.ndarray]:
     return masks
 
 
-def variant_surprise_series(vs: VariantSet, k: int,
-                            series: TickSeries) -> np.ndarray:
-    """Surprise series of variant k (base series when no dropout applies)."""
+def variant_surprise_series(vs: VariantSet, k: int, series: TickSeries,
+                            first: Optional[np.ndarray] = None) -> np.ndarray:
+    """Surprise series of variant k (base series when no dropout applies).
+
+    `first`, if given, is `first_layer(vs.base, series)`, shared by every
+    variant so that none recomputes it; the series is the same either way.
+    """
+    if not 0 <= k < vs.K:
+        raise ValidationError(f"variant index {k} outside [0, {vs.K})")
     p = vs.base
     if p.kind != KIND_NET or p.dropout_p == 0.0:
         return surprise_series(p, series)
     masks = _variant_masks(p, vs.mask_seeds[k])
     keep_scale = 1.0 / (1.0 - p.dropout_p)
-    return _net_surprise(p, series, masks, keep_scale)
+    return _net_surprise(p, series, masks, keep_scale, first)
 
 
 def predictor_to_dict(p: Predictor) -> dict:

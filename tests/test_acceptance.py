@@ -509,6 +509,26 @@ def test_wide_variant_sweep_memory_is_bounded():
     assert peak_mb < 25.0, f"sweep peaked at {peak_mb:.1f} MB"
 
 
+def test_training_memory_is_bounded():
+    # train allocates each hidden layer's (n, width) arrays once per call:
+    # on 16,000 rows with hidden 16 the peak measured 9.74 MB, where fresh
+    # arrays every epoch peaked at 11.85 MB; one more (n, 16) array (2 MB)
+    # crosses the gate
+    series = gen_synthetic(SyntheticSpec(n_ticks=16_007, sigma_noise=3e-4,
+                                         phi=0.9, sigma_signal=2e-4,
+                                         spread_bps=1.0, seed=4))
+    spec = TrainSpec(window=6, hidden=(16,), dropout_p=0.2, epochs=3,
+                     learning_rate=0.05, seed=1)
+    tracemalloc.start()
+    try:
+        net = train(series, spec)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(net.final_loss)
+    assert peak_mb < 11.0, f"train peaked at {peak_mb:.2f} MB"
+
+
 def _run_child(script, *args):
     """The whitespace-split stdout of `script` run by a fresh interpreter."""
     src = str(Path(risklab.__file__).resolve().parents[1])

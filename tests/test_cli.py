@@ -534,6 +534,31 @@ def test_failed_rerun_leaves_no_artifact_of_the_earlier_run(tmp_path):
     assert "fit" not in manifest
 
 
+def test_sweep_and_decay_leave_no_artifact_of_an_earlier_run(tmp_path,
+                                                             capsys):
+    config = _write(tmp_path / "exp.ini", RUN_CONFIG)
+    spec = _write(tmp_path / "spec.ini", GEN_SPEC)
+    data = tmp_path / "ticks.csv"
+    model = tmp_path / "model.json"
+    assert main(["gen-data", "--spec", spec, "--out", str(data)]) == EXIT_OK
+    sweep_config = _write(tmp_path / "sweep.ini",
+                          "[train]\nkind = leaked\n\n"
+                          "[sweep]\nn_configs = 2\nthreshold_lo = 1\n"
+                          "threshold_hi = 10\nk = 1\nperiod_ticks = 64\n")
+    assert main(["train", "--data", str(data), "--config", sweep_config,
+                 "--out", str(model)]) == EXIT_OK
+    for command, left in (
+            (["sweep", "--data", str(data), "--predictor", str(model),
+              "--config", sweep_config], ["mc.json", "points.csv"]),
+            (["decay", "--config", config], ["rolling.csv"])):
+        out = tmp_path / command[0]
+        assert main(["run", "--config", config,
+                     "--out-dir", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+        assert main(command + ["--out-dir", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == left, command[0]
+
+
 def test_manifest_ignores_jobs(tmp_path, capsys):
     # --jobs and [output] jobs change nothing, so the manifest cannot show them
     plain = _write(tmp_path / "plain.ini", RUN_CONFIG)

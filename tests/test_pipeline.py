@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from risklab import DegenerateError, cli
+from risklab import (DegenerateError, SweepSpec, SyntheticSpec, TrainSpec,
+                     analysis, cli, gen_synthetic, sweep, train)
 from risklab.cli import EXIT_OK, main
 from risklab.pipeline import run_experiment
 
@@ -62,3 +63,30 @@ def test_benchmark_hooks_resolve():
         assert callable(fn), f"{module_name}.{attr}"
     # the benchmark's worker parses each experiment config with it
     assert callable(getattr(cli, "load_experiment", None))
+
+
+def test_sweep_calls_variant_surprise_series_once_per_variant(monkeypatch):
+    # the tracer counts variant passes and rows where `sweep` calls
+    # `analysis.variant_surprise_series`, reading the series third
+    series = gen_synthetic(SyntheticSpec(n_ticks=1500, sigma_noise=3e-4,
+                                         phi=0.9, sigma_signal=2e-4,
+                                         spread_bps=1.0, seed=4))
+    net = train(series.window(0, 800),
+                TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=5))
+    calls = []
+    original = analysis.variant_surprise_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "variant_surprise_series", counted)
+    evaluation = series.window(800, 1500)
+    spec = SweepSpec(n_configs=3, threshold_range=(1.0, 4.0), K=4,
+                     period_ticks=64, seed=2)
+    sweep(evaluation, net, spec)
+    assert len(calls) == spec.n_configs * spec.K
+    assert all(args[2] is evaluation for args in calls)
+    # every variant is handed the one shared first hidden layer
+    assert len({id(args[3]) for args in calls}) == 1
+    assert calls[0][3] is not None

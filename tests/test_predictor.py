@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import train_oracle
 from predictor_oracle import surprises, variant_keep_flags
-from risklab import SyntheticSpec, TickSeries, ValidationError, gen_synthetic
+from risklab import (DegenerateError, SyntheticSpec, TickSeries,
+                     ValidationError, gen_synthetic)
 from risklab.predictor import (Predictor, TrainSpec, _ndtri_lower, eps,
-                               load_predictor, make_leaked, make_noise,
-                               make_persistence, sample_variants,
+                               first_layer, load_predictor, make_leaked,
+                               make_noise, make_persistence, sample_variants,
                                save_predictor, surprise_series, train,
                                variant_surprise_series)
 
@@ -55,6 +57,31 @@ class TestTrain:
             assert np.array_equal(wa, wb)
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
+
+    @pytest.mark.parametrize("hidden", [(16,), (8, 4), (5, 7, 3)])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_matches_the_epoch_loop_oracle_bitwise(self, hidden, dropout_p):
+        s = planted_series(2000)
+        spec = TrainSpec(window=6, hidden=hidden, dropout_p=dropout_p,
+                         epochs=40, learning_rate=0.05, seed=3)
+        weights, biases, final_loss = train_oracle.fit(s, spec)
+        p = train(s, spec)
+        for want, got in zip(weights + biases, p.weights + p.biases,
+                             strict=True):
+            assert np.array_equal(want, got)
+        assert p.final_loss == final_loss
+
+    def test_diverging_training_raises_like_the_oracle(self):
+        s = planted_series(600)
+        spec = TrainSpec(window=6, hidden=(5, 7, 3), dropout_p=0.2,
+                         epochs=30, learning_rate=1e5, seed=3)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DegenerateError) as want:
+                train_oracle.fit(s, spec)
+            with pytest.raises(DegenerateError) as got:
+                train(s, spec)
+        assert str(got.value) == str(want.value) \
+            == "non-finite training loss at epoch 27"
 
     def test_seed_changes_weights(self):
         s = planted_series(4000)
@@ -299,6 +326,51 @@ class TestVariants:
                                   "epochs": 30}))
         got = variant_surprise_series(sample_variants(p, K=1, seed=3), 0, s)
         assert got[8:] == pytest.approx(surprises(p, s)[8:], abs=1e-15)
+
+    @pytest.mark.parametrize("hidden", [(16,), (6, 4)])
+    def test_shared_first_layer_matches_alone_and_oracle(self, hidden):
+        s = planted_series(300)
+        p = train(s, TrainSpec(**{**SPEC.__dict__, "hidden": hidden,
+                                  "epochs": 30}))
+        vs = sample_variants(p, K=3, seed=5)
+        first = first_layer(p, s)
+        assert first.shape == (len(s) - 8, hidden[0])
+        assert not first.flags.writeable
+        for k in range(vs.K):
+            shared = variant_surprise_series(vs, k, s, first)
+            assert np.array_equal(shared, variant_surprise_series(vs, k, s),
+                                  equal_nan=True), (hidden, k)
+            want = surprises(p, s, variant_keep_flags(vs, k))
+            assert shared[8:] == pytest.approx(want[8:], abs=1e-15)
+
+    def test_shared_first_layer_of_another_series_is_rejected(self):
+        s = planted_series(300)
+        vs = sample_variants(train(s, SPEC), K=2, seed=5)
+        first = first_layer(vs.base, s.window(0, 200))
+        with pytest.raises(ValidationError, match="first layer"):
+            variant_surprise_series(vs, 0, s, first)
+
+    def test_first_layer_needs_a_forecast(self):
+        s = planted_series(300)
+        assert first_layer(make_persistence(), s) is None
+        assert first_layer(train(s, SPEC), s.window(0, 8)) is None
+
+    @pytest.mark.parametrize("kind", ["net", "net-no-dropout", "persistence",
+                                      "leaked", "noise"])
+    def test_variant_index_outside_the_set_is_rejected(self, kind):
+        s = planted_series(300)
+        if kind.startswith("net"):
+            dropout = 0.0 if kind == "net-no-dropout" else 0.2
+            p = train(s, TrainSpec(**{**SPEC.__dict__, "dropout_p": dropout,
+                                      "epochs": 5}))
+        else:
+            p = {"persistence": make_persistence(), "leaked": make_leaked(2),
+                 "noise": make_noise(1e-4, seed=1)}[kind]
+        vs = sample_variants(p, K=3 if kind == "net" else 1, seed=0)
+        variant_surprise_series(vs, vs.K - 1, s)
+        for k in (-1, vs.K):
+            with pytest.raises(ValidationError, match="variant index"):
+                variant_surprise_series(vs, k, s)
 
 
 class TestSaveLoad:
