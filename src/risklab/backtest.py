@@ -19,28 +19,40 @@ Execution rules, pinned by the hand-walked scenarios in the tests:
 Two paths run these rules on precomputed surprise arrays, so tests can
 script signals directly:
 
-  - `run_backtest_signals` walks one surprise array trade by trade and
-    records every fill. It is the reference path, checked against the
-    brute-force walk in the tests; `run_backtest` wires a predictor into
-    it, and a sweep runs each config's base signal through it.
+  - `run_backtest_signals` runs one surprise array. Every candidate entry
+    (a signal at or before tick n-3) gets its exit within the first
+    EXIT_BLOCK ticks after its fill in one vectorized table, a chunk of
+    candidates at a time. The chase then follows the trades actually
+    taken: the next entry after an exit at tick e is the first candidate
+    at or after e (`np.searchsorted`), and only a taken trade whose hold
+    outlasts the first block is scanned further, in blocks that double in
+    size. The result keeps each trade's entry and exit as arrays and
+    builds the `Fill` tuple only when `fills` is first read. It is the
+    reference path, checked against the brute-force walk in the tests;
+    `run_backtest` wires a predictor into it, and a sweep runs each
+    config's base signal through it.
   - `run_backtest_columns` runs C surprise columns, one config each, in
     lockstep: every step advances each column by one trade, so the cost
     of a numpy call is shared by all open columns. It returns period
     returns only, which is all a sweep's dropout variants are read for,
     and matches the scalar path bit for bit. A sweep with K = 1 has no
-    variant columns and stays on the scalar path, which is faster with a
-    handful of columns than a lockstep step.
+    variant columns and stays on the scalar path.
 
-Both are linear in ticks plus trades: each tick is scanned by at most one
-open position, whose exit search reads at most twice its holding time
-plus EXIT_BLOCK ticks.
+Both read the first EXIT_BLOCK ticks of a hold through one block scan,
+`_block_scan`, and the rest through `_scan_exit`, so they compute the same
+float expression. Both are linear in ticks plus trades: the table reads
+EXIT_BLOCK ticks per candidate, and each tick past a first block is
+scanned by at most one open position, whose scan reads at most twice its
+holding time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +69,18 @@ REASON_STOP_LOSS = "stop_loss"
 REASON_SIGNAL_FLIP = "signal_flip"
 REASON_END_OF_DATA = "end_of_data"
 
+# exit reasons by the code a TradeLog stores
+EXIT_REASONS = (REASON_TAKE_PROFIT, REASON_STOP_LOSS, REASON_SIGNAL_FLIP,
+                REASON_END_OF_DATA)
+_TAKE_PROFIT, _STOP_LOSS, _SIGNAL_FLIP, _END_OF_DATA = range(4)
+
 # ticks in the first block of the exit scan; later blocks double
 EXIT_BLOCK = 16
+_SCAN = np.arange(EXIT_BLOCK)
 
-# columns x ticks per block of the column core; a block's arrays take
-# about 32 bytes an element, so a block peaks near 8.4 MB at any shape
+# columns x ticks per block of the column core, and candidates x EXIT_BLOCK
+# per chunk of the exit table; a block's arrays take about 32 bytes an
+# element, so a block peaks near 8.4 MB at any shape
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -92,12 +111,23 @@ class StrategyConfig:
 
 
 class Fill(NamedTuple):
-    """One execution; a named tuple because the engine builds two per trade."""
+    """One execution; a named tuple because a result builds two per trade."""
 
     ts: int
     side: str
     price: float
     reason: str
+
+
+class TradeLog(NamedTuple):
+    """Every trade of a backtest as arrays, in exit order."""
+
+    entry_ts: np.ndarray     # int64 timestamp of the entry fill
+    entry_price: np.ndarray
+    exit_ts: np.ndarray      # int64 timestamp of the exit fill
+    exit_price: np.ndarray
+    side: np.ndarray         # int8: 1 for a long, -1 for a short
+    reason: np.ndarray       # uint8 index into EXIT_REASONS
 
 
 @dataclass(frozen=True)
@@ -106,12 +136,26 @@ class BacktestResult:
     mean: float
     stdev: float
     n_trades: int
-    fills: Tuple[Fill, ...]
+    trades: TradeLog
     trade_returns: np.ndarray
 
     def __post_init__(self) -> None:
-        self.period_returns.setflags(write=False)
-        self.trade_returns.setflags(write=False)
+        for arr in (self.period_returns, self.trade_returns, *self.trades):
+            arr.setflags(write=False)
+
+    @cached_property
+    def fills(self) -> Tuple[Fill, ...]:
+        """Entry then exit fill of each trade, built on first read."""
+        t = self.trades
+        longs = (t.side > 0).tolist()
+        entries = map(Fill, t.entry_ts.tolist(),
+                      [SIDE_BUY if up else SIDE_SELL for up in longs],
+                      t.entry_price.tolist(), repeat(REASON_ENTRY))
+        exits = map(Fill, t.exit_ts.tolist(),
+                    [SIDE_SELL if up else SIDE_BUY for up in longs],
+                    t.exit_price.tolist(),
+                    [EXIT_REASONS[r] for r in t.reason.tolist()])
+        return tuple(chain.from_iterable(zip(entries, exits)))
 
 
 def run_backtest(series: TickSeries, predictor: Predictor,
@@ -135,52 +179,86 @@ def run_backtest_signals(series: TickSeries, surprise: np.ndarray,
     sl = cfg.stop_loss_bps * 1e-4
     fee = cfg.fee_bps * 1e-4
 
+    # flips[1] ends a long and flips[0] a short
+    flips = np.empty((2, n), dtype=bool)
     with np.errstate(invalid="ignore"):
         long_sig = surprise > thr
-        short_sig = (surprise < -thr) if cfg.allow_short else np.zeros(n, bool)
-        flip_long = surprise < 0.0
-        flip_short = surprise > 0.0
-    entry_sig = long_sig | short_sig
+        entry_sig = ((long_sig | (surprise < -thr)) if cfg.allow_short
+                     else long_sig)
+        np.greater(surprise, 0.0, out=flips[0])
+        np.less(surprise, 0.0, out=flips[1])
+    cand = np.flatnonzero(entry_sig[:n - 2])  # signals at ticks <= n-3
+    is_long = long_sig[cand]
+    del long_sig, entry_sig
+    exit_tick = _exit_table(series, midv, flips, cand, is_long, tp, sl)
 
-    fills: List[Fill] = []
-    trade_returns: List[float] = []
-    exit_ticks: List[int] = []
-    last_entry = n - 3
-    t = 0
-    while t <= last_entry:
-        seg = entry_sig[t:last_entry + 1]
-        off = int(seg.argmax())
-        if not seg[off]:
-            break
-        i = t + off
-        side = 1 if long_sig[i] else -1
-        fi = i + 1
-        entry_px = float(ask[fi]) if side > 0 else float(bid[fi])
-        fills.append(Fill(int(ts[fi]), SIDE_BUY if side > 0 else SIDE_SELL,
-                          entry_px, REASON_ENTRY))
-        ei, reason = _find_exit(midv, flip_long if side > 0 else flip_short,
-                                fi, side, entry_px, tp, sl)
-        exit_px = float(bid[ei]) if side > 0 else float(ask[ei])
-        fills.append(Fill(int(ts[ei]), SIDE_SELL if side > 0 else SIDE_BUY,
-                          exit_px, reason))
-        if side > 0:
-            ret = exit_px / entry_px - 1.0 - 2.0 * fee
-        else:
-            ret = entry_px / exit_px - 1.0 - 2.0 * fee
-        trade_returns.append(ret)
-        exit_ticks.append(ei)
-        t = ei  # flat again as of the exit fill tick
+    # the chase: each exit at e hands over to the first candidate at or
+    # after e (flat again as of the exit fill tick)
+    nxt = np.searchsorted(cand, exit_tick)
+    taken = np.zeros(cand.size, dtype=bool)
+    j = 0
+    while j < cand.size:
+        taken[j] = True
+        if exit_tick.item(j) >= 0:
+            j = nxt.item(j)
+            continue
+        # a hold past the first block: the doubling scan
+        fi = cand.item(j) + 1
+        up = is_long.item(j)
+        e = _scan_exit(midv, flips[int(up)], fi + EXIT_BLOCK,
+                       1.0 if up else -1.0,
+                       float(ask[fi] if up else bid[fi]), tp, sl)
+        exit_tick[j] = e
+        j = int(cand.searchsorted(e))
 
+    taken = np.flatnonzero(taken)
+    fi, ei, up = cand[taken] + 1, exit_tick[taken], is_long[taken]
+    entry_px = np.where(up, ask[fi], bid[fi])
+    exit_px = np.where(up, bid[ei], ask[ei])
+    trade_returns = (np.where(up, exit_px / entry_px, entry_px / exit_px)
+                     - 1.0 - 2.0 * fee)
+    # an exit fill at e follows a trigger at e-1, or closes at the final tick
+    u = ei - 1
+    pnl = np.where(up, 1.0, -1.0) * (midv[u] / entry_px - 1.0)
+    reason = np.select([pnl >= tp, pnl <= -sl, flips[up.astype(np.intp), u]],
+                       [_TAKE_PROFIT, _STOP_LOSS, _SIGNAL_FLIP], _END_OF_DATA)
     # bincount adds each period's trade returns in exit order, from 0.0
-    period_returns = np.bincount(
-        np.array(exit_ticks, dtype=np.intp) // cfg.period_ticks,
-        weights=np.array(trade_returns), minlength=-(-n // cfg.period_ticks))
+    period_returns = np.bincount(ei // cfg.period_ticks,
+                                 weights=trade_returns,
+                                 minlength=-(-n // cfg.period_ticks))
+    trades = TradeLog(entry_ts=ts[fi], entry_price=entry_px,
+                      exit_ts=ts[ei], exit_price=exit_px,
+                      side=np.where(up, 1, -1).astype(np.int8),
+                      reason=reason.astype(np.uint8))
     return BacktestResult(period_returns=period_returns,
                           mean=float(period_returns.mean()),
                           stdev=float(period_returns.std()),
-                          n_trades=len(trade_returns),
-                          fills=tuple(fills),
-                          trade_returns=np.array(trade_returns))
+                          n_trades=int(taken.size),
+                          trades=trades,
+                          trade_returns=trade_returns)
+
+
+def _exit_table(series: TickSeries, midv: np.ndarray, flips: np.ndarray,
+                cand: np.ndarray, is_long: np.ndarray, tp: float,
+                sl: float) -> np.ndarray:
+    """Exit fill tick of a position opened at each candidate.
+
+    Each position is filled at its candidate tick + 1 and its exit searched
+    within the first EXIT_BLOCK ticks from there, a chunk of candidates at
+    a time. A position with no trigger there gets tick -1: `_scan_exit`
+    goes on from the block's end, or closes it at the final tick, only if
+    the chase takes it.
+    """
+    exit_tick = np.empty(cand.size, dtype=np.intp)
+    chunk = _BLOCK_ELEMENTS // EXIT_BLOCK
+    for lo in range(0, cand.size, chunk):
+        part = slice(lo, lo + chunk)
+        fi, up = cand[part] + 1, is_long[part]
+        entry_px = np.where(up, series.ask[fi], series.bid[fi])
+        k, found = _block_scan(midv, flips, up.astype(np.intp), fi,
+                               np.where(up, 1.0, -1.0), entry_px, tp, -sl)
+        exit_tick[part] = np.where(found, fi + 1 + k, -1)
+    return exit_tick
 
 
 def run_backtest_columns(series: TickSeries, surprises: Iterable[np.ndarray],
@@ -222,23 +300,21 @@ def _run_block(series: TickSeries, surprise: np.ndarray,
                cfgs: Sequence[StrategyConfig], n_periods: int) -> np.ndarray:
     """`run_backtest_columns` on one block of columns."""
     c, n = surprise.shape
-    last_entry, end = n - 3, n - 1
+    last_entry = n - 3
     thr, tp, sl, fee = (np.array([getattr(cfg, name) for cfg in cfgs]) * 1e-4
                         for name in ("threshold_bps", "take_profit_bps",
                                      "stop_loss_bps", "fee_bps"))
     short_ok = np.array([cfg.allow_short for cfg in cfgs])
-    # flips[1] ends a long and flips[0] a short; both are False from the
-    # final tick on, and mids are NaN there, so no scan triggers past it
-    flips = np.zeros((2, c, end + EXIT_BLOCK), dtype=bool)
+    # flips row j ends a short in column j, and row c + j a long
+    flips = np.empty((2, c, n), dtype=bool)
     with np.errstate(invalid="ignore"):
         long_sig = surprise > thr[:, None]
         entry_sig = long_sig | ((surprise < -thr[:, None])
                                 & short_ok[:, None])
-        np.greater(surprise[:, :end], 0.0, out=flips[0, :, :end])
-        np.less(surprise[:, :end], 0.0, out=flips[1, :, :end])
+        np.greater(surprise, 0.0, out=flips[0])
+        np.less(surprise, 0.0, out=flips[1])
+    flips = flips.reshape(2 * c, n)
     midv = series.mid
-    mids = np.full(end + EXIT_BLOCK, np.nan)
-    mids[:end] = midv[:end]
     bid, ask = series.bid, series.ask
     # next_entry[j, t]: the first tick at or after t whose signal opens a
     # position in column j, or n when none is left (a reverse running
@@ -251,7 +327,6 @@ def _run_block(series: TickSeries, surprise: np.ndarray,
     cols = np.arange(c)
     i = next_entry[:, 0]
     tp_open, neg_sl_open = tp[:, None], -sl[:, None]
-    scan = np.arange(EXIT_BLOCK)
     steps = []
     while True:
         live = i < n
@@ -264,19 +339,17 @@ def _run_block(series: TickSeries, surprise: np.ndarray,
         fi = i + 1
         entry_px = np.where(is_long, ask[fi], bid[fi])
         side = np.where(is_long, 1.0, -1.0)
-        u = fi[:, None] + scan
-        pnl = side[:, None] * (mids[u] / entry_px[:, None] - 1.0)
-        trig = ((pnl >= tp_open) | (pnl <= neg_sl_open)
-                | flips[is_long.astype(np.intp)[:, None], cols[:, None], u])
-        ei = fi + 1 + trig.argmax(axis=1)
-        found = trig.any(axis=1)
+        row = cols + c * is_long
+        k, found = _block_scan(midv, flips, row, fi, side, entry_px,
+                               tp_open, neg_sl_open)
+        ei = fi + 1 + k
         if not found.all():
-            # exits past the first block: the scalar path's doubling scan
+            # exits past the first block: the doubling scan
             for j in np.flatnonzero(~found):
                 col = cols[j]
-                ei[j] = _scan_exit(midv, flips[int(is_long[j]), col],
+                ei[j] = _scan_exit(midv, flips[row[j]],
                                    int(fi[j]) + EXIT_BLOCK, side[j],
-                                   entry_px[j], tp[col], sl[col])[0]
+                                   entry_px[j], tp[col], sl[col])
         steps.append((cols, ei, is_long, entry_px))
         i = next_entry[cols, ei]  # flat again as of the exit fill tick
 
@@ -293,49 +366,50 @@ def _run_block(series: TickSeries, surprise: np.ndarray,
                        minlength=c * n_periods).reshape(c, n_periods)
 
 
-def _find_exit(midv: np.ndarray, flip: np.ndarray, fi: int, side: int,
-               entry_px: float, tp: float, sl: float) -> Tuple[int, str]:
-    """Exit fill tick and reason for a position filled at tick fi.
+def _block_scan(midv: np.ndarray, flips: np.ndarray, row: np.ndarray,
+                fi: np.ndarray, side: np.ndarray, entry_px: np.ndarray,
+                tp, neg_sl) -> Tuple[np.ndarray, np.ndarray]:
+    """Exit search over the first EXIT_BLOCK ticks of positions filled at fi.
 
-    Scans ticks [fi, n-2] for the first trigger (a trigger at u fills at
-    u+1), falling back to the final tick. The first EXIT_BLOCK ticks are
-    walked in Python, which is cheapest for the short holds most trades
-    have; after that numpy scans blocks that double in size, so a trade
-    costs O(its holding time) either way. Both compute the same float
-    expression, so they agree bit for bit.
+    Position j reads ticks fi[j], fi[j]+1, ... of midv and of flips[row[j]];
+    tp and neg_sl are scalars or one per position as a column. Returns the
+    offset k of each position's first trigger (its exit fills at
+    fi + 1 + k) and whether it found one.
+
+    A trigger at tick u fills at u+1, so the last tick that can trigger is
+    n-2. Every entry fills at or before n-2, so a block that runs past it
+    reads n-2 again instead: its repeats trigger only where tick n-2 has,
+    earlier in the same block.
     """
-    end = midv.size - 1
-    hi = min(fi + EXIT_BLOCK, end)
-    for u, (m, f) in enumerate(zip(midv[fi:hi].tolist(),
-                                   flip[fi:hi].tolist()), fi):
-        pnl = side * (m / entry_px - 1.0)
-        if pnl >= tp:
-            return u + 1, REASON_TAKE_PROFIT
-        if pnl <= -sl:
-            return u + 1, REASON_STOP_LOSS
-        if f:
-            return u + 1, REASON_SIGNAL_FLIP
-    return _scan_exit(midv, flip, hi, side, entry_px, tp, sl)
+    u = fi[:, None] + _SCAN
+    np.minimum(u, midv.size - 2, out=u)
+    pnl = midv[u]
+    pnl /= entry_px[:, None]
+    pnl -= 1.0
+    pnl *= side[:, None]
+    trig = (pnl >= tp) | (pnl <= neg_sl) | flips[row[:, None], u]
+    return trig.argmax(axis=1), trig.any(axis=1)
 
 
 def _scan_exit(midv: np.ndarray, flip: np.ndarray, lo: int, side: float,
-               entry_px: float, tp: float, sl: float) -> Tuple[int, str]:
-    """`_find_exit` past its first EXIT_BLOCK ticks, which start at lo."""
+               entry_px: float, tp: float, sl: float) -> int:
+    """Exit fill tick of a position still open at tick lo.
+
+    Scans ticks [lo, n-2] for the first trigger (a trigger at u fills at
+    u+1) in numpy blocks that double in size, so a hold costs O(its
+    length), falling back to the final tick.
+    """
     end = midv.size - 1
     width = 2 * EXIT_BLOCK
     while lo < end:
         hi = min(lo + width, end)
         pnl = side * (midv[lo:hi] / entry_px - 1.0)
-        tp_hit = pnl >= tp
-        sl_hit = pnl <= -sl
-        trig = tp_hit | sl_hit | flip[lo:hi]
+        trig = (pnl >= tp) | (pnl <= -sl) | flip[lo:hi]
         k = int(trig.argmax())
         if trig[k]:
-            return lo + k + 1, (REASON_TAKE_PROFIT if tp_hit[k] else
-                                REASON_STOP_LOSS if sl_hit[k] else
-                                REASON_SIGNAL_FLIP)
+            return lo + k + 1
         lo, width = hi, 2 * width
-    return end, REASON_END_OF_DATA
+    return end
 
 
 def sharpe(result: BacktestResult, r_f_per_period: float = 0.0) -> Optional[float]:

@@ -245,11 +245,13 @@ def train(series: TickSeries, spec: TrainSpec) -> Predictor:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    _descend(x, y, weights, biases, spec, rng)
-
-    # report the dropout-free in-sample MSE in raw return units
-    final = _forward(x, weights, biases) - y
-    final_loss = float(np.mean(final ** 2)) * scale * scale
+    # a diverging descent overflows to inf or NaN on its way to the
+    # DegenerateError below, which says so without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _descend(x, y, weights, biases, spec, rng)
+        # report the dropout-free in-sample MSE in raw return units
+        final = _forward(x, weights, biases) - y
+        final_loss = float(np.mean(final ** 2)) * scale * scale
     if not math.isfinite(final_loss):
         raise DegenerateError(f"non-finite training loss at epoch {spec.epochs - 1}")
     return Predictor(kind=KIND_NET, train_spec=spec,

@@ -7,14 +7,15 @@ import pytest
 from risklab import SyntheticSpec, TickSeries, ValidationError, gen_synthetic
 from risklab import backtest
 from risklab.backtest import (EXIT_BLOCK, BacktestResult, Fill,
-                              StrategyConfig, annualized_sharpe, run_backtest,
-                              run_backtest_columns, run_backtest_signals,
-                              sharpe)
+                              StrategyConfig, TradeLog, annualized_sharpe,
+                              run_backtest, run_backtest_columns,
+                              run_backtest_signals, sharpe)
 from risklab.predictor import make_leaked, make_persistence
 
 from backtest_oracle import walk_backtest
 
 SEC = 1_000_000_000
+NO_TRADES = TradeLog(*[np.empty(0)] * len(TradeLog._fields))
 
 SCENARIO_BIDS = [99.0, 99.5, 103.0, 105.0, 105.0, 105.0]
 SCENARIO_ASKS = [101.0, 100.0, 104.0, 105.5, 106.0, 106.0]
@@ -245,6 +246,39 @@ class TestEngineVsOracle:
                 for p in (int(ei), int(ei) + 1):
                     cfg = dataclasses.replace(base, period_ticks=p)
                     self.check(s, signal, cfg, f"trial {trial} period {p}")
+
+    def test_exit_table_across_candidate_chunks(self):
+        # the exit table works through the candidate entries a chunk at a
+        # time, so the chase crosses chunk boundaries
+        rng = np.random.default_rng(23)
+        n = 60_000
+        chunk = backtest._BLOCK_ELEMENTS // EXIT_BLOCK
+        s = random_walk(n, seed=29)
+        # one sign with sparse flips and wide levels: holds outlast
+        # EXIT_BLOCK, and the trades span more than two chunks
+        signal = np.abs(rng.normal(0.0, 20e-4, n))
+        signal[rng.random(n) < 0.003] *= -1.0
+        signal[rng.random(n) < 0.05] = np.nan
+        cfg = StrategyConfig(threshold_bps=1.0, stop_loss_bps=40.0,
+                             take_profit_bps=60.0, fee_bps=1.0,
+                             period_ticks=97)
+        fills = self.check(s, signal, cfg, "long holds")
+        cand = np.flatnonzero(np.abs(signal[:n - 2]) > 1e-4)
+        assert cand.size > 2 * chunk
+        holds = [x[0] - e[0] for e, x in zip(fills[::2], fills[1::2])]
+        assert min(holds) <= EXIT_BLOCK < max(holds)
+        assert fills[0][0] <= cand[chunk - 1] + 1
+        assert fills[-2][0] > cand[2 * chunk] + 1
+        # long only, and every odd tick flips a long: each trade ends by the
+        # next candidate, so the chase takes every candidate of each chunk
+        signal = np.abs(rng.normal(0.0, 20e-4, n))
+        signal[1::2] *= -1.0
+        signal[::2][rng.random(n // 2) < 0.05] = np.nan
+        cfg = dataclasses.replace(cfg, allow_short=False)
+        fills = self.check(s, signal, cfg, "every candidate")
+        cand = np.flatnonzero(signal[:n - 2] > 1e-4)
+        assert cand.size > chunk
+        assert [f[0] for f in fills[::2]] == (cand + 1).tolist()
 
     # The column core on one mixed-config batch per case: every column's
     # period returns must equal the walk's exactly.
@@ -552,7 +586,8 @@ class TestSharpe:
     def make_result(self, period_returns):
         pr = np.array(period_returns, dtype=float)
         return BacktestResult(period_returns=pr, mean=float(pr.mean()),
-                              stdev=float(pr.std()), n_trades=1, fills=(),
+                              stdev=float(pr.std()), n_trades=1,
+                              trades=NO_TRADES,
                               trade_returns=np.array([pr.sum()]))
 
     def test_mean_equals_rf(self):

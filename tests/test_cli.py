@@ -732,6 +732,23 @@ def test_decay_command(tmp_path, capsys):
     assert "rolling" in capsys.readouterr().err
 
 
+def test_decay_with_diverging_training_prints_no_numpy_warning(tmp_path):
+    # every window's training overflows; decay reports the NaN windows
+    # through its exit code and message alone, in a fresh process whose
+    # stderr is what a user sees
+    config = _write(tmp_path / "exp.ini",
+                    _with_key(RUN_CONFIG, "train", "learning_rate", "100000"))
+    src = str(Path(risklab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from risklab.cli import main; sys.exit(main())",
+         "decay", "--config", config, "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == EXIT_NUMERIC
+    assert done.stderr == "error: trend needs at least 2 finite values\n"
+
+
 def test_decay_with_all_tied_windows_exits_4(tmp_path, capsys, monkeypatch):
     # two finite windows with one sr_theta: Kendall's tau is undefined
     def tied(series, *args, **kwargs):

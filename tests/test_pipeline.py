@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from risklab import (DegenerateError, SweepSpec, SyntheticSpec, TrainSpec,
-                     analysis, cli, gen_synthetic, sweep, train)
+                     analysis, backtest, cli, gen_synthetic, surprise_series,
+                     sweep, train)
 from risklab.cli import EXIT_OK, main
 from risklab.pipeline import run_experiment
 
+from backtest_oracle import walk_backtest
 from test_cli import RUN_CONFIG, ZERO_TRADE_CONFIG
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,3 +92,43 @@ def test_sweep_calls_variant_surprise_series_once_per_variant(monkeypatch):
     # every variant is handed the one shared first hidden layer
     assert len({id(args[3]) for args in calls}) == 1
     assert calls[0][3] is not None
+
+
+def test_sweep_and_run_build_fills_only_when_read(tmp_path, monkeypatch):
+    # a result keeps its trades as arrays; `sweep` and `run` never read
+    # `fills`, so neither may pay for a Fill per execution
+    made = []
+
+    class CountedFill(backtest.Fill):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(backtest, "Fill", CountedFill)
+    series = gen_synthetic(SyntheticSpec(n_ticks=1500, sigma_noise=3e-4,
+                                         phi=0.9, sigma_signal=2e-4,
+                                         spread_bps=1.0, seed=4))
+    net = train(series.window(0, 800),
+                TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=5))
+    evaluation = series.window(800, 1500)
+    spec = SweepSpec(n_configs=3, threshold_range=(0.0, 1.0), K=4,
+                     period_ticks=64, seed=2)
+    triples = sweep(evaluation, net, spec)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_config(tmp_path, RUN_CONFIG)),
+                 "--out-dir", str(out)]) == EXIT_OK
+    assert made == []
+
+    cfg, result, _ = triples[0]
+    assert result.n_trades > 0
+    fills = result.fills
+    assert len(made) == len(fills) == 2 * result.n_trades
+    assert result.fills is fills
+    _, want, _ = walk_backtest(
+        evaluation.bid.tolist(), evaluation.ask.tolist(),
+        surprise_series(net, evaluation).tolist(), cfg.threshold_bps,
+        cfg.stop_loss_bps, cfg.take_profit_bps, cfg.fee_bps,
+        cfg.allow_short, cfg.period_ticks)
+    ts = evaluation.ts.tolist()
+    assert fills == tuple((ts[i], side, price, reason)
+                          for i, side, price, reason in want)

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from risklab.backtest import BacktestResult
+from risklab.backtest import BacktestResult, TradeLog
 from risklab.analysis import SweepSpec
 from risklab.errors import DegenerateError, ValidationError
 from risklab.market_data import SyntheticSpec, gen_synthetic
@@ -44,6 +44,8 @@ ORACLE_FREE_STDERR = 0.004631750512667655
 ORACLE_FREE_R2 = 0.9914379855450836
 ORACLE_FREE_INTERCEPT = 5.662969630079728e-05
 
+NO_TRADES = TradeLog(*[np.empty(0)] * len(TradeLog._fields))
+
 
 def _result(period_returns, mean=None, stdev=None):
     r = np.asarray(period_returns, dtype=np.float64)
@@ -51,7 +53,7 @@ def _result(period_returns, mean=None, stdev=None):
         period_returns=r,
         mean=float(r.mean()) if mean is None else mean,
         stdev=float(r.std()) if stdev is None else stdev,
-        n_trades=0, fills=(), trade_returns=np.array([]))
+        n_trades=0, trades=NO_TRADES, trade_returns=np.array([]))
 
 
 def _points(x, y):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ class TestTrain:
                 train(s, spec)
         assert str(got.value) == str(want.value) \
             == "non-finite training loss at epoch 27"
+
+    def test_diverging_training_warns_nothing(self):
+        # the descent overflows on its way to the error, which is the one
+        # report; numpy's RuntimeWarnings would name no window or epoch
+        s = planted_series(600)
+        spec = TrainSpec(window=6, hidden=(5, 7, 3), dropout_p=0.2,
+                         epochs=30, learning_rate=1e5, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateError,
+                               match="^non-finite training loss at epoch 27$"):
+                train(s, spec)
 
     def test_seed_changes_weights(self):
         s = planted_series(4000)

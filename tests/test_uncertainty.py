@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 
 from risklab import SyntheticSpec, ValidationError, gen_synthetic
-from risklab.backtest import (BacktestResult, StrategyConfig,
+from risklab.backtest import (BacktestResult, StrategyConfig, TradeLog,
                               run_backtest_columns)
 from risklab.predictor import (TrainSpec, sample_variants, train,
                                variant_surprise_series)
 from risklab.uncertainty import (estimate_from_matrix, mc_disentangle,
                                  mc_estimate_to_dict)
 
+NO_TRADES = TradeLog(*[np.empty(0)] * len(TradeLog._fields))
+
 
 def fake_result(period_returns):
     pr = np.array(period_returns, dtype=float)
     return BacktestResult(period_returns=pr, mean=float(pr.mean()),
-                          stdev=float(pr.std()), n_trades=0, fills=(),
+                          stdev=float(pr.std()), n_trades=0,
+                          trades=NO_TRADES,
                           trade_returns=np.array([]))
 
 
