@@ -166,9 +166,9 @@ def surprise_return_correlation(series: TickSeries, predictor: Predictor,
     corr = np.full(lags.size, np.nan)
     counts = np.zeros(lags.size, dtype=np.int64)
     for i, lag in enumerate(int(j) for j in lags):
-        t = np.arange(max(0, -lag), min(n, n - lag))
-        ret = midv[t + lag] / midv[t] - 1.0
-        sv = s[t]
+        lo, hi = max(0, -lag), min(n, n - lag)
+        ret = midv[lo + lag:hi + lag] / midv[lo:hi] - 1.0
+        sv = s[lo:hi]
         ok = np.isfinite(sv)
         m = int(ok.sum())
         counts[i] = m

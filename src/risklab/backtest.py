@@ -222,10 +222,12 @@ def run_backtest_signals(series: TickSeries, surprise: np.ndarray,
     pnl = np.where(up, 1.0, -1.0) * (midv[u] / entry_px - 1.0)
     reason = np.select([pnl >= tp, pnl <= -sl, flips[up.astype(np.intp), u]],
                        [_TAKE_PROFIT, _STOP_LOSS, _SIGNAL_FLIP], _END_OF_DATA)
-    # bincount adds each period's trade returns in exit order, from 0.0
-    period_returns = np.bincount(ei // cfg.period_ticks,
-                                 weights=trade_returns,
-                                 minlength=-(-n // cfg.period_ticks))
+    # bincount adds each period's trade returns in exit order, from 0.0;
+    # with no trade its weights are empty and it would count in integers
+    n_periods = -(-n // cfg.period_ticks)
+    period_returns = (np.bincount(ei // cfg.period_ticks,
+                                  weights=trade_returns, minlength=n_periods)
+                      if taken.size else np.zeros(n_periods))
     trades = TradeLog(entry_ts=ts[fi], entry_price=entry_px,
                       exit_ts=ts[ei], exit_price=exit_px,
                       side=np.where(up, 1, -1).astype(np.int8),

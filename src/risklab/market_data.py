@@ -4,20 +4,28 @@ A tick series is the unit every other module consumes. Quotes are held as
 numpy arrays (int64 nanosecond timestamps, float64 bid/ask) so that signal
 computation and backtests stay vectorized.
 
-The CSV format is fixed: UTF-8, "\n" line endings, header `ts_ns,bid,ask`,
-prices written with up to 10 fractional digits (trailing zeros trimmed,
-at least one decimal kept). `write_csv(load_csv(f))` reproduces a
-canonically formatted file byte for byte.
+The CSV format is fixed: UTF-8, header `ts_ns,bid,ask`, then one
+`ts,bid,ask` row a line. `write_csv` writes "\\n" line ends and prices
+with up to 10 fractional digits (trailing zeros trimmed, at least one
+decimal kept). `write_csv(load_csv(f))` reproduces a canonically formatted
+file byte for byte.
 
 `write_csv` formats fixed-size chunks of rows as arrays: each price is
 rounded exactly to 10 decimals (Dekker's TwoProduct, ties to even, as
 `f"{x:.10f}"` does), digits go into a byte matrix, and a mask trims the
 zeros. Rows holding a price from 2**52 up fall back to `format_price`.
+
+`load_csv` parses a file in bulk from its bytes when it keeps to a strict
+grammar, which every file `write_csv` writes from prices below about 9e5
+does, and hands any other file to a per-row scan, the reference. The bulk
+parse is exact: each price is read as integer digits M < 2**53 and divided
+once by a power of ten (see `load_csv`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -84,7 +92,6 @@ def format_price(x: float) -> str:
     return s
 
 
-_ROW_DTYPE = np.dtype([("ts", "i8"), ("bid", "f8"), ("ask", "f8")])
 _TS_MIN, _TS_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -95,69 +102,236 @@ def load_csv(path: Union[str, Path], symbol: Optional[str] = None) -> TickSeries
     rows, nonpositive or crossed quotes, and non-monotone timestamps are
     all rejected, as is a file with no data rows or one that is not UTF-8.
 
-    The body is parsed in bulk by `np.loadtxt`, and `TickSeries` checks the
-    columns as arrays. Whenever the parse or a check fails, the per-row
-    scan `_scan_rows` decides instead: it is the reference, so it returns
-    the same series or raises the same line-numbered error. Both read the
-    file in text mode, so CRLF and lone CR line ends count as newlines.
-    Only the scan holds the file's text in memory.
+    `_parse_bytes` reads the file in binary and parses it in bulk when it
+    keeps to this grammar:
+    - the header line ends in "\\n" or "\\r\\n", and so does every row but
+      the last, which may have no line end;
+    - a row is `-?digits,digits.digits,digits.digits` and nothing else: no
+      spaces, `+`, `_`, exponents, `nan`/`inf` text or blank lines;
+    - a timestamp is in int64, and a price has at most 19 digits, which
+      read as one integer M are below 2**53.
+    Such a price with k decimals is M / 10**k. M and 10**k (k <= 19) are
+    exact doubles, so the one division rounds the exact value once and
+    gives the double `float(text)` gives (Clinger, "How to read floating
+    point numbers accurately", 1990). `TickSeries` then checks the columns
+    as arrays.
+
+    Any other file, and any file whose columns fail a check, goes to the
+    per-row scan `_scan_rows`: it is the reference, so it returns the same
+    series or raises the line-numbered error. The scan reads the file as
+    text, so a lone "\\r" ends a line there. Only the scan holds the file's
+    text in memory.
     """
     path = Path(path)
+    symbol = symbol if symbol is not None else path.stem
+    columns = _parse_bytes(path)
+    if columns is not None:
+        try:
+            return TickSeries(symbol, *columns)
+        except ValidationError:
+            pass  # the scan names the first bad line
+    ts, bid, ask = _scan_rows(path, _read_body(path))
+    return TickSeries(symbol, ts, bid, ask)
+
+
+def _read_body(path: Path) -> str:
+    """The text after a valid header line, which must hold some text."""
     try:
         with open(path, encoding="utf-8") as fh:
             # a long first line is rejected without being read whole
             if fh.readline(len(CSV_HEADER) + 1).removesuffix("\n") != CSV_HEADER:
                 raise ValidationError(
                     f"{path.name}: malformed header, expected '{CSV_HEADER}'")
-            n_rows, blank = _count_rows(fh)
+            body = fh.read()
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path.name}: not UTF-8 text ({e.reason})") from None
-    if n_rows == 0:
+    if not body:
         raise ValidationError(f"{path.name}: empty file, no data rows")
-    symbol = symbol if symbol is not None else path.stem
-    # loadtxt would only warn on a body with no row at all
-    rows = None if blank else _parse_bulk(path, n_rows)
-    if rows is not None:
-        try:
-            return TickSeries(symbol, rows["ts"], rows["bid"], rows["ask"])
-        except ValidationError:
-            pass  # the scan names the first bad line
-    body = path.read_text(encoding="utf-8").partition("\n")[2]
-    ts, bid, ask = _scan_rows(path, body)
-    return TickSeries(symbol, ts, bid, ask)
+    return body
 
 
-_READ_CHUNK = 1 << 20  # characters per read while counting rows
+_HEADER_LINES = (f"{CSV_HEADER}\n".encode("ascii"),
+                 f"{CSV_HEADER}\r\n".encode("ascii"))
+# Bytes per read; each read is parsed up to its last newline. On 250k
+# ticks 256 and 512 KiB parsed fastest: 64 KiB makes more numpy calls, and
+# from 1 MiB on the block's arrays fall out of cache.
+_READ_BYTES = 1 << 18
+# digits per number: 10**19 < 2**64, so each is exact in uint64
+_MAX_DIGITS = 19
+# the shortest row the parser takes, "0,0.0,0.0\n", and the longest: a
+# signed timestamp, two prices with the point and "\r\n"
+_MIN_ROW_BYTES = 10
+_MAX_ROW_BYTES = 1 + _MAX_DIGITS + 2 * (2 + _MAX_DIGITS) + 2
+_LANE_BYTES = 8
+_ZERO, _MINUS, _COMMA, _POINT, _NEWLINE, _CR = b"0-,.\n\r"
+# the bytes other than digits in a row, once a sign and a CR are set aside
+_ROW_BYTES = np.array([_COMMA, _POINT, _COMMA, _POINT, _NEWLINE], dtype=np.uint8)
+_LANES = -(-_MAX_DIGITS // _LANE_BYTES)
+# _LANE_MASKS[j, w] keeps the low nibbles of the bytes that lane j (the
+# digits 8j+1 to 8j+8 from the right) holds of a w-digit number
+_LANE_MASKS = np.array(
+    [[(2**64 - 2**(8 * (8 - min(max(w - 8 * j, 0), 8)))) & 0x0F0F0F0F0F0F0F0F
+      for w in range(_MAX_DIGITS + 1)] for j in range(_LANES)],
+    dtype=np.uint64)
+# leading ASCII zeros: the lanes of the first field read inside the block
+_PAD = b"0" * (_LANES * _LANE_BYTES)
+_POW10 = np.array([10**k for k in range(_MAX_DIGITS + 1)], dtype=np.uint64)
+_POW10_F = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
+_MANTISSA_LIMIT = 2**53
+_INT64_MAX = np.uint64(_TS_MAX)
 
 
-def _count_rows(fh) -> Tuple[int, bool]:
-    """Rows left in `fh` as the scan splits them, and whether all are blank.
+def _parse_bytes(path: Path) -> Optional[Tuple[np.ndarray, ...]]:
+    """ts, bid, ask of a file in `load_csv`'s bulk grammar, else None.
 
-    A final line without a newline is a row; no text at all is no row.
+    The file is read `_READ_BYTES` at a time; each read is parsed by
+    `_parse_block` up to its last newline into preallocated columns, so
+    memory holds a block and the columns. The columns are sized for the
+    most rows the file could hold and shrunk in place at the end; the rows
+    never written are never touched, so they take no memory.
     """
-    newlines, last, blank = 0, "\n", True
-    for chunk in iter(lambda: fh.read(_READ_CHUNK), ""):
-        newlines += chunk.count("\n")
-        last = chunk[-1]
-        blank = blank and chunk.isspace()
-    return newlines + (last != "\n"), blank
-
-
-def _parse_bulk(path: Path, n_rows: int) -> Optional[np.ndarray]:
-    """The body's rows, or None unless loadtxt parses `n_rows`, one a line."""
-    # A fresh handle, not text in memory: fed io.StringIO(body) loadtxt
-    # took longer and about 35 MB more peak memory on 250k ticks. Not the
-    # path either: numpy would then pick a decompressor by file suffix.
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",",
-                              comments=None, skiprows=1, ndmin=1)
-    except ValueError:
+    with open(path, "rb") as fh:
+        head = fh.read(len(_HEADER_LINES[1]))
+        header = next((h for h in _HEADER_LINES if head.startswith(h)), None)
+        if header is None:
+            return None
+        # st_size is 0 for a pipe: the columns fill, and the scan decides
+        size = max(os.fstat(fh.fileno()).st_size - len(header), 0)
+        cap = size // _MIN_ROW_BYTES + 1
+        ts = np.empty(cap, dtype=np.int64)
+        bid = np.empty(cap, dtype=np.float64)
+        ask = np.empty(cap, dtype=np.float64)
+        n, rest = 0, head[len(header):]
+        while True:
+            block = fh.read(_READ_BYTES)
+            if block:
+                data = b"".join((_PAD, rest, block))
+                cut = data.rfind(b"\n", len(_PAD)) + 1
+                if cut == 0:  # a row longer than a read
+                    rest = data[len(_PAD):]
+                    if len(rest) > _MAX_ROW_BYTES:
+                        return None
+                    continue
+            elif rest:  # the last row has no newline
+                data = b"".join((_PAD, rest, b"\n"))
+                cut = len(data)
+            else:
+                break
+            rows = _parse_block(data, cut, ts[n:], bid[n:], ask[n:])
+            if rows is None:
+                return None
+            n += rows
+            rest = data[cut:]
+    if n == 0:
         return None
-    # loadtxt skips blank lines, which the scan rejects
-    if rows.size != n_rows:
+    for column in (ts, bid, ask):
+        column.resize(n, refcheck=False)  # no view of a column is left
+    return ts, bid, ask
+
+
+def _parse_block(data: bytes, cut: int, ts: np.ndarray, bid: np.ndarray,
+                 ask: np.ndarray) -> Optional[int]:
+    """Parse the rows in data[len(_PAD):cut] into the columns' heads.
+
+    Returns the number of rows, or None unless every row is in the bulk
+    grammar and fits the columns. data[cut - 1] is a newline.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8, count=cut)
+    # every byte but a digit; uint8 wraps the bytes below "0" past 9
+    pos = np.flatnonzero(buf - np.uint8(_ZERO) > 9)
+    kind = buf[pos]
+    # a sign leads a row and a CR precedes a newline, or the row is not ours
+    extra = (kind == _MINUS) | (kind == _CR)
+    n_extra = int(np.count_nonzero(extra))
+    if n_extra:
+        pos, kind = pos[~extra], kind[~extra]
+    if kind.size % _ROW_BYTES.size or \
+            not (kind.reshape(-1, _ROW_BYTES.size) == _ROW_BYTES).all():
+        return None
+    comma1, dot1, comma2, dot2, newline = pos.reshape(-1, _ROW_BYTES.size).T
+    rows = newline.size
+    if rows > ts.size:
+        return None
+    lo = np.empty(rows, dtype=np.intp)
+    lo[0] = len(_PAD)
+    lo[1:] = newline[:-1] + 1
+    hi = newline
+    neg = False
+    if n_extra:
+        neg = buf[lo] == _MINUS
+        cr = buf[hi - 1] == _CR
+        if np.count_nonzero(neg) + np.count_nonzero(cr) != n_extra:
+            return None
+        lo = lo + neg
+        hi = hi - cr
+    # lane i holds data[i:i + 8] as a little-endian integer
+    lanes = np.ndarray((cut - _LANE_BYTES + 1,), dtype="<u8", buffer=data,
+                       strides=(1,))
+    width = comma1 - lo
+    if width.min() < 1 or width.max() > _MAX_DIGITS:
+        return None
+    mag = _digits(lanes, comma1, width)
+    if (mag > _INT64_MAX + neg).any():  # -2**63 is in range
+        return None
+    signed = mag.view(np.int64)
+    if n_extra:
+        np.negative(signed, out=signed, where=neg)  # 2**63 wraps to -2**63
+    ts[:rows] = signed
+    if not (_prices(lanes, comma1, dot1, comma2, bid[:rows])
+            and _prices(lanes, comma2, dot2, hi, ask[:rows])):
         return None
     return rows
+
+
+def _digits(lanes: np.ndarray, end: np.ndarray,
+            width: np.ndarray) -> np.ndarray:
+    """Value of the `width` (1 to 19) ASCII digits before each byte `end`.
+
+    Eight digits at a time: a lane right-aligned on the digits is masked to
+    them and folded with Lemire's three multiply-shift (SWAR) steps
+    ("Number parsing at a gigabyte per second", 2021); wrapping uint64
+    products are exact in the bits kept.
+    """
+    value = None
+    for j in range(-(-int(width.max()) // _LANE_BYTES)):
+        x = lanes[end - _LANE_BYTES * (j + 1)]
+        x &= _LANE_MASKS[j, width]
+        x *= 10 * 2**8 + 1
+        x >>= 8
+        x &= np.uint64(0x00FF00FF00FF00FF)
+        x *= 100 * 2**16 + 1
+        x >>= 16
+        x &= np.uint64(0x0000FFFF0000FFFF)
+        x *= 10000 * 2**32 + 1
+        x >>= 32
+        if value is None:
+            value = x
+        else:
+            x *= _POW10[_LANE_BYTES * j]
+            value += x
+    return value
+
+
+def _prices(lanes: np.ndarray, comma: np.ndarray, dot: np.ndarray,
+            end: np.ndarray, out: np.ndarray) -> bool:
+    """Write the prices `digits.digits` between each comma and end to `out`.
+
+    Each is M / 10**k, exact as `load_csv` says. False, leaving `out` partly
+    written, when a field is empty, there are more than 19 digits or M is
+    2**53 or more.
+    """
+    n_int = dot - comma - 1
+    n_frac = end - dot - 1
+    if min(n_int.min(), n_frac.min()) < 1 or \
+            (n_int + n_frac).max() > _MAX_DIGITS:
+        return False
+    m = _digits(lanes, dot, n_int)
+    m *= _POW10[n_frac]
+    m += _digits(lanes, end, n_frac)
+    if m.max() >= _MANTISSA_LIMIT:
+        return False
+    np.divide(m, _POW10_F[n_frac], out=out)
+    return True
 
 
 def _scan_rows(path: Path, body: str) -> Tuple[np.ndarray, ...]:
@@ -206,7 +380,6 @@ _FRAC_DIGITS = 10
 _FRAC_SCALE = 1e10
 # Veltkamp's constant 2**27 + 1 splits a double into two 26-bit halves.
 _SPLITTER = 134217729.0
-_ZERO, _MINUS, _COMMA, _POINT, _NEWLINE = b"0-,.\n"
 
 
 def write_csv(series: TickSeries, path: Union[str, Path]) -> None:

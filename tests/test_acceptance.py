@@ -609,10 +609,10 @@ print(len(series), own_peak_kib() - before)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_million_tick_load_csv_memory_is_bounded(tmp_path):
-    # the loader counts rows in fixed-size chunks and hands loadtxt a file
-    # handle, so only the parsed rows and the series stay (24 MB each): the
-    # rise measured 47.6 MB on a 37 MB file, where holding the file's text
-    # twice, as read and as the body after the header, rose by 82.6 MB
+    # the loader parses fixed-size blocks of bytes straight into the
+    # series' columns (24 MB): the rise measured 30 MB on a 37 MB file,
+    # where parsing through np.loadtxt into rows the series then copied
+    # rose by 47 MB, and holding the file's text twice 82.6 MB
     n = 1_000_000
     bid = 100.0 + np.random.default_rng(5).random(n)
     path = tmp_path / "million.csv"
@@ -621,7 +621,7 @@ def test_million_tick_load_csv_memory_is_bounded(tmp_path):
     ticks, rise_kib = map(int, _run_child(_LOAD_RSS_SCRIPT, path))
     assert ticks == n
     rise_mb = rise_kib / 1024
-    assert rise_mb < 60.0, f"load_csv raised peak RSS by {rise_mb:.1f} MB"
+    assert rise_mb < 36.0, f"load_csv raised peak RSS by {rise_mb:.1f} MB"
 
 
 # Times `risklab run` on the benchmark sweep's shape (16k training rows,

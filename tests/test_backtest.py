@@ -458,6 +458,17 @@ class TestResultInvariants:
         assert np.all(res.period_returns == 0.0)
         assert res.mean == 0.0 and res.stdev == 0.0
 
+    def test_no_trade_period_returns_are_float(self):
+        s = random_walk(5, seed=2)
+        surprise = np.full(5, np.nan)
+        cfg = StrategyConfig(period_ticks=2)
+        res = run_backtest_signals(s, surprise, cfg)
+        assert res.n_trades == 0
+        assert res.period_returns.dtype == np.float64
+        column = run_backtest_columns(s, surprise[None, :], [cfg])[0]
+        assert column.dtype == np.float64
+        assert res.period_returns.tobytes() == column.tobytes()
+
     def test_persistence_never_trades(self):
         s = random_walk(2000, seed=3)
         cfg = StrategyConfig(threshold_bps=0.0, period_ticks=100)

@@ -75,8 +75,41 @@ class TestLoadCsv:
 
 HEAD = "ts_ns,bid,ask\n"
 
-# (file name, body bytes): each is loaded by the bulk path and by the scan
+# (file name, file text or bytes): each is loaded by the bulk path and by
+# the scan
 EDGE_FILES = (
+    # 2**53 = 9007199254740992: the parser takes a price's digits as one
+    # integer below it
+    ("mantissa_15", HEAD + "1,99999999.9999999,100000000.0\n"),
+    ("mantissa_16_below", HEAD + "1,900719925.4740991,900719925.4740991\n"),
+    ("mantissa_16_at", HEAD + "1,900719925.4740992,900719925.4740992\n"),
+    ("mantissa_16_above", HEAD + "1,0.9007199254740993,9.999999999999999\n"),
+    ("mantissa_19", HEAD + "1,99.99999999999999999,100.0\n"),
+    ("mantissa_20", HEAD + "1,99.999999999999999999,100.0\n"),
+    ("ts_18_digits", HEAD + "999999999999999999,99.0,101.0\n"),
+    ("ts_19_digits", HEAD + "1000000000000000000,99.0,101.0\n"
+                            "-1000000000000000000,99.0,101.0\n"),
+    ("ts_minus_zero", HEAD + "-1,99.0,101.0\n-0,99.0,101.0\n1,99.0,101.0\n"),
+    ("ts_leading_zeros", HEAD + "007,99.0,101.0\n0000000000000000000008,"
+                                "99.0,101.0\n"),
+    ("ts_lone_minus", HEAD + "-,99.0,101.0\n"),
+    ("ts_minus_inside", HEAD + "1-2,99.0,101.0\n"),
+    ("price_trailing_point", HEAD + "1,1.,2.5\n"),
+    ("price_leading_point", HEAD + "1,.5,2.5\n"),
+    ("price_no_point", HEAD + "1,99,101.0\n"),
+    ("price_negative", HEAD + "1,-99.0,101.0\n"),
+    ("price_two_points", HEAD + "1,99.0.0,101.0\n"),
+    ("price_leading_zeros", HEAD + "1,0099.50,000101.0\n"),
+    ("row_past_max_length", HEAD + "1,99.0,101.0\n2," + "0" * 80
+                            + "99.5,100.5\n"),
+    ("crlf_no_final_newline", "ts_ns,bid,ask\r\n1,99.0,101.0\r\n"
+                              "2,99.5,100.5"),
+    ("cr_in_crlf", "ts_ns,bid,ask\r\n1,99.0,101.0\r\n2,99.5\r,100.5\r\n"),
+    ("cr_cr_lf", HEAD + "1,99.0,101.0\r\r\n2,99.5,100.5\n"),
+    ("cr_final", HEAD + "1,99.0,101.0\n2,99.5,100.5\r"),
+    ("header_lone_cr", "ts_ns,bid,ask\r1,99.0,101.0\n"),
+    ("non_ascii", HEAD + "1,99.0,101.0\n2,99.5,100.5\u00e9\n"),
+    ("not_utf8", HEAD.encode("ascii") + b"1,99.0,101.0\n2,99.5,100.5\xff\n"),
     ("blank_mid", HEAD + "1,99.0,101.0\n\n2,99.5,100.5\n"),
     ("blank_first", HEAD + "\n1,99.0,101.0\n"),
     ("blank_trailing", HEAD + "1,99.0,101.0\n2,99.5,100.5\n\n"),
@@ -124,6 +157,22 @@ EDGE_FILES = (
     ("two_errors", HEAD + "2,99.0,101.0\n1,99.0,101.0\n3,0.0,1.0\n"),
 )
 
+# the cases inside the bulk grammar: `_parse_bytes` returns every other
+# file to the scan
+BULK_EDGES = ("mantissa_15", "mantissa_16_below", "ts_18_digits",
+              "ts_19_digits", "ts_minus_zero", "price_leading_zeros",
+              "crlf_no_final_newline", "no_final_newline", "crlf",
+              "crlf_body", "cr_final", "ts_negative", "ts_int64_min",
+              "ts_int64_max", "ts_full_span", "one_row", "nonpositive",
+              "crossed", "equal_ts", "two_errors", "ts_wraps")
+
+
+def _write_edge(tmp_path, name):
+    text = dict(EDGE_FILES)[name]
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    return p
+
 
 def _outcome(path):
     """Loaded columns, or the ValidationError text."""
@@ -136,7 +185,7 @@ def _outcome(path):
 
 def _scan_outcome(path):
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(market_data, "_parse_bulk", lambda path, body: None)
+        m.setattr(market_data, "_parse_bytes", lambda path: None)
         return _outcome(path)
 
 
@@ -178,9 +227,17 @@ class TestBulkMatchesScan:
     @pytest.mark.parametrize("name,text", EDGE_FILES,
                              ids=[name for name, _ in EDGE_FILES])
     def test_edge_files(self, tmp_path, name, text):
-        p = tmp_path / f"{name}.csv"
-        p.write_bytes(text.encode("utf-8"))
+        p = _write_edge(tmp_path, name)
         assert _outcome(p) == _scan_outcome(p)
+
+    @pytest.mark.parametrize("name", [name for name, _ in EDGE_FILES])
+    def test_bulk_grammar_edges(self, tmp_path, name):
+        p = _write_edge(tmp_path, name)
+        columns = market_data._parse_bytes(p)
+        assert (columns is not None) == (name in BULK_EDGES)
+        want = _scan_outcome(p)
+        if columns is not None and not isinstance(want, str):
+            assert tuple(c.tolist() for c in columns) == want
 
     def test_edge_outcomes(self, tmp_path):
         # a few pinned outcomes, so both paths cannot drift together
@@ -249,6 +306,56 @@ class TestBulkMatchesScan:
                 got = _outcome(p)
                 assert isinstance(got, str), trial
                 assert got == _scan_outcome(p), trial
+
+    @pytest.mark.parametrize("read_bytes", [1, 3, 16, 100])
+    def test_rows_straddle_reads(self, tmp_path, read_bytes):
+        # at 16 bytes a read is shorter than any row of the series
+        rng = np.random.default_rng(read_bytes)
+        p = tmp_path / "r.csv"
+        write_csv(_random_series(rng), p)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(p.read_bytes().replace(b"\n", b"\r\n")[:-2])
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(market_data, "_READ_BYTES", read_bytes)
+            for path in (p, crlf):
+                assert market_data._parse_bytes(path) is not None
+                assert _bulk_outcome(path) == _scan_outcome(path)
+            for name, _ in EDGE_FILES:
+                path = _write_edge(tmp_path, name)
+                columns = market_data._parse_bytes(path)
+                assert (columns is not None) == (name in BULK_EDGES), name
+                assert _outcome(path) == _scan_outcome(path), name
+
+    def test_random_decimals_parse_exactly(self, tmp_path):
+        # digit strings of every length the parser takes, leading zeros
+        # included, against Python's correctly rounded int() and float()
+        rng = np.random.default_rng(15)
+
+        def digits(k):
+            return "".join(map(str, rng.integers(0, 10, k).tolist()))
+
+        def price():
+            # M below 2**53 as `total` digits: from 17 on, leading zeros
+            total = int(rng.integers(2, 20))
+            text = str(int(rng.integers(0, min(10**total, 2**53))))
+            text = text.zfill(total)
+            point = int(rng.integers(1, total))
+            return f"{text[:point]}.{text[point:]}"
+
+        n = 3000
+        ts = [("-" if rng.random() < 0.3 else "") + digits(int(rng.integers(1, 19)))
+              for _ in range(n)]
+        bid = [price() for _ in range(n)]
+        ask = [price() for _ in range(n)]
+        p = tmp_path / "digits.csv"
+        p.write_text(HEAD + "".join(f"{t},{b},{a}\n"
+                                    for t, b, a in zip(ts, bid, ask)),
+                     encoding="utf-8")
+        got_ts, got_bid, got_ask = market_data._parse_bytes(p)
+        assert got_ts.tolist() == [int(t) for t in ts]
+        for got, text in ((got_bid, bid), (got_ask, ask)):
+            want = np.array([float(x) for x in text])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _oracle_csv(series):
