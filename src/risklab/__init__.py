@@ -18,13 +18,12 @@ from .backtest import (BacktestResult, Fill, StrategyConfig, annualized_sharpe,
                        run_backtest, run_backtest_columns,
                        run_backtest_signals, sharpe)
 from .capm import (AssetUniverse, CapmDecomposition, Portfolio, beta, cml,
-                   load_universe, min_variance_portfolio, tangency_portfolio)
+                   min_variance_portfolio, tangency_portfolio)
 from .errors import DegenerateError, ValidationError
 from .market_data import (SyntheticSpec, TickSeries, gen_synthetic, load_csv,
                           write_csv)
 from .pml import (PmlFit, RiskReturnPoint, RollingPmlResult, fit_pml,
-                  load_points_csv, priced_point, rolling_pml, trend_tau,
-                  write_points_csv)
+                  load_points_csv, priced_point, rolling_pml, trend_tau)
 from .predictor import (Predictor, TrainSpec, VariantSet, load_predictor,
                         make_leaked, make_noise, make_persistence,
                         sample_variants, save_predictor, surprise_series,
@@ -41,11 +40,11 @@ __all__ = [
     "ValidationError", "VariantSet", "annualized_sharpe", "beta",
     "cluster_tightness", "cml", "estimate_from_matrix", "fit_pml",
     "gen_synthetic", "load_csv", "load_points_csv", "load_predictor",
-    "load_universe", "make_leaked", "make_noise", "make_persistence",
+    "make_leaked", "make_noise", "make_persistence",
     "mc_disentangle", "min_variance_portfolio", "priced_point",
     "rolling_pml", "run_backtest", "run_backtest_columns",
     "run_backtest_signals", "sample_variants", "save_predictor", "sharpe",
     "surprise_return_correlation", "surprise_series", "sweep",
     "sweep_configs", "tangency_portfolio", "train", "trend_tau",
-    "variant_surprise_series", "write_csv", "write_points_csv", "__version__",
+    "variant_surprise_series", "write_csv", "__version__",
 ]

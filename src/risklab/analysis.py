@@ -146,10 +146,6 @@ class CorrelationCurve:
         for a in (self.lags, self.corr, self.n):
             a.setflags(write=False)
 
-    @property
-    def max_lag(self) -> int:
-        return int(self.lags[-1])
-
 
 def surprise_return_correlation(series: TickSeries, predictor: Predictor,
                                 max_lag: int = 5) -> CorrelationCurve:

@@ -4,15 +4,14 @@ Closed-form two-constraint minimum-variance weights, the tangency
 portfolio, the capital market line, and the beta decomposition of an
 asset's variance into a systematic and an idiosyncratic part. Solves go
 through `np.linalg.solve` after `AssetUniverse`'s positive-definiteness
-check; shorting is unrestricted throughout.
+check; shorting is unrestricted throughout. Universes are built directly
+as `AssetUniverse(mu, sigma)`; there is no file format for them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -65,19 +64,6 @@ class AssetUniverse:
     @property
     def n(self) -> int:
         return int(self.mu.size)
-
-
-def universe_from_dict(d: dict) -> AssetUniverse:
-    try:
-        return AssetUniverse(mu=np.array(d["mu"], dtype=np.float64),
-                             sigma=np.array(d["sigma"], dtype=np.float64),
-                             labels=tuple(d.get("labels", ())))
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"malformed universe document: {e}") from None
-
-
-def load_universe(path: Union[str, Path]) -> AssetUniverse:
-    return universe_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ rounded exactly to 10 decimals (Dekker's TwoProduct, ties to even, as
 zeros. Rows holding a price from 2**52 up fall back to `format_price`.
 
 `load_csv` parses a file in bulk from its bytes when it keeps to a strict
-grammar, which every file `write_csv` writes from prices below about 9e5
-does, and hands any other file to a per-row scan, the reference. The bulk
-parse is exact: each price is read as integer digits M < 2**53 and divided
-once by a power of ten (see `load_csv`).
+grammar, which `write_csv`'s output does while no price takes more than 19
+digits, and hands any other file to a per-row scan, the reference.
+The bulk parse is exact: each price is read as integer digits M and, below
+2**53, divided once by a power of ten (see `load_csv`).
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ INITIAL_MID = 100.0
 
 @dataclass(frozen=True)
 class TickSeries:
-    """An ordered best bid/offer series for one symbol. Arrays are read-only."""
+    """An ordered best bid/offer series. Arrays are read-only."""
 
-    symbol: str
     ts: np.ndarray
     bid: np.ndarray
     ask: np.ndarray
@@ -80,8 +79,8 @@ class TickSeries:
         """Sub-series over tick indices [start, stop)."""
         if not 0 <= start < stop <= len(self):
             raise ValidationError(f"bad window [{start}, {stop}) for {len(self)} ticks")
-        return TickSeries(self.symbol, self.ts[start:stop],
-                          self.bid[start:stop], self.ask[start:stop])
+        return TickSeries(self.ts[start:stop], self.bid[start:stop],
+                          self.ask[start:stop])
 
 
 def format_price(x: float) -> str:
@@ -95,7 +94,7 @@ def format_price(x: float) -> str:
 _TS_MIN, _TS_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-def load_csv(path: Union[str, Path], symbol: Optional[str] = None) -> TickSeries:
+def load_csv(path: Union[str, Path]) -> TickSeries:
     """Load a tick series, validating every row.
 
     Errors carry 1-based line numbers (the header is line 1): malformed
@@ -108,13 +107,14 @@ def load_csv(path: Union[str, Path], symbol: Optional[str] = None) -> TickSeries
       the last, which may have no line end;
     - a row is `-?digits,digits.digits,digits.digits` and nothing else: no
       spaces, `+`, `_`, exponents, `nan`/`inf` text or blank lines;
-    - a timestamp is in int64, and a price has at most 19 digits, which
-      read as one integer M are below 2**53.
-    Such a price with k decimals is M / 10**k. M and 10**k (k <= 19) are
-    exact doubles, so the one division rounds the exact value once and
-    gives the double `float(text)` gives (Clinger, "How to read floating
-    point numbers accurately", 1990). `TickSeries` then checks the columns
-    as arrays.
+    - a timestamp is in int64, and a price has at most 19 digits.
+    Such a price with k decimals, its digits read as one integer M, is
+    M / 10**k. Below 2**53, M and 10**k (k <= 19) are exact doubles, so
+    the one division rounds the exact value once and gives the double
+    `float(text)` gives (Clinger, "How to read floating point numbers
+    accurately", 1990). The fields with M from 2**53 up are converted from
+    their text by numpy's `astype(np.float64)`, which also rounds
+    correctly. `TickSeries` then checks the columns as arrays.
 
     Any other file, and any file whose columns fail a check, goes to the
     per-row scan `_scan_rows`: it is the reference, so it returns the same
@@ -123,15 +123,13 @@ def load_csv(path: Union[str, Path], symbol: Optional[str] = None) -> TickSeries
     text in memory.
     """
     path = Path(path)
-    symbol = symbol if symbol is not None else path.stem
     columns = _parse_bytes(path)
     if columns is not None:
         try:
-            return TickSeries(symbol, *columns)
+            return TickSeries(*columns)
         except ValidationError:
             pass  # the scan names the first bad line
-    ts, bid, ask = _scan_rows(path, _read_body(path))
-    return TickSeries(symbol, ts, bid, ask)
+    return TickSeries(*_scan_rows(path, _read_body(path)))
 
 
 def _read_body(path: Path) -> str:
@@ -178,6 +176,8 @@ _PAD = b"0" * (_LANES * _LANE_BYTES)
 _POW10 = np.array([10**k for k in range(_MAX_DIGITS + 1)], dtype=np.uint64)
 _POW10_F = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
 _MANTISSA_LIMIT = 2**53
+# the longest price text the bulk parse takes: its digits and the point
+_TEXT_BYTES = _MAX_DIGITS + 1
 _INT64_MAX = np.uint64(_TS_MAX)
 
 
@@ -277,8 +277,8 @@ def _parse_block(data: bytes, cut: int, ts: np.ndarray, bid: np.ndarray,
     if n_extra:
         np.negative(signed, out=signed, where=neg)  # 2**63 wraps to -2**63
     ts[:rows] = signed
-    if not (_prices(lanes, comma1, dot1, comma2, bid[:rows])
-            and _prices(lanes, comma2, dot2, hi, ask[:rows])):
+    if not (_prices(buf, lanes, comma1, dot1, comma2, bid[:rows])
+            and _prices(buf, lanes, comma2, dot2, hi, ask[:rows])):
         return None
     return rows
 
@@ -312,13 +312,13 @@ def _digits(lanes: np.ndarray, end: np.ndarray,
     return value
 
 
-def _prices(lanes: np.ndarray, comma: np.ndarray, dot: np.ndarray,
-            end: np.ndarray, out: np.ndarray) -> bool:
+def _prices(buf: np.ndarray, lanes: np.ndarray, comma: np.ndarray,
+            dot: np.ndarray, end: np.ndarray, out: np.ndarray) -> bool:
     """Write the prices `digits.digits` between each comma and end to `out`.
 
-    Each is M / 10**k, exact as `load_csv` says. False, leaving `out` partly
-    written, when a field is empty, there are more than 19 digits or M is
-    2**53 or more.
+    Each is exact as `load_csv` says: M / 10**k, or for M from 2**53 up the
+    field's text through numpy's cast. False, leaving `out` partly written,
+    when a field is empty or there are more than 19 digits.
     """
     n_int = dot - comma - 1
     n_frac = end - dot - 1
@@ -328,9 +328,16 @@ def _prices(lanes: np.ndarray, comma: np.ndarray, dot: np.ndarray,
     m = _digits(lanes, dot, n_int)
     m *= _POW10[n_frac]
     m += _digits(lanes, end, n_frac)
-    if m.max() >= _MANTISSA_LIMIT:
-        return False
     np.divide(m, _POW10_F[n_frac], out=out)
+    big = np.flatnonzero(m >= _MANTISSA_LIMIT)
+    if big.size:
+        # each such field's text after leading ASCII zeros: it has 17 or
+        # more bytes, so its window starts inside the block
+        text = np.lib.stride_tricks.sliding_window_view(buf, _TEXT_BYTES)[
+            end[big] - _TEXT_BYTES]
+        lead = _TEXT_BYTES - (end[big] - comma[big] - 1)
+        text[np.arange(_TEXT_BYTES) < lead[:, None]] = _ZERO
+        out[big] = text.view(f"S{_TEXT_BYTES}")[:, 0].astype(np.float64)
     return True
 
 
@@ -528,6 +535,9 @@ class SyntheticSpec:
             raise ValidationError("n_ticks must be at least 2")
         if self.dt_ns <= 0:
             raise ValidationError("dt_ns must be positive")
+        if int(self.dt_ns) * int(self.n_ticks) > _TS_MAX:  # the last tick's ts
+            raise ValidationError(
+                f"dt_ns * n_ticks must be at most {_TS_MAX}, int64's maximum")
         if self.sigma_noise < 0:
             raise ValidationError("sigma_noise must be nonnegative")
         if not abs(self.phi) < 1:
@@ -551,7 +561,7 @@ def signal_vol_schedule(spec: SyntheticSpec) -> np.ndarray:
     return spec.sigma_signal + (spec.decay_to - spec.sigma_signal) * ramp
 
 
-def gen_synthetic(spec: SyntheticSpec, symbol: str = "SYN") -> TickSeries:
+def gen_synthetic(spec: SyntheticSpec) -> TickSeries:
     """Generate a seeded synthetic series; identical spec, identical bytes.
 
     All randomness comes from spec.seed via a local generator: noise
@@ -586,4 +596,4 @@ def gen_synthetic(spec: SyntheticSpec, symbol: str = "SYN") -> TickSeries:
     mid_px = np.exp(log_mid)
     half = spec.spread_bps * 1e-4 / 2.0
     ts = spec.dt_ns * np.arange(1, n + 1, dtype=np.int64)
-    return TickSeries(symbol, ts, mid_px * (1.0 - half), mid_px * (1.0 + half))
+    return TickSeries(ts, mid_px * (1.0 - half), mid_px * (1.0 + half))

@@ -340,11 +340,6 @@ def points_to_csv(points: Sequence[RiskReturnPoint]) -> str:
     return out.getvalue()
 
 
-def write_points_csv(points: Sequence[RiskReturnPoint],
-                     path: Union[str, Path]) -> None:
-    Path(path).write_text(points_to_csv(points), encoding="utf-8")
-
-
 def load_points_csv(path: Union[str, Path]) -> List[RiskReturnPoint]:
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))

@@ -15,8 +15,9 @@ Forecasts come as whole series: `surprise_series` gives the relative
 predicted move at every tick. Variants: `sample_variants` freezes K dropout
 masks; each variant applies its mask at inference across all timesteps, so
 variant k is a deterministic function of (base predictor, mask seed k), and
-`variant_surprise_series` gives its series. `first_layer` computes the first
-hidden layer once per series, for all variants to share.
+`variant_surprise_series` gives its series. Every net forecast takes one
+forward path, from `first_layer`'s tanh(x @ W0 + b0): computed once per
+series, that first hidden layer is shared by all variants.
 
 Everything is seed-deterministic: training the same series with the same
 spec twice yields bit-identical weights, and no call touches global random
@@ -131,22 +132,16 @@ def make_noise(scale: float, seed: int = 0) -> Predictor:
     return Predictor(kind=KIND_NOISE, noise_scale=scale, noise_seed=seed)
 
 
-def _forward(x: Optional[np.ndarray], weights: Sequence[np.ndarray],
+def _forward(first: np.ndarray, weights: Sequence[np.ndarray],
              biases: Sequence[np.ndarray],
              masks: Optional[Sequence[np.ndarray]] = None,
-             keep_scale: float = 1.0,
-             first: Optional[np.ndarray] = None) -> np.ndarray:
-    """Batch forward pass; masks (if given) multiply hidden activations.
-
-    `first`, if given, is layer 0's output tanh(x @ W0 + b0), computed once
-    and shared by several passes; x is then not read.
-    """
-    h = x
+             keep_scale: float = 1.0) -> np.ndarray:
+    """Batch forward pass from layer 0's output tanh(x @ W0 + b0); masks
+    (if given) multiply hidden activations."""
+    h = first
     last = len(weights) - 1
     for l in range(last):
-        if l == 0 and first is not None:
-            h = first
-        else:
+        if l > 0:
             h = np.tanh(h @ weights[l] + biases[l])
         if masks is not None:
             # exact reassociation of (h * mask) * keep_scale: mask is 0 or 1
@@ -154,11 +149,10 @@ def _forward(x: Optional[np.ndarray], weights: Sequence[np.ndarray],
     return (h @ weights[last] + biases[last])[:, 0]
 
 
-def _training_arrays(series: TickSeries, window: int) -> Tuple[np.ndarray, np.ndarray]:
-    r = np.diff(np.log(series.mid))
-    x = np.lib.stride_tricks.sliding_window_view(r, window)[:-1]
-    y = r[window:]
-    return x, y
+def _features(r: np.ndarray, window: int, scale: float) -> np.ndarray:
+    """The net's input at every tick from `window` on: the last `window`
+    of the log returns `r`, over the training scale."""
+    return np.lib.stride_tricks.sliding_window_view(r, window) / scale
 
 
 def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
@@ -234,9 +228,10 @@ def train(series: TickSeries, spec: TrainSpec) -> Predictor:
         raise ValidationError(
             f"series too short to train: {len(series)} ticks, "
             f"need at least {spec.window + 2}")
-    x_raw, y_raw = _training_arrays(series, spec.window)
+    r = np.diff(np.log(series.mid))
+    y_raw = r[spec.window:]
     scale = float(y_raw.std()) if float(y_raw.std()) > 0 else 1.0
-    x = x_raw / scale
+    x = _features(r, spec.window, scale)[:-1]
     y = y_raw / scale
 
     rng = np.random.default_rng(spec.seed)
@@ -250,7 +245,8 @@ def train(series: TickSeries, spec: TrainSpec) -> Predictor:
     with np.errstate(over="ignore", invalid="ignore"):
         _descend(x, y, weights, biases, spec, rng)
         # report the dropout-free in-sample MSE in raw return units
-        final = _forward(x, weights, biases) - y
+        final = _forward(np.tanh(x @ weights[0] + biases[0]),
+                         weights, biases) - y
         final_loss = float(np.mean(final ** 2)) * scale * scale
     if not math.isfinite(final_loss):
         raise DegenerateError(f"non-finite training loss at epoch {spec.epochs - 1}")
@@ -378,30 +374,22 @@ def surprise_series(p: Predictor, series: TickSeries) -> np.ndarray:
         return out
     if p.kind == KIND_NOISE:
         return np.exp(p.noise_scale * eps(p.noise_seed, series.ts)) - 1.0
-    return _net_surprise(p, series, None, 1.0)
-
-
-def _features(p: Predictor, series: TickSeries) -> np.ndarray:
-    """The net's input at every tick from `window` on: the last `window`
-    log returns over the training scale."""
-    r = np.diff(np.log(series.mid))
-    return np.lib.stride_tricks.sliding_window_view(r, p.window) / p.scale
+    return _net_surprise(p, series, first_layer(p, series), None, 1.0)
 
 
 def _net_surprise(p: Predictor, series: TickSeries,
+                  first: Optional[np.ndarray],
                   masks: Optional[Sequence[np.ndarray]],
-                  keep_scale: float,
-                  first: Optional[np.ndarray] = None) -> np.ndarray:
+                  keep_scale: float) -> np.ndarray:
     n = len(series)
     w = p.window
     out = np.full(n, np.nan)
     if n < w + 1:
         return out
-    if first is not None and first.shape[0] != n - w:
+    if first.shape[0] != n - w:
         raise ValidationError("the shared first layer was computed on a "
                               "series of another length")
-    x = _features(p, series) if first is None else None
-    y = _forward(x, p.weights, p.biases, masks, keep_scale, first) * p.scale
+    y = _forward(first, p.weights, p.biases, masks, keep_scale) * p.scale
     with np.errstate(over="ignore"):
         out[w:] = np.exp(y) - 1.0
     if not np.isfinite(out[w:]).all():
@@ -418,7 +406,8 @@ def first_layer(p: Predictor, series: TickSeries) -> Optional[np.ndarray]:
     """
     if p.kind != KIND_NET or len(series) < p.window + 1:
         return None
-    first = np.tanh(_features(p, series) @ p.weights[0] + p.biases[0])
+    x = _features(np.diff(np.log(series.mid)), p.window, p.scale)
+    first = np.tanh(x @ p.weights[0] + p.biases[0])
     first.setflags(write=False)
     return first
 
@@ -470,9 +459,11 @@ def variant_surprise_series(vs: VariantSet, k: int, series: TickSeries,
     p = vs.base
     if p.kind != KIND_NET or p.dropout_p == 0.0:
         return surprise_series(p, series)
+    if first is None:
+        first = first_layer(p, series)
     masks = _variant_masks(p, vs.mask_seeds[k])
     keep_scale = 1.0 / (1.0 - p.dropout_p)
-    return _net_surprise(p, series, masks, keep_scale, first)
+    return _net_surprise(p, series, first, masks, keep_scale)
 
 
 def predictor_to_dict(p: Predictor) -> dict:

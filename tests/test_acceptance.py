@@ -236,7 +236,7 @@ SCENARIO_ASKS = [101.0, 100.0, 104.0, 105.5, 106.0, 106.0]
 
 def _scenario_series():
     ts = SEC * np.arange(1, 7)
-    return TickSeries("HAND", ts, np.array(SCENARIO_BIDS),
+    return TickSeries(ts, np.array(SCENARIO_BIDS),
                       np.array(SCENARIO_ASKS))
 
 
@@ -577,7 +577,7 @@ import numpy as np
 from risklab import TickSeries, write_csv
 n = 1_000_000
 bid = 100.0 + np.random.default_rng(5).random(n)
-series = TickSeries("M", np.arange(1, n + 1), bid, bid + 0.01)
+series = TickSeries(np.arange(1, n + 1), bid, bid + 0.01)
 del bid
 before = own_peak_kib()
 write_csv(series, sys.argv[1])
@@ -616,7 +616,7 @@ def test_million_tick_load_csv_memory_is_bounded(tmp_path):
     n = 1_000_000
     bid = 100.0 + np.random.default_rng(5).random(n)
     path = tmp_path / "million.csv"
-    write_csv(TickSeries("M", np.arange(1, n + 1), bid, bid + 0.01), path)
+    write_csv(TickSeries(np.arange(1, n + 1), bid, bid + 0.01), path)
     del bid
     ticks, rise_kib = map(int, _run_child(_LOAD_RSS_SCRIPT, path))
     assert ticks == n

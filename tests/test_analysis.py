@@ -215,8 +215,8 @@ def test_correlation_noise_on_random_walk_is_null():
 
 def test_correlation_invariant_under_price_scaling():
     series = gen_synthetic(WALK_SPEC)
-    scaled = type(series)(symbol=series.symbol, ts=series.ts,
-                          bid=series.bid * 7.3, ask=series.ask * 7.3)
+    scaled = type(series)(ts=series.ts, bid=series.bid * 7.3,
+                          ask=series.ask * 7.3)
     p = make_noise(1e-4, seed=5)
     a = surprise_return_correlation(series, p)
     b = surprise_return_correlation(scaled, p)

@@ -23,7 +23,7 @@ SCENARIO_ASKS = [101.0, 100.0, 104.0, 105.5, 106.0, 106.0]
 
 def scenario_series():
     ts = SEC * np.arange(1, 7)
-    return TickSeries("HAND", ts, np.array(SCENARIO_BIDS),
+    return TickSeries(ts, np.array(SCENARIO_BIDS),
                       np.array(SCENARIO_ASKS))
 
 
@@ -96,7 +96,7 @@ def grid_series(n, rng):
     level = np.clip(np.cumsum(rng.integers(-1, 2, n)), -4, 4)
     bid = 100.0 + 0.5 * level
     ask = bid + 0.5 * rng.integers(1, 3, n)
-    return TickSeries("GRID", SEC * np.arange(1, n + 1), bid, ask)
+    return TickSeries(SEC * np.arange(1, n + 1), bid, ask)
 
 
 def exact_bps(x):
@@ -314,7 +314,7 @@ class TestEngineVsOracle:
         return signals, cfgs
 
     def test_columns_random_scenarios_match_exactly(self):
-        one_tick = TickSeries("ONE", np.array([SEC]), np.array([99.0]),
+        one_tick = TickSeries(np.array([SEC]), np.array([99.0]),
                               np.array([101.0]))
         assert run_backtest_columns(one_tick, [[0.1], [-0.1]],
                                     [StrategyConfig()] * 2).tolist() == \

@@ -15,10 +15,8 @@ from risklab.capm import (
     Portfolio,
     beta,
     cml,
-    load_universe,
     min_variance_portfolio,
     tangency_portfolio,
-    universe_from_dict,
 )
 from risklab.errors import ValidationError
 
@@ -268,19 +266,3 @@ def test_portfolio_weights_frozen():
     p = min_variance_portfolio(UNI3, 0.10)
     with pytest.raises(ValueError):
         p.weights[0] = 2.0
-
-
-def test_universe_json_round_trip(tmp_path):
-    doc = {"mu": [0.05, 0.1], "sigma": [[0.01, 0.0], [0.0, 0.04]],
-           "labels": ["slow", "fast"]}
-    u = universe_from_dict(doc)
-    assert u.labels == ("slow", "fast")
-    path = tmp_path / "universe.json"
-    path.write_text(
-        '{"mu": [0.05, 0.1], "sigma": [[0.01, 0.0], [0.0, 0.04]], '
-        '"labels": ["slow", "fast"]}', encoding="utf-8")
-    u2 = load_universe(path)
-    assert np.array_equal(u2.mu, u.mu)
-    assert np.array_equal(u2.sigma, u.sigma)
-    with pytest.raises(ValidationError, match="malformed universe"):
-        universe_from_dict({"sigma": [[1.0]]})

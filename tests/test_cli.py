@@ -15,7 +15,7 @@ import pytest
 import risklab
 from risklab import SyntheticSpec, gen_synthetic, pipeline, write_csv
 from risklab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-from risklab.pml import RiskReturnPoint, RollingPmlResult, write_points_csv
+from risklab.pml import RiskReturnPoint, RollingPmlResult, points_to_csv
 from risklab.market_data import load_csv
 
 GEN_SPEC = """\
@@ -162,6 +162,14 @@ def test_gen_data_invalid_spec_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG, key
         assert f"[synthetic] {key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+    # timestamps past int64 would wrap around
+    spec = _write(tmp_path / "spec.ini",
+                  "[synthetic]\nn_ticks = 100\ndt_ns = 100000000000000000\n")
+    assert main(["gen-data", "--spec", spec,
+                 "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    assert "[synthetic] dt_ns * n_ticks must be at most" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_gen_data_missing_spec_exits_3(tmp_path, capsys):
@@ -387,7 +395,7 @@ def test_fit_pml_exact_line(tmp_path, capsys):
     pts = [RiskReturnPoint(f"c{i}", rf + 3.0 * xi, xi, 0.0, xi, False)
            for i, xi in enumerate(x)]
     path = tmp_path / "points.csv"
-    write_points_csv(pts, path)
+    path.write_text(points_to_csv(pts), encoding="utf-8")
     assert main(["fit-pml", "--points", str(path)]) == EXIT_OK
     fit = json.loads(capsys.readouterr().out)
     assert fit["sr_theta"] == pytest.approx(3.0, abs=1e-9)
@@ -415,8 +423,9 @@ def test_fit_pml_error_paths(tmp_path, capsys):
     assert main(["fit-pml", "--points", str(same)]) == EXIT_NUMERIC
     assert "degenerate" in capsys.readouterr().err
     points = tmp_path / "points.csv"
-    write_points_csv([RiskReturnPoint(f"c{i}", 0.3 * x, x, 0.0, x, False)
-                      for i, x in enumerate((0.01, 0.02, 0.03))], points)
+    points.write_text(points_to_csv(
+        [RiskReturnPoint(f"c{i}", 0.3 * x, x, 0.0, x, False)
+         for i, x in enumerate((0.01, 0.02, 0.03))]), encoding="utf-8")
     for flags in (["--bootstrap", "-1"],
                   ["--bootstrap", "5", "--bootstrap-seed", "-1"]):
         assert main(["fit-pml", "--points", str(points), *flags]) == EXIT_CONFIG
@@ -640,6 +649,7 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
     for section, key, value, message in (
             ("train", "window", "0", "window must be at least 1"),
             ("data", "n_ticks", "1", "n_ticks must be at least 2"),
+            ("data", "dt_ns", str(10**17), "dt_ns * n_ticks must be at most"),
             ("sweep", "threshold_lo", "9",
              "threshold_range must be a nonempty interval")):
         config = _write(tmp_path / "l.ini",

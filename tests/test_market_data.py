@@ -21,7 +21,6 @@ class TestLoadCsv:
         p = _write(tmp_path, "two.csv", "ts_ns,bid,ask\n1,99.0,101.0\n2,99.5,100.5\n")
         s = load_csv(p)
         assert len(s) == 2
-        assert s.symbol == "two"
         assert list(s.ts) == [1, 2]
         assert list(s.bid) == [99.0, 99.5]
         assert list(s.ask) == [101.0, 100.5]
@@ -78,8 +77,9 @@ HEAD = "ts_ns,bid,ask\n"
 # (file name, file text or bytes): each is loaded by the bulk path and by
 # the scan
 EDGE_FILES = (
-    # 2**53 = 9007199254740992: the parser takes a price's digits as one
-    # integer below it
+    # 2**53 = 9007199254740992: the parser divides a price's digits, read
+    # as one integer, below it and casts the text from it up; 20 digits
+    # go to the scan
     ("mantissa_15", HEAD + "1,99999999.9999999,100000000.0\n"),
     ("mantissa_16_below", HEAD + "1,900719925.4740991,900719925.4740991\n"),
     ("mantissa_16_at", HEAD + "1,900719925.4740992,900719925.4740992\n"),
@@ -159,7 +159,8 @@ EDGE_FILES = (
 
 # the cases inside the bulk grammar: `_parse_bytes` returns every other
 # file to the scan
-BULK_EDGES = ("mantissa_15", "mantissa_16_below", "ts_18_digits",
+BULK_EDGES = ("mantissa_15", "mantissa_16_below", "mantissa_16_at",
+              "mantissa_16_above", "mantissa_19", "ts_18_digits",
               "ts_19_digits", "ts_minus_zero", "price_leading_zeros",
               "crlf_no_final_newline", "no_final_newline", "crlf",
               "crlf_body", "cr_final", "ts_negative", "ts_int64_min",
@@ -198,12 +199,24 @@ def _bulk_outcome(path):
 
 
 def _random_series(rng):
+    """Prices whose canonical text has at most 19 digits, from 0.5 up to
+    below 10**18: with up to 10 decimals below 1e9, in eighths up to 1e15,
+    and whole from 2**52 up."""
     n = int(rng.integers(1, 400))
     ts = np.cumsum(rng.integers(1, 5 * SEC, n)) - int(rng.integers(0, SEC))
-    bid = np.round(rng.uniform(0.5, 500.0, n), int(rng.integers(0, 12)))
-    bid = np.maximum(bid, 1e-10)
-    ask = bid + np.round(rng.exponential(0.05, n), int(rng.integers(0, 12)))
-    return TickSeries("R", ts, bid, ask)
+    kind = int(rng.integers(0, 4))
+    if kind < 2:
+        top = 500.0 if kind == 0 else 1e9 - 1.0
+        bid = np.round(rng.uniform(0.5, top, n), int(rng.integers(0, 12)))
+        bid = np.maximum(bid, 1e-10)
+        ask = bid + np.round(rng.exponential(0.05, n), int(rng.integers(0, 12)))
+    elif kind == 2:
+        bid = rng.integers(4, 8 * 10**15, n) / 8.0
+        ask = bid + rng.integers(0, 80, n) / 8.0
+    else:
+        bid = rng.integers(2**52, 10**18 - 2**20, n).astype(np.float64)
+        ask = bid + rng.integers(0, 2**16, n).astype(np.float64)
+    return TickSeries(ts, bid, ask)
 
 
 def _corrupt(rng, lines):
@@ -335,9 +348,9 @@ class TestBulkMatchesScan:
             return "".join(map(str, rng.integers(0, 10, k).tolist()))
 
         def price():
-            # M below 2**53 as `total` digits: from 17 on, leading zeros
+            # M below 10**19 as `total` digits, leading zeros included
             total = int(rng.integers(2, 20))
-            text = str(int(rng.integers(0, min(10**total, 2**53))))
+            text = str(int(rng.integers(0, 10**total, dtype=np.uint64)))
             text = text.zfill(total)
             point = int(rng.integers(1, total))
             return f"{text[:point]}.{text[point:]}"
@@ -404,7 +417,7 @@ class TestWriteCsvMatchesOracle:
     def _check(tmp_path, ts, bid, ask=None):
         bid = np.asarray(bid, dtype=np.float64)
         ask = bid if ask is None else np.asarray(ask, dtype=np.float64)
-        series = TickSeries("W", ts, bid, ask)
+        series = TickSeries(ts, bid, ask)
         p = tmp_path / "w.csv"
         write_csv(series, p)
         got, want = p.read_bytes(), _oracle_csv(series)
@@ -486,7 +499,7 @@ class TestFormatPrice:
 
 class TestMid:
     def test_series_mid(self):
-        s = TickSeries("T", np.array([1, 2]), np.array([99.0, 100.0]),
+        s = TickSeries(np.array([1, 2]), np.array([99.0, 100.0]),
                        np.array([101.0, 102.0]))
         assert list(s.mid) == [100.0, 101.0]
 
@@ -494,23 +507,22 @@ class TestMid:
 class TestSeriesValidation:
     def test_rejects_crossed(self):
         with pytest.raises(ValidationError):
-            TickSeries("T", np.array([1]), np.array([101.0]), np.array([99.0]))
+            TickSeries(np.array([1]), np.array([101.0]), np.array([99.0]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
-            TickSeries("T", np.array([], dtype=np.int64),
+            TickSeries(np.array([], dtype=np.int64),
                        np.array([]), np.array([]))
 
     def test_rejects_nonincreasing(self):
         with pytest.raises(ValidationError):
-            TickSeries("T", np.array([2, 2]), np.array([1.0, 1.0]),
+            TickSeries(np.array([2, 2]), np.array([1.0, 1.0]),
                        np.array([1.0, 1.0]))
 
     def test_window(self):
-        s = TickSeries("T", np.arange(1, 6), np.full(5, 99.0), np.full(5, 101.0))
+        s = TickSeries(np.arange(1, 6), np.full(5, 99.0), np.full(5, 101.0))
         w = s.window(1, 4)
         assert list(w.ts) == [2, 3, 4]
-        assert w.symbol == "T"
 
 
 class TestGenSynthetic:
@@ -612,6 +624,11 @@ class TestGenSynthetic:
             SyntheticSpec(n_ticks=10, sigma_noise=-1e-4)
         with pytest.raises(ValidationError):
             SyntheticSpec(n_ticks=10, dt_ns=0)
+        # the last timestamp is dt_ns * n_ticks, which must fit in int64
+        last = gen_synthetic(SyntheticSpec(n_ticks=3, dt_ns=(2**63 - 1) // 3))
+        assert last.ts.tolist()[-1] == (2**63 - 1) // 3 * 3
+        with pytest.raises(ValidationError, match="dt_ns \\* n_ticks"):
+            SyntheticSpec(n_ticks=3, dt_ns=(2**63 - 1) // 3 + 1)
         for name in ("sigma_noise", "phi", "sigma_signal", "spread_bps",
                      "decay_to"):
             for value in (np.nan, np.inf, -np.inf):

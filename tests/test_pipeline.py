@@ -3,6 +3,7 @@ tracer and worker look up in risklab."""
 
 import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -65,6 +66,29 @@ def test_benchmark_hooks_resolve():
         assert callable(fn), f"{module_name}.{attr}"
     # the benchmark's worker parses each experiment config with it
     assert callable(getattr(cli, "load_experiment", None))
+
+
+@pytest.mark.parametrize("module_name,attr,position,name", [
+    ("risklab.market_data", "load_csv", 0, "path"),
+    ("risklab.market_data", "write_csv", 1, "path"),
+    ("risklab.predictor", "train", 1, "spec"),
+    ("risklab.predictor", "surprise_series", 0, "p"),
+    ("risklab.predictor", "surprise_series", 1, "series"),
+    ("risklab.predictor", "variant_surprise_series", 0, "vs"),
+    ("risklab.predictor", "variant_surprise_series", 2, "series"),
+    ("risklab.backtest", "run_backtest_signals", 0, "series"),
+    ("risklab.analysis", "sweep", 2, "spec"),
+    ("risklab.pml", "fit_pml", 0, "points"),
+])
+def test_tracer_reads_arguments_where_they_are(module_name, attr, position,
+                                               name):
+    # the tracer takes its counts from an argument by position, or by name
+    # when passed by keyword; a changed signature loses the counts, never
+    # the call, so a per-layer count would read zero instead of failing
+    fn = getattr(importlib.import_module(module_name), attr)
+    param = list(inspect.signature(fn).parameters.values())[position]
+    assert param.name == name
+    assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 def test_sweep_calls_variant_surprise_series_once_per_variant(monkeypatch):

@@ -27,7 +27,6 @@ from risklab.pml import (
     rolling_pml,
     sweep_points,
     trend_tau,
-    write_points_csv,
 )
 from risklab.predictor import TrainSpec, surprise_series, train
 from risklab.uncertainty import estimate_from_matrix
@@ -246,7 +245,7 @@ def test_points_csv_round_trip(tmp_path):
     pts = _points(x, y)[:7]
     object.__setattr__(pts[2], "clamped", True)
     path = tmp_path / "points.csv"
-    write_points_csv(pts, path)
+    path.write_text(points_to_csv(pts), encoding="utf-8")
     loaded = load_points_csv(path)
     assert len(loaded) == 7
     assert loaded[2].clamped

@@ -20,13 +20,13 @@ SEC = 1_000_000_000
 
 def constant_series(n=64, bid=99.0, ask=101.0):
     ts = SEC * np.arange(1, n + 1)
-    return TickSeries("C", ts, np.full(n, bid), np.full(n, ask))
+    return TickSeries(ts, np.full(n, bid), np.full(n, ask))
 
 
 def quotes(*bid_ask):
     """A series of the given (bid, ask) quotes, one second apart."""
     bid, ask = np.array(bid_ask, dtype=np.float64).T
-    return TickSeries("Q", SEC * np.arange(1, len(bid_ask) + 1), bid, ask)
+    return TickSeries(SEC * np.arange(1, len(bid_ask) + 1), bid, ask)
 
 
 def planted_series(n=12_000, seed=7):

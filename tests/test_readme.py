@@ -1,13 +1,14 @@
 """The README stays true: its Python examples run, and the public surface it
 describes is what `risklab` exports."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
 import risklab
-from risklab import market_data, pml, predictor, uncertainty
+from risklab import capm, market_data, pml, predictor, uncertainty
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,14 +16,19 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 REMOVED = {
     risklab: ("BboTick", "mid", "predict", "surprise", "predict_variant",
               "resample", "sr_theta_line", "rolling_to_dict",
-              "average_correlation_curves", "MODE_WINDOW"),
+              "average_correlation_curves", "MODE_WINDOW", "write_points_csv",
+              "load_universe"),
     market_data: ("BboTick", "mid", "resample"),
     predictor: ("predict", "surprise", "predict_variant"),
-    pml: ("sr_theta_line", "rolling_to_dict", "pml_fit_to_dict"),
+    pml: ("sr_theta_line", "rolling_to_dict", "pml_fit_to_dict",
+          "write_points_csv"),
+    capm: ("load_universe", "universe_from_dict"),
     uncertainty: ("MODE_WINDOW",),
-    risklab.TickSeries: ("tick", "ticks", "is_regular", "resolution_ns"),
+    risklab.TickSeries: ("tick", "ticks", "is_regular", "resolution_ns",
+                         "symbol"),
     risklab.VariantSet: ("remask_per_tick",),
     risklab.McEstimate: ("mode",),
+    risklab.CorrelationCurve: ("max_lag",),
 }
 
 
@@ -48,7 +54,8 @@ def test_readme_names_no_removed_api():
     for name in ("BboTick", "predict_variant", "resample", "sr_theta_line",
                  "rolling_to_dict", "average_correlation_curves",
                  "MODE_WINDOW", "remask_per_tick", "resolution_ns",
-                 "is_regular", "pml_fit_to_dict"):
+                 "is_regular", "pml_fit_to_dict", "symbol", "write_points_csv",
+                 "load_universe", "universe_from_dict"):
         assert not re.search(rf"\b{name}\b", text), name
 
 
@@ -62,6 +69,8 @@ def test_public_names_resolve():
 def test_removed_names_are_gone(owner):
     for name in REMOVED[owner]:
         assert not hasattr(owner, name), name
+        if dataclasses.is_dataclass(owner):  # fields without a default
+            assert name not in {f.name for f in dataclasses.fields(owner)}, name
         assert name not in getattr(owner, "__all__", ()), name
         if owner is risklab:
             with pytest.raises(ImportError):
