@@ -9,11 +9,11 @@ import train_oracle
 from predictor_oracle import surprises, variant_keep_flags
 from risklab import (DegenerateError, SyntheticSpec, TickSeries,
                      ValidationError, gen_synthetic)
-from risklab.predictor import (Predictor, TrainSpec, _ndtri_lower, eps,
-                               first_layer, load_predictor, make_leaked,
-                               make_noise, make_persistence, sample_variants,
-                               save_predictor, surprise_series, train,
-                               variant_surprise_series)
+from risklab.predictor import (Predictor, TrainSpec, _descend, _features,
+                               _ndtri_lower, eps, first_layer, load_predictor,
+                               make_leaked, make_noise, make_persistence,
+                               sample_variants, save_predictor,
+                               surprise_series, train, variant_surprise_series)
 
 SEC = 1_000_000_000
 
@@ -38,6 +38,9 @@ def planted_series(n=12_000, seed=7):
 SPEC = TrainSpec(window=8, hidden=(16,), dropout_p=0.2, epochs=150,
                  learning_rate=0.05, l2=1e-4, seed=0)
 
+# hidden sizes whose training at learning rate 1e5 diverges, and the epoch
+DIVERGING = [((5, 7, 3), 27), ((4, 1), 29)]
+
 
 class TestTrain:
     def test_constant_series_zero_loss(self):
@@ -59,7 +62,8 @@ class TestTrain:
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
-    @pytest.mark.parametrize("hidden", [(16,), (8, 4), (5, 7, 3)])
+    @pytest.mark.parametrize("hidden",
+                             [(16,), (8, 4), (5, 7, 3), (1,), (4, 1), (8,)])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
     def test_matches_the_epoch_loop_oracle_bitwise(self, hidden, dropout_p):
         s = planted_series(2000)
@@ -74,27 +78,75 @@ class TestTrain:
 
     def test_diverging_training_raises_like_the_oracle(self):
         s = planted_series(600)
-        spec = TrainSpec(window=6, hidden=(5, 7, 3), dropout_p=0.2,
-                         epochs=30, learning_rate=1e5, seed=3)
-        with np.errstate(all="ignore"):
-            with pytest.raises(DegenerateError) as want:
-                train_oracle.fit(s, spec)
-            with pytest.raises(DegenerateError) as got:
-                train(s, spec)
-        assert str(got.value) == str(want.value) \
-            == "non-finite training loss at epoch 27"
+        for hidden, epoch in DIVERGING:
+            spec = TrainSpec(window=6, hidden=hidden, dropout_p=0.2,
+                             epochs=30, learning_rate=1e5, seed=3)
+            with np.errstate(all="ignore"):
+                with pytest.raises(DegenerateError) as want:
+                    train_oracle.fit(s, spec)
+                with pytest.raises(DegenerateError) as got:
+                    train(s, spec)
+            assert str(got.value) == str(want.value) \
+                == f"non-finite training loss at epoch {epoch}"
 
     def test_diverging_training_warns_nothing(self):
         # the descent overflows on its way to the error, which is the one
         # report; numpy's RuntimeWarnings would name no window or epoch
         s = planted_series(600)
-        spec = TrainSpec(window=6, hidden=(5, 7, 3), dropout_p=0.2,
-                         epochs=30, learning_rate=1e5, seed=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DegenerateError,
-                               match="^non-finite training loss at epoch 27$"):
-                train(s, spec)
+        for hidden, epoch in DIVERGING:
+            spec = TrainSpec(window=6, hidden=hidden, dropout_p=0.2,
+                             epochs=30, learning_rate=1e5, seed=3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                        DegenerateError,
+                        match=f"^non-finite training loss at epoch {epoch}$"):
+                    train(s, spec)
+
+    @pytest.mark.parametrize("zero", [-0.0, 0.0])
+    @pytest.mark.parametrize("hidden", [(8,), (4, 1), (5, 7, 3)])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    @pytest.mark.parametrize("epochs", [1, 40])
+    def test_descends_like_the_oracle_from_a_zero_output_weight(
+            self, zero, hidden, dropout_p, epochs):
+        # a zero last-layer entry makes its column of grad @ W.T all zeros,
+        # which einsum returns as +0.0 whatever the products' signs; after
+        # one epoch the zero bias gradient it gives is still in the bytes
+        spec = TrainSpec(window=6, hidden=hidden, dropout_p=dropout_p,
+                         epochs=epochs, learning_rate=0.05, seed=3)
+        r = np.diff(np.log(planted_series(2000).mid))
+        scale = float(r[spec.window:].std())
+        x = _features(r, spec.window, scale)[:-1]
+        y = r[spec.window:] / scale
+        sizes = (spec.window, *hidden, 1)
+        start = np.random.default_rng(11)
+        weights = [start.normal(0.0, 0.5, (a, b))
+                   for a, b in zip(sizes[:-1], sizes[1:])]
+        weights[-1][0, 0] = zero
+        biases = [np.zeros(b) for b in sizes[1:]]
+        want_w, want_b = list(weights), list(biases)
+        train_oracle.descend(x, y, want_w, want_b, spec,
+                             np.random.default_rng(5))
+        got_w, got_b = list(weights), list(biases)
+        _descend(x, y, got_w, got_b, spec, np.random.default_rng(5))
+        for want, got in zip(want_w + want_b, got_w + got_b, strict=True):
+            assert want.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("rows", [1993, 15993])
+    def test_einsum_forms_match_numpy_bitwise(self, rows):
+        # the epoch loop's bias gradients and output-layer product rest on
+        # this property of the installed numpy: einsum adds row after row,
+        # as sum(axis=0) does once a row holds more than one value
+        rng = np.random.default_rng(rows)
+        for width in range(2, 33):
+            g = rng.normal(size=(rows, width))
+            assert np.einsum("ij->j", g).tobytes() \
+                == g.sum(axis=0).tobytes(), width
+            grad = rng.normal(size=(rows, 1))
+            w = rng.normal(size=(width, 1))
+            out = np.empty((rows, width))
+            np.einsum("i,j->ij", grad[:, 0], w[:, 0], out=out)
+            assert out.tobytes() == np.multiply(grad, w.T).tobytes(), width
 
     def test_seed_changes_weights(self):
         s = planted_series(4000)

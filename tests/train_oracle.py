@@ -4,7 +4,8 @@ boolean masks multiplied in as drawn.
 
 Tests hold `train` to it bit for bit: the same weights, biases and
 `final_loss` for the same series and spec, and the same `DegenerateError`
-when training diverges.
+when training diverges. `descend`, the epoch loop alone, holds
+`predictor._descend` to the same bits from any starting weights.
 """
 
 import math
@@ -22,7 +23,6 @@ def fit(series, spec):
     scale = float(y_raw.std()) if float(y_raw.std()) > 0 else 1.0
     x = x_raw / scale
     y = y_raw / scale
-    n = x.shape[0]
 
     rng = np.random.default_rng(spec.seed)
     sizes = (spec.window, *spec.hidden, 1)
@@ -30,10 +30,26 @@ def fit(series, spec):
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
+    descend(x, y, weights, biases, spec, rng)
+
+    last = len(weights) - 1
+    h = x
+    for l in range(last):
+        h = np.tanh(h @ weights[l] + biases[l])
+    final = (h @ weights[last] + biases[last])[:, 0] - y
+    final_loss = float(np.mean(final ** 2)) * scale * scale
+    if not math.isfinite(final_loss):
+        raise DegenerateError(f"non-finite training loss at epoch {spec.epochs - 1}")
+    return weights, biases, final_loss
+
+
+def descend(x, y, weights, biases, spec, rng):
+    """Run spec.epochs of full-batch gradient descent on the lists
+    `weights` and `biases` in place, drawing dropout masks from `rng`."""
+    n = x.shape[0]
     last = len(weights) - 1
     p = spec.dropout_p
     keep_scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-
     for epoch in range(spec.epochs):
         acts = [x]      # input fed into each weight layer (post-mask)
         tanhs = []      # unmasked tanh outputs, for the backward pass
@@ -66,12 +82,3 @@ def fit(series, spec):
                 grad = grad * (1.0 - tanhs[l - 1] ** 2)
             weights[l] = weights[l] - spec.learning_rate * gw
             biases[l] = biases[l] - spec.learning_rate * gb
-
-    h = x
-    for l in range(last):
-        h = np.tanh(h @ weights[l] + biases[l])
-    final = (h @ weights[last] + biases[last])[:, 0] - y
-    final_loss = float(np.mean(final ** 2)) * scale * scale
-    if not math.isfinite(final_loss):
-        raise DegenerateError(f"non-finite training loss at epoch {spec.epochs - 1}")
-    return weights, biases, final_loss
