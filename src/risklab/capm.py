@@ -11,7 +11,7 @@ as `AssetUniverse(mu, sigma)`; there is no file format for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class AssetUniverse:
 
     mu: np.ndarray
     sigma: np.ndarray
-    labels: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         mu = np.ascontiguousarray(self.mu, dtype=np.float64)
@@ -51,15 +50,10 @@ class AssetUniverse:
             raise ValidationError(
                 f"sigma is not positive definite enough: smallest eigenvalue "
                 f"{eigmin:.3e}")
-        labels = tuple(self.labels) if self.labels else \
-            tuple(f"asset{i}" for i in range(n))
-        if len(labels) != n:
-            raise ValidationError("labels must match the number of assets")
         mu.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:

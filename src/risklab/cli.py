@@ -1,9 +1,12 @@
 """Command-line front end: it parses arguments and INI configs (sections
 of key-value pairs), prints summaries, writes artifacts and the manifest
 and maps errors to exit codes; `risklab.pipeline` runs the experiments.
+Every config file goes through `_read_config`: UTF-8, only the command's
+known sections, no unknown key in a section it reads, and `[experiment]
+seed` as the default of every other seed.
 Every artifact is a pure function of (config, seed): reruns are
 byte-identical. Every job runs serially, BLAS included (main pins it to
-one thread); --jobs and [output] jobs are accepted for compatibility only.
+one thread); `run` and `decay` accept --jobs for compatibility and ignore it.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 I/O failure,
 4 numerical degeneracy (nothing traded, the fit had no spread, or a
@@ -55,6 +58,10 @@ _REQUIRED = object()
 # an out-dir never mixes files from two runs
 _RUN_ARTIFACTS = ("points.csv", "mc.json", "pml.json", "correlation.csv",
                   "rolling.csv", "manifest.json")
+
+# the sections of an experiment config, which `train` and `sweep` read too
+_EXPERIMENT_SECTIONS = frozenset({"experiment", "data", "train", "sweep",
+                                  "pml", "rolling", "correlation", "output"})
 
 
 # ---------------------------------------------------------------- config
@@ -120,18 +127,32 @@ class _Section:
                 f"[{self.name}] unknown keys: {', '.join(sorted(self._pairs))}")
 
 
-def _read_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            parser.read_file(fh, source=str(path))
-        except configparser.Error as e:
-            raise ValidationError(f"malformed config: {e}") from None
-    return parser
-
-
 def _section(parser: configparser.ConfigParser, name: str) -> _Section:
     return _Section(name, parser[name] if parser.has_section(name) else {})
+
+
+def _read_config(path, known) -> Tuple[configparser.ConfigParser, int]:
+    """The INI file at `path`, which may hold only `known` sections, and
+    its `[experiment] seed` (0 when unset)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh, source=str(path))
+    except UnicodeDecodeError as e:
+        raise ValidationError(
+            f"{Path(path).name}: not UTF-8 text ({e.reason})") from None
+    except configparser.Error as e:
+        raise ValidationError(f"malformed config: {e}") from None
+    unknown = set(parser.sections()) - known
+    if unknown:
+        raise ValidationError(
+            f"unknown config sections: {', '.join(sorted(unknown))}")
+    exp_sec = _section(parser, "experiment")
+    seed = exp_sec.take("seed", int, 0)
+    exp_sec.done()
+    if seed < 0:
+        raise ValidationError("[experiment] seed must be nonnegative")
+    return parser, seed
 
 
 def _synthetic_spec(sec: _Section, default_seed: int) -> SyntheticSpec:
@@ -221,19 +242,7 @@ def _pml_params(sec: _Section) -> PmlParams:
 
 
 def load_experiment(path) -> Experiment:
-    parser = _read_ini(path)
-    known = {"data", "train", "sweep", "pml", "rolling", "correlation",
-             "output", "experiment"}
-    unknown = set(parser.sections()) - known
-    if unknown:
-        raise ValidationError(
-            f"unknown config sections: {', '.join(sorted(unknown))}")
-
-    exp_sec = _section(parser, "experiment")
-    seed = exp_sec.take("seed", int, 0)
-    exp_sec.done()
-    if seed < 0:
-        raise ValidationError("[experiment] seed must be nonnegative")
+    parser, seed = _read_config(path, _EXPERIMENT_SECTIONS)
 
     if not parser.has_section("data"):
         raise ValidationError("config needs a [data] section")
@@ -280,10 +289,7 @@ def load_experiment(path) -> Experiment:
 
     out_sec = _section(parser, "output")
     out_dir = out_sec.take("dir", str, None)
-    jobs = out_sec.take("jobs", int, 1)
     out_sec.done()
-    if jobs < 1:
-        raise ValidationError("[output] jobs must be at least 1")
 
     baseline = train_setup.baseline
     echo = {
@@ -333,17 +339,17 @@ def _writer(out_dir: Path):
 
 
 def _cmd_gen_data(args) -> None:
-    parser = _read_ini(args.spec)
+    parser, seed = _read_config(args.spec, {"synthetic"})
     if not parser.has_section("synthetic"):
         raise ValidationError("spec file needs a [synthetic] section")
-    spec = _synthetic_spec(_section(parser, "synthetic"), default_seed=0)
+    spec = _synthetic_spec(_section(parser, "synthetic"), default_seed=seed)
     write_csv(gen_synthetic(spec), args.out)
 
 
 def _cmd_train(args) -> None:
     series = load_csv(args.data)
-    setup = _train_setup(_section(_read_ini(args.config), "train"),
-                         default_seed=0)
+    parser, seed = _read_config(args.config, _EXPERIMENT_SECTIONS)
+    setup = _train_setup(_section(parser, "train"), default_seed=seed)
     predictor = setup.fit(series)
     save_predictor(predictor, args.out)
     print(json_text({"kind": predictor.kind,
@@ -373,8 +379,8 @@ def _cmd_backtest(args) -> None:
 def _cmd_sweep(args) -> None:
     series = load_csv(args.data)
     predictor = load_predictor(args.predictor)
-    spec = _sweep_spec(_section(_read_ini(args.config), "sweep"),
-                       default_seed=0)
+    parser, seed = _read_config(args.config, _EXPERIMENT_SECTIONS)
+    spec = _sweep_spec(_section(parser, "sweep"), default_seed=seed)
     triples = sweep(series, predictor, spec)
     out_dir = _fresh_out_dir(args.out_dir, None)
     points = write_sweep(triples, _writer(out_dir))
@@ -449,8 +455,6 @@ def _cmd_run(args) -> None:
 
 # ------------------------------------------------------------------ main
 
-_JOBS_HELP = "accepted for compatibility; runs are serial"
-
 
 def _finite_float(raw: str) -> float:
     """argparse type of every float flag: anything but a finite number
@@ -508,7 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None,
                    help=f"output directory (default ${ENV_OUT_DIR} or "
                         "./risklab-out)")
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit-pml",
@@ -545,7 +548,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment INI")
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+        p.add_argument("--jobs", type=int, default=None,
+                       help="ignored, accepted for compatibility; runs are "
+                            "serial")
         p.set_defaults(func=func)
     return parser
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -501,11 +501,7 @@ def predictor_to_dict(p: Predictor) -> dict:
         "biases": [b.tolist() for b in p.biases],
     }
     if p.train_spec is not None:
-        s = p.train_spec
-        d["train_spec"] = {"window": s.window, "hidden": list(s.hidden),
-                           "dropout_p": s.dropout_p, "epochs": s.epochs,
-                           "learning_rate": s.learning_rate, "l2": s.l2,
-                           "seed": s.seed}
+        d["train_spec"] = asdict(p.train_spec)
     return d
 
 

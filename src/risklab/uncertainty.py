@@ -17,7 +17,7 @@ share instead, which is the paper's reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -75,12 +75,6 @@ def estimate_from_matrix(returns: np.ndarray) -> McEstimate:
 
 
 def mc_estimate_to_dict(est: McEstimate) -> dict:
-    return {
-        "mu_mc": est.mu_mc,
-        "sigma2_mc": est.sigma2_mc,
-        "K": est.K,
-        "n_periods": est.n_periods,
-        # the estimate's only mode, still named so mc.json keeps its bytes
-        "mode": "per_period",
-        "per_period_variance": est.per_period_variance.tolist(),
-    }
+    # "mode": the estimate's only mode, still named so mc.json keeps its bytes
+    return {**asdict(est), "mode": "per_period",
+            "per_period_variance": est.per_period_variance.tolist()}

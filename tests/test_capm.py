@@ -253,10 +253,7 @@ def test_universe_validation():
         AssetUniverse(mu=[0.1, 0.1], sigma=np.eye(3))
     with pytest.raises(ValidationError, match="finite"):
         AssetUniverse(mu=[0.1, np.nan], sigma=np.eye(2))
-    with pytest.raises(ValidationError, match="labels"):
-        AssetUniverse(mu=[0.1, 0.1], sigma=np.eye(2), labels=("a",))
     u = AssetUniverse(mu=[0.1, 0.2], sigma=np.eye(2))
-    assert u.labels == ("asset0", "asset1")
     assert u.n == 2
     with pytest.raises(ValueError):
         u.mu[0] = 9.0

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, artifacts, determinism."""
 
 import ctypes
+import dataclasses
 import json
 import os
 import re
@@ -569,16 +570,15 @@ def test_sweep_and_decay_leave_no_artifact_of_an_earlier_run(tmp_path,
 
 
 def test_manifest_ignores_jobs(tmp_path, capsys):
-    # --jobs and [output] jobs change nothing, so the manifest cannot show them
+    # --jobs changes nothing, so the manifest cannot show it
     plain = _write(tmp_path / "plain.ini", RUN_CONFIG)
-    jobs = _write(tmp_path / "jobs.ini", RUN_CONFIG + "\n[output]\njobs = 4\n")
-    runs = (([plain], "a"), ([jobs], "b"), ([plain, "--jobs", "2"], "c"))
+    runs = (([plain], "a"), ([plain, "--jobs", "2"], "c"))
     manifests = []
     for args, name in runs:
         out = tmp_path / name
         assert main(["run", "--config", *args, "--out-dir", str(out)]) == EXIT_OK
         manifests.append((out / "manifest.json").read_bytes())
-    assert manifests[0] == manifests[1] == manifests[2]
+    assert manifests[0] == manifests[1]
     assert "status" not in json.loads(manifests[0])
 
 
@@ -617,7 +617,7 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
     zero_jobs = _write(tmp_path / "f.ini", RUN_CONFIG + "\n[output]\njobs = 0\n")
     assert main(["run", "--config", zero_jobs,
                  "--out-dir", str(tmp_path / "o7")]) == EXIT_CONFIG
-    assert "[output] jobs" in capsys.readouterr().err
+    assert "[output] unknown keys: jobs" in capsys.readouterr().err
     assert not (tmp_path / "o7").exists()
     nan_fee = _write(tmp_path / "g.ini",
                      RUN_CONFIG.replace("fee_bps = 0.2", "fee_bps = nan"))
@@ -695,6 +695,91 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
                          "--out-dir", str(out)]) == EXIT_CONFIG, kind
             assert "[sweep] k > 1" in capsys.readouterr().err
             assert not out.exists()
+
+
+def _config_commands(tmp_path, config):
+    """argv of each command that reads a config file, reading `config`;
+    `train` and `sweep` also get a valid tick CSV and predictor. Every
+    output goes under tmp_path / "out"."""
+    data = str(tmp_path / "ticks.csv")
+    model = str(tmp_path / "model.json")
+    assert main(["gen-data", "--spec", _write(tmp_path / "spec.ini", GEN_SPEC),
+                 "--out", data]) == EXIT_OK
+    assert main(["train", "--data", data, "--config",
+                 _write(tmp_path / "leaked.ini", "[train]\nkind = leaked\n"),
+                 "--out", model]) == EXIT_OK
+    out = tmp_path / "out"
+    return {"gen-data": ["gen-data", "--spec", config, "--out",
+                         str(out / "ticks.csv")],
+            "train": ["train", "--data", data, "--config", config,
+                      "--out", str(out / "model.json")],
+            "sweep": ["sweep", "--data", data, "--predictor", model,
+                      "--config", config, "--out-dir", str(out)],
+            "run": ["run", "--config", config, "--out-dir", str(out)],
+            "decay": ["decay", "--config", config, "--out-dir", str(out)]}
+
+
+def test_non_utf8_config_exits_2_before_any_output(tmp_path, capsys):
+    config = tmp_path / "latin1.ini"
+    config.write_bytes(RUN_CONFIG.encode("utf-8") + b"# \xff\n")
+    commands = _config_commands(tmp_path, str(config))
+    capsys.readouterr()
+    for name, argv in commands.items():
+        assert main(argv) == EXIT_CONFIG, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: latin1.ini: not UTF-8 text ("), name
+        assert not (tmp_path / "out").exists(), name
+
+
+def test_unknown_section_exits_2_for_every_config(tmp_path, capsys):
+    bogus = "\n[bogus]\nx = 1\n"
+    spec = _write(tmp_path / "spec-bogus.ini", GEN_SPEC + bogus)
+    config = _write(tmp_path / "exp-bogus.ini", RUN_CONFIG + bogus)
+    commands = _config_commands(tmp_path, config)
+    commands["gen-data"][2] = spec
+    # a gen-data spec holds [synthetic] only; an experiment config does not
+    commands["gen-data [experiment]"] = ["gen-data", "--spec", _write(
+        tmp_path / "spec-seed.ini", "[experiment]\nseed = 3\n\n" + GEN_SPEC),
+        "--out", str(tmp_path / "out" / "ticks.csv")]
+    capsys.readouterr()
+    for name, argv in commands.items():
+        assert main(argv) == EXIT_CONFIG, name
+        assert "unknown config sections: " in capsys.readouterr().err, name
+        assert not (tmp_path / "out").exists(), name
+
+
+def test_experiment_seed_is_the_default_seed_of_train_and_sweep(tmp_path,
+                                                               capsys):
+    # the README's config: [experiment] seed = 3, and no seed in [train] or
+    # [sweep], so both train and sweep with seed 3, as `run` does
+    config = _write(tmp_path / "exp.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(_config_commands(tmp_path, config)["train"]) == EXIT_OK
+    model = out / "model.json"
+    assert json.loads(model.read_text("utf-8"))["train_spec"]["seed"] == 3
+    assert main(["sweep", "--data", str(tmp_path / "ticks.csv"),
+                 "--predictor", str(model), "--config", config,
+                 "--out-dir", str(out)]) == EXIT_OK
+    mc = json.loads((out / "mc.json").read_text("utf-8"))
+    spec = risklab.SweepSpec(n_configs=10, threshold_range=(0.5, 8.0),
+                             stop_loss_range=(20.0, 80.0),
+                             take_profit_range=(20.0, 80.0), fee_bps=0.2,
+                             K=8, period_ticks=64, seed=3)
+    strategies = [dataclasses.asdict(c) for c in risklab.sweep_configs(spec)]
+    assert [doc["strategy"] for doc in mc] == strategies
+    assert strategies != [dataclasses.asdict(c) for c in risklab.sweep_configs(
+        dataclasses.replace(spec, seed=0))]
+
+
+def test_only_run_and_decay_accept_jobs(tmp_path, capsys):
+    commands = _config_commands(tmp_path, _write(tmp_path / "exp.ini",
+                                                 RUN_CONFIG))
+    capsys.readouterr()
+    assert _exit_code(commands["sweep"] + ["--jobs", "2"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    for name in ("run", "decay"):
+        assert main(commands[name] + ["--jobs", "1"]) == EXIT_OK, name
 
 
 def test_rolling_window_longer_than_a_csv_exits_2_before_the_sweep(

@@ -41,3 +41,27 @@ def test_declared_dependencies_match_imports():
 
 def test_numpy_is_the_only_runtime_dependency():
     assert _declared() == {"numpy"}
+
+
+def _unused_imports(path):
+    """Module-level import bindings of `path` that nothing in it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}"
+                  for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_import_in_src():
+    # __init__.py's imports are the public surface; test_readme checks them
+    # against __all__
+    unused = [entry for path in sorted((ROOT / "src" / "risklab").rglob("*.py"))
+              if path.name != "__init__.py" for entry in _unused_imports(path)]
+    assert unused == []

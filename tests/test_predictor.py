@@ -438,6 +438,60 @@ class TestVariants:
                 variant_surprise_series(vs, k, s)
 
 
+GOLDEN_NET_DOCUMENT = """\
+{
+  "kind": "dropout-net",
+  "scale": 1.0,
+  "horizon": 1,
+  "noise_scale": 0.0,
+  "noise_seed": 0,
+  "final_loss": 0.0625,
+  "train_spec": {
+    "window": 2,
+    "hidden": [
+      2
+    ],
+    "dropout_p": 0.25,
+    "epochs": 3,
+    "learning_rate": 0.5,
+    "l2": 0.0,
+    "seed": 7
+  },
+  "weights": [
+    [
+      0.5,
+      -0.25,
+      1.0,
+      0.125
+    ],
+    [
+      2.0,
+      -1.5
+    ]
+  ],
+  "weight_shapes": [
+    [
+      2,
+      2
+    ],
+    [
+      2,
+      1
+    ]
+  ],
+  "biases": [
+    [
+      0.0,
+      0.25
+    ],
+    [
+      -0.5
+    ]
+  ]
+}
+"""
+
+
 class TestSaveLoad:
     def test_net_round_trip(self, tmp_path):
         s = planted_series(3000)
@@ -458,6 +512,20 @@ class TestSaveLoad:
             q = load_predictor(f)
             assert np.array_equal(surprise_series(q, s), surprise_series(p, s),
                                   equal_nan=True)
+
+    def test_document_bytes_are_pinned(self, tmp_path):
+        # key order and number formatting of a hand-built net's document
+        p = Predictor(kind="dropout-net",
+                      train_spec=TrainSpec(window=2, hidden=(2,),
+                                           dropout_p=0.25, epochs=3,
+                                           learning_rate=0.5, l2=0.0, seed=7),
+                      weights=(np.array([[0.5, -0.25], [1.0, 0.125]]),
+                               np.array([[2.0], [-1.5]])),
+                      biases=(np.array([0.0, 0.25]), np.array([-0.5])),
+                      final_loss=0.0625)
+        f = tmp_path / "net.json"
+        save_predictor(p, f)
+        assert f.read_text(encoding="utf-8") == GOLDEN_NET_DOCUMENT
 
     def test_malformed_document(self, tmp_path):
         f = tmp_path / "bad.json"

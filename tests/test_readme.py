@@ -27,6 +27,7 @@ REMOVED = {
     risklab.TickSeries: ("tick", "ticks", "is_regular", "resolution_ns",
                          "symbol"),
     risklab.VariantSet: ("remask_per_tick",),
+    risklab.AssetUniverse: ("labels",),
     risklab.McEstimate: ("mode",),
     risklab.CorrelationCurve: ("max_lag",),
 }
