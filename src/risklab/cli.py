@@ -2,8 +2,10 @@
 of key-value pairs), prints summaries, writes artifacts and the manifest
 and maps errors to exit codes; `risklab.pipeline` runs the experiments.
 Every config file goes through `_read_config`: UTF-8, only the command's
-known sections, no unknown key in a section it reads, and `[experiment]
-seed` as the default of every other seed.
+known sections, and `[experiment] seed` as the default of every other
+seed. Every section of an experiment config is parsed and key-checked by
+`_parse_sections`, also by `train` and `sweep`, which read one section
+each, and before any data file is read.
 Every artifact is a pure function of (config, seed): reruns are
 byte-identical. Every job runs serially, BLAS included (main pins it to
 one thread); `run` and `decay` accept --jobs for compatibility and ignore it.
@@ -59,7 +61,7 @@ _REQUIRED = object()
 _RUN_ARTIFACTS = ("points.csv", "mc.json", "pml.json", "correlation.csv",
                   "rolling.csv", "manifest.json")
 
-# the sections of an experiment config, which `train` and `sweep` read too
+# the sections of an experiment config, which `train` and `sweep` check too
 _EXPERIMENT_SECTIONS = frozenset({"experiment", "data", "train", "sweep",
                                   "pml", "rolling", "correlation", "output"})
 
@@ -241,55 +243,85 @@ def _pml_params(sec: _Section) -> PmlParams:
     return params
 
 
+def _data_source(sec: _Section, default_seed: int
+                 ) -> Tuple[Optional[SyntheticSpec], Optional[str]]:
+    """(synthetic spec, CSV path) of a [data] section; one is None."""
+    kind = sec.take("kind", str)
+    if kind == "synthetic":
+        return _synthetic_spec(sec, default_seed), None
+    if kind == "csv":
+        path = sec.take("path", str)
+        sec.done()
+        return None, path
+    raise ValidationError(f"[data] unknown kind '{kind}'")
+
+
+def _rolling_params(sec: _Section) -> RollingParams:
+    params = RollingParams(window=sec.take("window", int),
+                           step=sec.take("step", int),
+                           train_frac=sec.take("train_frac", _as_float, 0.5))
+    sec.done()
+    return params
+
+
+def _max_lag(sec: _Section) -> int:
+    max_lag = sec.take("max_lag", int, 5)
+    sec.done()
+    if max_lag < 1:
+        raise ValidationError("[correlation] max_lag must be at least 1")
+    return max_lag
+
+
+def _out_dir(sec: _Section) -> Optional[str]:
+    out_dir = sec.take("dir", str, None)
+    sec.done()
+    return out_dir
+
+
+def _parse_sections(parser: configparser.ConfigParser, seed: int) -> dict:
+    """Section name -> its parse, for every experiment section: each
+    section's own parser checks its keys and values. A missing [data] or
+    [rolling] parses to None, any other missing section to its defaults."""
+    def parse(name, parse_section, *args):
+        if name in ("data", "rolling") and not parser.has_section(name):
+            return None
+        return parse_section(_section(parser, name), *args)
+
+    return {"data": parse("data", _data_source, seed),
+            "train": parse("train", _train_setup, seed),
+            "sweep": parse("sweep", _sweep_spec, seed),
+            "pml": parse("pml", _pml_params),
+            "rolling": parse("rolling", _rolling_params),
+            "correlation": parse("correlation", _max_lag),
+            "output": parse("output", _out_dir)}
+
+
 def load_experiment(path) -> Experiment:
     parser, seed = _read_config(path, _EXPERIMENT_SECTIONS)
-
     if not parser.has_section("data"):
         raise ValidationError("config needs a [data] section")
-    data_sec = _section(parser, "data")
-    data_kind = data_sec.take("kind", str)
-    synthetic = data_path = None
-    if data_kind == "synthetic":
-        synthetic = _synthetic_spec(data_sec, default_seed=seed)
-    elif data_kind == "csv":
-        data_path = data_sec.take("path", str)
-        data_sec.done()
-    else:
-        raise ValidationError(f"[data] unknown kind '{data_kind}'")
+    sections = _parse_sections(parser, seed)
+    synthetic, data_path = sections["data"]
+    train_setup = sections["train"]
+    sweep_spec = sections["sweep"]
+    pml_params = sections["pml"]
+    rolling = sections["rolling"]
+    max_lag = sections["correlation"]
+    out_dir = sections["output"]
 
-    train_setup = _train_setup(_section(parser, "train"), default_seed=seed)
     net = train_setup.spec
-    sweep_spec = _sweep_spec(_section(parser, "sweep"), default_seed=seed)
     if sweep_spec.K > 1 and (net is None or net.dropout_p == 0.0):
         raise ValidationError("[sweep] k > 1 needs dropout variants: "
                               f"[train] kind = {KIND_NET}, dropout_p > 0")
-    pml_params = _pml_params(_section(parser, "pml"))
-
-    rolling = None
-    if parser.has_section("rolling"):
-        roll_sec = _section(parser, "rolling")
-        rolling = RollingParams(window=roll_sec.take("window", int),
-                                step=roll_sec.take("step", int),
-                                train_frac=roll_sec.take("train_frac",
-                                                         _as_float, 0.5))
-        roll_sec.done()
+    if rolling is not None:
         if net is None:
             raise ValidationError(
                 "[rolling] needs a trainable predictor ([train] kind = "
                 f"{KIND_NET})")
-        roll_sec.build(rolling_train_len, rolling.window, rolling.step,
-                       rolling.train_frac, net.window,
-                       n_ticks=synthetic.n_ticks if synthetic else None)
-
-    corr_sec = _section(parser, "correlation")
-    max_lag = corr_sec.take("max_lag", int, 5)
-    corr_sec.done()
-    if max_lag < 1:
-        raise ValidationError("[correlation] max_lag must be at least 1")
-
-    out_sec = _section(parser, "output")
-    out_dir = out_sec.take("dir", str, None)
-    out_sec.done()
+        _section(parser, "rolling").build(
+            rolling_train_len, rolling.window, rolling.step,
+            rolling.train_frac, net.window,
+            n_ticks=synthetic.n_ticks if synthetic else None)
 
     baseline = train_setup.baseline
     echo = {
@@ -347,9 +379,9 @@ def _cmd_gen_data(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    series = load_csv(args.data)
     parser, seed = _read_config(args.config, _EXPERIMENT_SECTIONS)
-    setup = _train_setup(_section(parser, "train"), default_seed=seed)
+    setup = _parse_sections(parser, seed)["train"]
+    series = load_csv(args.data)
     predictor = setup.fit(series)
     save_predictor(predictor, args.out)
     print(json_text({"kind": predictor.kind,
@@ -377,10 +409,10 @@ def _cmd_backtest(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
+    parser, seed = _read_config(args.config, _EXPERIMENT_SECTIONS)
+    spec = _parse_sections(parser, seed)["sweep"]
     series = load_csv(args.data)
     predictor = load_predictor(args.predictor)
-    parser, seed = _read_config(args.config, _EXPERIMENT_SECTIONS)
-    spec = _sweep_spec(_section(parser, "sweep"), default_seed=seed)
     triples = sweep(series, predictor, spec)
     out_dir = _fresh_out_dir(args.out_dir, None)
     points = write_sweep(triples, _writer(out_dir))

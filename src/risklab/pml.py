@@ -31,7 +31,7 @@ from .analysis import SweepSpec, sweep
 from .backtest import BacktestResult, StrategyConfig, sharpe
 from .errors import DegenerateError, ValidationError
 from .market_data import TickSeries
-from .predictor import TrainSpec, train
+from .predictor import TrainSpec, draw_masks, train
 from .uncertainty import McEstimate
 
 INTERCEPT_FIXED = "fixed"
@@ -300,16 +300,28 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
     training diverges, or whose sweep cannot support a fit (all points on
     one risk value, or a strategy that never trades), record NaN rather
     than aborting the run. Windows are evaluated in order of start.
+
+    Every window trains with one spec (so one seed) on train_len ticks, so
+    every window draws the same dropout keep masks: they are drawn once,
+    one bit per draw, and replayed in each window's training. The packed
+    stream takes epochs * rows * sum(hidden) / 8 bytes, and training's own
+    four float64 arrays per hidden layer take 4 * 8 * rows * sum(hidden);
+    the stream is held only while it is no larger, that is while epochs
+    <= 256, and above that each window draws its own.
     """
     n = len(series)
     train_len = rolling_train_len(window, step, train_frac, train_spec.window,
                                   n_ticks=n)
     starts = list(range(0, n - window + 1, step))
+    masks = None
+    if train_spec.dropout_p > 0 and train_spec.epochs <= 4 * 8 * 8:
+        masks = draw_masks(train_spec, train_len - train_spec.window - 1)
 
     def _one_window(start: int) -> Tuple[float, float]:
         chunk = series.window(start, start + window)
         try:
-            predictor = train(chunk.window(0, train_len), train_spec)
+            predictor = train(chunk.window(0, train_len), train_spec,
+                              masks=masks)
             triples = sweep(chunk.window(train_len, window), predictor,
                             sweep_spec)
             fit = fit_pml(sweep_points(triples),

@@ -21,7 +21,11 @@ series, that first hidden layer is shared by all variants.
 
 Everything is seed-deterministic: training the same series with the same
 spec twice yields bit-identical weights, and no call touches global random
-state.
+state. A training draws its initial weights and then its dropout keep
+masks from default_rng(spec.seed), so the masks depend only on the spec
+and the number of training rows, not on the series: `draw_masks` draws
+them once, packed one bit per draw, and trainings that share spec and row
+count (the windows of a rolling refit) replay that stream via `train`.
 """
 
 from __future__ import annotations
@@ -155,9 +159,59 @@ def _features(r: np.ndarray, window: int, scale: float) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(r, window) / scale
 
 
+def _initial_params(spec: TrainSpec, rng: np.random.Generator
+                    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """The net's starting weights, drawn from `rng`, and zero biases."""
+    sizes = (spec.window, *spec.hidden, 1)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return weights, biases
+
+
+@dataclass(frozen=True)
+class MaskStream:
+    """The keep masks a training with `spec` on `rows` rows draws.
+
+    bits[l][epoch] is hidden layer l's mask in that epoch: np.packbits of
+    its (rows, width) uniform draws >= dropout_p, in C order.
+    """
+
+    spec: TrainSpec
+    rows: int
+    bits: Tuple[np.ndarray, ...]
+
+
+def draw_masks(spec: TrainSpec, rows: int) -> MaskStream:
+    """Every keep mask that `train` draws for `spec` on a series that
+    gives `rows` training rows (len(series) - spec.window - 1).
+
+    The generator is advanced past the initial weights by the helper
+    `train` uses, and then draws each epoch's masks layer by layer, as
+    `_descend` does. Packed, the stream takes one bit per draw.
+    """
+    if spec.dropout_p == 0.0:
+        raise ValidationError("a net with dropout_p = 0 draws no masks")
+    if rows < 1:
+        raise ValidationError("a mask stream needs at least 1 row")
+    rng = np.random.default_rng(spec.seed)
+    _initial_params(spec, rng)
+    bits = [np.empty((spec.epochs, (rows * width + 7) // 8), dtype=np.uint8)
+            for width in spec.hidden]
+    for epoch in range(spec.epochs):
+        for layer, width in zip(bits, spec.hidden):
+            layer[epoch] = np.packbits(rng.random(rows * width)
+                                       >= spec.dropout_p)
+    for layer in bits:
+        layer.setflags(write=False)
+    return MaskStream(spec=spec, rows=rows, bits=tuple(bits))
+
+
 def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
              biases: List[np.ndarray], spec: TrainSpec,
-             rng: np.random.Generator) -> None:
+             rng: np.random.Generator,
+             stream: Optional[MaskStream] = None) -> None:
     """Run spec.epochs of full-batch gradient descent on weights and biases.
 
     Each hidden layer's (n, width) arrays are allocated once and rewritten
@@ -165,6 +219,11 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
     keep_scale; after the backward pass has applied it, the scratch for the
     tanh derivative), the masked activation and the gradient. So is the
     residual, whose loss is np.mean(resid ** 2) without np.mean's wrapper.
+
+    The keep masks are drawn from `rng` into the mask array, or, given a
+    `stream` drawn for this spec and row count, unpacked from it: 0 or 1
+    times keep_scale gives the same 0.0 or keep_scale as a draw compared
+    with p in place and then scaled.
 
     Two operations along the narrow hidden axis take einsum forms, which
     give the same bits in a fraction of the time at these widths: a bias
@@ -200,9 +259,14 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
             np.tanh(a, out=a)
             if p > 0:
                 m = masks[l]
-                rng.random(out=m)
-                np.greater_equal(m, p, out=m)
-                m *= keep_scale
+                if stream is None:
+                    rng.random(out=m)
+                    np.greater_equal(m, p, out=m)
+                    m *= keep_scale
+                else:
+                    np.multiply(np.unpackbits(stream.bits[l][epoch],
+                                              count=m.size),
+                                keep_scale, out=m.reshape(-1))
                 # exact reassociation of (a * keep) * keep_scale
                 np.multiply(a, m, out=acts[l])
             h = acts[l]
@@ -236,18 +300,25 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
             biases[l] = biases[l] - spec.learning_rate * gb
 
 
-def train(series: TickSeries, spec: TrainSpec) -> Predictor:
+def train(series: TickSeries, spec: TrainSpec,
+          masks: Optional[MaskStream] = None) -> Predictor:
     """Fit the dropout network to one series.
 
     Inputs are the last `window` log returns, the target is the next log
     return, both standardized by the training return volatility. The loss
     is mean squared error plus an l2 weight penalty, minimized by
     full-batch gradient descent with fresh dropout masks each epoch.
+    `masks`, if given, is `draw_masks` of this spec and row count, replayed
+    in place of drawing: the result is the same bits either way.
     """
     if len(series) < spec.window + 2:
         raise ValidationError(
             f"series too short to train: {len(series)} ticks, "
             f"need at least {spec.window + 2}")
+    rows = len(series) - spec.window - 1
+    if masks is not None and (masks.spec != spec or masks.rows != rows):
+        raise ValidationError("the mask stream was drawn for another spec "
+                              f"or row count ({masks.rows} rows, not {rows})")
     r = np.diff(np.log(series.mid))
     y_raw = r[spec.window:]
     std = float(y_raw.std())
@@ -256,15 +327,11 @@ def train(series: TickSeries, spec: TrainSpec) -> Predictor:
     y = y_raw / scale
 
     rng = np.random.default_rng(spec.seed)
-    sizes = (spec.window, *spec.hidden, 1)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    weights, biases = _initial_params(spec, rng)
     # a diverging descent overflows to inf or NaN on its way to the
     # DegenerateError below, which says so without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _descend(x, y, weights, biases, spec, rng)
+        _descend(x, y, weights, biases, spec, rng, masks)
         # report the dropout-free in-sample MSE in raw return units
         final = _forward(np.tanh(x @ weights[0] + biases[0]),
                          weights, biases) - y

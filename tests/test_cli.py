@@ -748,6 +748,47 @@ def test_unknown_section_exits_2_for_every_config(tmp_path, capsys):
         assert not (tmp_path / "out").exists(), name
 
 
+def test_train_and_sweep_check_every_experiment_section(tmp_path, capsys):
+    # a config that `run` rejects fails `train` and `sweep` too, whichever
+    # section holds the unknown key, although each reads one section
+    config = tmp_path / "exp.ini"
+    commands = _config_commands(tmp_path, str(config))
+    capsys.readouterr()
+    for section in ("data", "train", "sweep", "pml", "rolling",
+                    "correlation", "output"):
+        _write(config, _with_key(RUN_CONFIG, section, "bogus_key", "1"))
+        for name in ("train", "sweep", "run"):
+            assert main(commands[name]) == EXIT_CONFIG, (section, name)
+            assert f"[{section}] unknown keys: bogus_key" \
+                in capsys.readouterr().err, (section, name)
+            assert not (tmp_path / "out").exists(), (section, name)
+    # [data] stays optional for the commands that read a CSV; the net
+    # that `train` writes has the dropout that the sweep's k = 8 needs
+    _write(config, RUN_CONFIG[:RUN_CONFIG.index("[data]")]
+           + RUN_CONFIG[RUN_CONFIG.index("[train]"):])
+    (tmp_path / "out").mkdir()
+    assert main(commands["train"]) == EXIT_OK
+    commands["sweep"][4] = str(tmp_path / "out" / "model.json")
+    assert main(commands["sweep"]) == EXIT_OK
+
+
+def test_train_and_sweep_read_the_config_before_the_data(tmp_path, capsys):
+    # a bad config exits 2 before a tick CSV or predictor is read: here
+    # neither exists, which would exit 3
+    missing = str(tmp_path / "missing")
+    bad = _write(tmp_path / "bad.ini",
+                 _with_key(RUN_CONFIG, "pml", "bogus_key", "1"))
+    good = _write(tmp_path / "good.ini", RUN_CONFIG)
+    for config, code in ((bad, EXIT_CONFIG), (good, EXIT_IO)):
+        assert main(["train", "--data", missing, "--config", config,
+                     "--out", str(tmp_path / "model.json")]) == code
+        assert main(["sweep", "--data", missing, "--predictor", missing,
+                     "--config", config,
+                     "--out-dir", str(tmp_path / "out")]) == code
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_seed_is_the_default_seed_of_train_and_sweep(tmp_path,
                                                                capsys):
     # the README's config: [experiment] seed = 3, and no seed in [train] or

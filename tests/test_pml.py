@@ -6,14 +6,16 @@ from that run, and a live statsmodels comparison repeats it.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from risklab.backtest import BacktestResult, TradeLog
-from risklab.analysis import SweepSpec
+from risklab import pml
+from risklab.backtest import BacktestResult, TradeLog, sharpe
+from risklab.analysis import SweepSpec, sweep
 from risklab.errors import DegenerateError, ValidationError
-from risklab.market_data import SyntheticSpec, gen_synthetic
+from risklab.market_data import SyntheticSpec, TickSeries, gen_synthetic
 from risklab.pml import (
     AXIS_MC,
     DEFAULT_RF_PER_PERIOD,
@@ -350,6 +352,98 @@ def test_rolling_degenerate_window_records_nan():
                             step=1200)
         assert len(r) == 1
         assert np.isnan(r.sr_theta_series[0])
+
+
+def _climb_in_second_window():
+    """SIGNAL's first 1,800 ticks, with a steady climb of 10 bps a tick in
+    place of ticks 600 to 900. Standardized by its tiny noise, that climb
+    saturates the net's hidden layer, and the descent diverges at learning
+    rates that the other 600-tick windows train at."""
+    s = gen_synthetic(SIGNAL).window(0, 1800)
+    r = np.diff(np.log(s.mid))
+    r[600:900] = 1e-3 + 1e-6 * np.random.default_rng(0).standard_normal(300)
+    mid = s.mid[0] * np.exp(np.concatenate([[0.0], np.cumsum(r)]))
+    half = (s.ask - s.bid) / 2
+    return TickSeries(s.ts, mid - half, mid + half)
+
+
+def _windows_one_by_one(series, train_spec, window, train_len):
+    """(sr_theta, sr_observed) of each window of `series`, stepping by
+    `window`: each trains on its own, drawing its own dropout masks, then
+    sweeps and fits; a DegenerateError gives NaN."""
+    theta, observed = [], []
+    for start in range(0, len(series) - window + 1, window):
+        chunk = series.window(start, start + window)
+        try:
+            net = train(chunk.window(0, train_len), train_spec)
+            triples = sweep(chunk.window(train_len, window), net, SWEEP)
+            fit = fit_pml(sweep_points(triples))
+        except DegenerateError:
+            theta.append(np.nan)
+            observed.append(np.nan)
+            continue
+        theta.append(fit.sr_theta)
+        sr = sharpe(triples[0][1], DEFAULT_RF_PER_PERIOD)
+        observed.append(np.nan if sr is None else sr)
+    return np.array(theta), np.array(observed)
+
+
+@pytest.mark.parametrize("epochs, learning_rate", [(200, 0.5), (257, 0.3)])
+def test_rolling_matches_the_windows_trained_one_by_one(
+        monkeypatch, epochs, learning_rate):
+    # up to 256 epochs every window replays one stream of masks, drawn
+    # once; above, each window draws its own. Either way each window's
+    # numbers are those it gives alone, also after a window that diverges
+    series = _climb_in_second_window()
+    spec = dataclasses.replace(TRAIN, epochs=epochs,
+                               learning_rate=learning_rate)
+    with pytest.raises(DegenerateError, match="non-finite training loss"):
+        train(series.window(600, 900), spec)
+    theta, observed = _windows_one_by_one(series, spec, 600, 300)
+    assert np.isnan(theta[1]) and np.isfinite(theta[[0, 2]]).all()
+    replayed = []
+
+    def spy(series, spec, masks=None):
+        replayed.append(masks)
+        return train(series, spec, masks=masks)
+
+    monkeypatch.setattr(pml, "train", spy)
+    r = rolling_pml(series, spec, SWEEP, window=600, step=600)
+    assert r.sr_theta_series.tobytes() == theta.tobytes()
+    assert r.sr_observed_series.tobytes() == observed.tobytes()
+    # one call per window, through the name `pml.train`: a tracer that
+    # wraps it counts the trainings there
+    assert len(replayed) == 3
+    if epochs <= 256:
+        assert replayed[0].rows == 293
+        assert all(m is replayed[0] for m in replayed)
+    else:
+        assert replayed == [None, None, None]
+
+
+def test_rolling_masks_stay_packed():
+    # the decay benchmark's windows: 1,993 training rows, hidden 8 and 150
+    # epochs. The stream of masks they share is 298,950 bytes packed, and
+    # the peak measured 2.34 MB, 2.03 MB where every window drew its own;
+    # the stream as bools (2.4 MB) or as float64 (19 MB) crosses the gate
+    series = gen_synthetic(SyntheticSpec(n_ticks=6000, sigma_noise=3e-4,
+                                         phi=0.9, sigma_signal=2e-4,
+                                         spread_bps=1.0, seed=41,
+                                         decay_to=0.0))
+    spec = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=150,
+                     learning_rate=0.05, l2=1e-4, seed=41)
+    sweep_spec = SweepSpec(n_configs=8, threshold_range=(2.0, 4.0),
+                           stop_loss_range=(30.0, 40.0),
+                           take_profit_range=(30.0, 40.0), fee_bps=0.2,
+                           seed=41, K=4, period_ticks=64)
+    tracemalloc.start()
+    try:
+        r = rolling_pml(series, spec, sweep_spec, window=4000, step=2000)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(r.sr_theta_series).all()
+    assert peak_mb < 3.5, f"rolling_pml peaked at {peak_mb:.2f} MB"
 
 
 def test_unstable_fit_raises_instead_of_trading_inf_surprises():

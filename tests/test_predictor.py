@@ -10,10 +10,11 @@ from predictor_oracle import surprises, variant_keep_flags
 from risklab import (DegenerateError, SyntheticSpec, TickSeries,
                      ValidationError, gen_synthetic)
 from risklab.predictor import (Predictor, TrainSpec, _descend, _features,
-                               _ndtri_lower, eps, first_layer, load_predictor,
-                               make_leaked, make_noise, make_persistence,
-                               sample_variants, save_predictor,
-                               surprise_series, train, variant_surprise_series)
+                               _initial_params, _ndtri_lower, draw_masks, eps,
+                               first_layer, load_predictor, make_leaked,
+                               make_noise, make_persistence, sample_variants,
+                               save_predictor, surprise_series, train,
+                               variant_surprise_series)
 
 SEC = 1_000_000_000
 
@@ -42,6 +43,19 @@ SPEC = TrainSpec(window=8, hidden=(16,), dropout_p=0.2, epochs=150,
 DIVERGING = [((5, 7, 3), 27), ((4, 1), 29)]
 
 
+def mask_stream(source, spec, rows):
+    """The `masks` argument of a training that draws its keep masks
+    ("drawn") or replays them from `draw_masks` ("replayed"); a net without
+    dropout draws none, so it has no stream to replay."""
+    if source == "drawn":
+        return None
+    if spec.dropout_p == 0.0:
+        with pytest.raises(ValidationError, match="draws no masks"):
+            draw_masks(spec, rows)
+        return None
+    return draw_masks(spec, rows)
+
+
 class TestTrain:
     def test_constant_series_zero_loss(self):
         p = train(constant_series(), SPEC)
@@ -62,21 +76,26 @@ class TestTrain:
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
+    # 1,993 training rows: a width that is no multiple of 8 packs its
+    # masks into a last byte that is partly padding
     @pytest.mark.parametrize("hidden",
                              [(16,), (8, 4), (5, 7, 3), (1,), (4, 1), (8,)])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
-    def test_matches_the_epoch_loop_oracle_bitwise(self, hidden, dropout_p):
+    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
+    def test_matches_the_epoch_loop_oracle_bitwise(self, hidden, dropout_p,
+                                                   masks):
         s = planted_series(2000)
         spec = TrainSpec(window=6, hidden=hidden, dropout_p=dropout_p,
                          epochs=40, learning_rate=0.05, seed=3)
         weights, biases, final_loss = train_oracle.fit(s, spec)
-        p = train(s, spec)
+        p = train(s, spec, masks=mask_stream(masks, spec, 1993))
         for want, got in zip(weights + biases, p.weights + p.biases,
                              strict=True):
             assert np.array_equal(want, got)
         assert p.final_loss == final_loss
 
-    def test_diverging_training_raises_like_the_oracle(self):
+    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
+    def test_diverging_training_raises_like_the_oracle(self, masks):
         s = planted_series(600)
         for hidden, epoch in DIVERGING:
             spec = TrainSpec(window=6, hidden=hidden, dropout_p=0.2,
@@ -85,7 +104,7 @@ class TestTrain:
                 with pytest.raises(DegenerateError) as want:
                     train_oracle.fit(s, spec)
                 with pytest.raises(DegenerateError) as got:
-                    train(s, spec)
+                    train(s, spec, masks=mask_stream(masks, spec, 593))
             assert str(got.value) == str(want.value) \
                 == f"non-finite training loss at epoch {epoch}"
 
@@ -107,8 +126,9 @@ class TestTrain:
     @pytest.mark.parametrize("hidden", [(8,), (4, 1), (5, 7, 3)])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
     @pytest.mark.parametrize("epochs", [1, 40])
+    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
     def test_descends_like_the_oracle_from_a_zero_output_weight(
-            self, zero, hidden, dropout_p, epochs):
+            self, zero, hidden, dropout_p, epochs, masks):
         # a zero last-layer entry makes its column of grad @ W.T all zeros,
         # which einsum returns as +0.0 whatever the products' signs; after
         # one epoch the zero bias gradient it gives is still in the bytes
@@ -124,13 +144,42 @@ class TestTrain:
                    for a, b in zip(sizes[:-1], sizes[1:])]
         weights[-1][0, 0] = zero
         biases = [np.zeros(b) for b in sizes[1:]]
+
+        def drawn_after_init():
+            # where a training's masks start: past its initial weights
+            rng = np.random.default_rng(spec.seed)
+            _initial_params(spec, rng)
+            return rng
+
         want_w, want_b = list(weights), list(biases)
-        train_oracle.descend(x, y, want_w, want_b, spec,
-                             np.random.default_rng(5))
+        train_oracle.descend(x, y, want_w, want_b, spec, drawn_after_init())
         got_w, got_b = list(weights), list(biases)
-        _descend(x, y, got_w, got_b, spec, np.random.default_rng(5))
+        _descend(x, y, got_w, got_b, spec, drawn_after_init(),
+                 mask_stream(masks, spec, x.shape[0]))
         for want, got in zip(want_w + want_b, got_w + got_b, strict=True):
             assert want.tobytes() == got.tobytes()
+
+    def test_replays_only_the_stream_of_its_spec_and_row_count(self):
+        # np.unpackbits pads a short stream with zeros without complaint,
+        # so a stream of fewer rows would silently drop every unit there
+        s = planted_series(2000)
+        spec = TrainSpec(window=6, hidden=(5, 7, 3), dropout_p=0.3,
+                         epochs=40, learning_rate=0.05, seed=3)
+        stream = draw_masks(spec, 1993)
+        assert [b.shape for b in stream.bits] == [(40, 1246), (40, 1744),
+                                                  (40, 748)]
+        assert not any(b.flags.writeable for b in stream.bits)
+        for other in (draw_masks(spec, 1992), draw_masks(spec, 1994),
+                      draw_masks(TrainSpec(**{**spec.__dict__, "seed": 4}),
+                                 1993),
+                      draw_masks(TrainSpec(**{**spec.__dict__, "epochs": 41}),
+                                 1993)):
+            with pytest.raises(ValidationError, match="mask stream"):
+                train(s, spec, masks=other)
+        with pytest.raises(ValidationError, match="mask stream"):
+            train(s.window(0, 1999), spec, masks=stream)
+        with pytest.raises(ValidationError, match="at least 1 row"):
+            draw_masks(spec, 0)
 
     @pytest.mark.parametrize("rows", [1993, 15993])
     def test_einsum_forms_match_numpy_bitwise(self, rows):
