@@ -8,7 +8,8 @@ tightness score for comparing risk-return point clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import (Dict, Hashable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .backtest import (
 )
 from .errors import ValidationError
 from .market_data import TickSeries
-from .predictor import (Predictor, first_layer, sample_variants,
+from .predictor import (Predictor, VariantSet, first_layer, sample_variants,
                         surprise_series, variant_surprise_series)
 from .uncertainty import McEstimate, estimate_from_matrix
 
@@ -91,33 +92,71 @@ def sweep(series: TickSeries, predictor: Predictor,
     Every config is evaluated on the same base surprise series and gets
     its own K dropout variants of the same base predictor. K=1 skips
     variant sampling and reports zero cross-variant variance. With K > 1
-    all n_configs*K variant columns run through one lockstep engine pass,
+    all n_configs*K variant columns run through one lockstep engine call,
     which builds no fills, and each config's estimate comes from its K
     rows. The output is ordered by config index.
     """
+    prep = prepare_sweep(series, predictor, spec)
+    returns = (run_backtest_columns(series, prep.rows, prep.columns)
+               if prep.columns else None)
+    return finish_sweep(prep, returns)
+
+
+class PreparedSweep(NamedTuple):
+    """A sweep up to its variant columns, which `finish_sweep` completes.
+
+    `results` are the configs' backtests on the base signal. With K > 1,
+    `columns` holds the config of each variant column, K per config in
+    config order, and `rows` makes their surprise rows one at a time as
+    they are read; with K = 1 both are empty.
+    """
+
+    configs: List[StrategyConfig]
+    results: List[BacktestResult]
+    columns: List[StrategyConfig]
+    rows: Iterator[np.ndarray]
+
+
+def prepare_sweep(series: TickSeries, predictor: Predictor,
+                  spec: SweepSpec) -> PreparedSweep:
+    """Draw the configs, backtest each on the base signal and set up the
+    variant rows of `sweep(series, predictor, spec)`."""
     configs = sweep_configs(spec)
-    seed_rng = np.random.default_rng(np.random.SeedSequence([spec.seed,
-                                                             _VARIANT_STREAM]))
-    variant_seeds = seed_rng.integers(0, 2 ** 63 - 1, size=spec.n_configs)
     base_surprise = surprise_series(predictor, series)
     results = [run_backtest_signals(series, base_surprise, cfg)
                for cfg in configs]
     if spec.K == 1:
-        estimates = [estimate_from_matrix(r.period_returns[np.newaxis, :])
-                     for r in results]
-    else:
-        variant_sets = [sample_variants(predictor, spec.K, seed=int(seed))
-                        for seed in variant_seeds]
-        # a generator: the engine reads one block of variant rows at a time;
-        # every variant starts from the same first hidden layer
-        first = first_layer(predictor, series)
-        rows = (variant_surprise_series(vs, k, series, first)
-                for vs in variant_sets for k in range(spec.K))
-        returns = run_backtest_columns(
-            series, rows, [cfg for cfg in configs for _ in range(spec.K)])
-        estimates = [estimate_from_matrix(m) for m in
-                     returns.reshape(spec.n_configs, spec.K, -1)]
-    return list(zip(configs, results, estimates))
+        return PreparedSweep(configs, results, [], iter(()))
+    seed_rng = np.random.default_rng(np.random.SeedSequence([spec.seed,
+                                                             _VARIANT_STREAM]))
+    variant_sets = [sample_variants(predictor, spec.K, seed=int(seed))
+                    for seed in seed_rng.integers(0, 2 ** 63 - 1,
+                                                  size=spec.n_configs)]
+    return PreparedSweep(configs, results,
+                         [cfg for cfg in configs for _ in range(spec.K)],
+                         _variant_rows(series, variant_sets))
+
+
+def _variant_rows(series: TickSeries,
+                  variant_sets: Sequence[VariantSet]) -> Iterator[np.ndarray]:
+    """Every variant's surprise row in turn. All variants start from the
+    same first hidden layer, computed once when the first row is read."""
+    first = first_layer(variant_sets[0].base, series)
+    for vs in variant_sets:
+        for k in range(vs.K):
+            yield variant_surprise_series(vs, k, series, first)
+
+
+def finish_sweep(prep: PreparedSweep, returns: Optional[np.ndarray]
+                 ) -> List[Tuple[StrategyConfig, BacktestResult, McEstimate]]:
+    """`sweep`'s triples, given the (len(columns), n_periods) period returns
+    of the prepared sweep's variant columns (None when it has none, and
+    each config's estimate is of its base returns alone)."""
+    if returns is None:
+        returns = np.array([r.period_returns for r in prep.results])
+    return [(cfg, result, estimate_from_matrix(m)) for cfg, result, m in
+            zip(prep.configs, prep.results,
+                returns.reshape(len(prep.configs), -1, returns.shape[1]))]
 
 
 @dataclass(frozen=True)

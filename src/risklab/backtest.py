@@ -33,10 +33,18 @@ script signals directly:
     config's base signal through it.
   - `run_backtest_columns` runs C surprise columns, one config each, in
     lockstep: every step advances each column by one trade, so the cost
-    of a numpy call is shared by all open columns. It returns period
-    returns only, which is all a sweep's dropout variants are read for,
-    and matches the scalar path bit for bit. A sweep with K = 1 has no
-    variant columns and stays on the scalar path.
+    of a numpy call is shared by all open columns. Each column trades its
+    own window of one series, given by its start (by default tick 0 and
+    the whole series), so a rolling refit sends all its windows' columns
+    through one call. As each surprise row arrives it is reduced to a lean
+    state of 7 bytes a tick: its long signals and its two flip rows as
+    bools and, as int32, the next tick that opens a position; the float
+    row is not kept. Columns run in blocks of up to 2**19 column-ticks
+    (3.7 MB of state), and trades are added to their periods a few
+    thousand at a time. It returns period returns only, which is all a
+    sweep's dropout variants are read for, and matches the scalar path bit
+    for bit. A sweep with K = 1 has no variant columns and stays on the
+    scalar path.
 
 Both read the first EXIT_BLOCK ticks of a hold through one block scan,
 `_block_scan`, and the rest through `_scan_exit`, so they compute the same
@@ -52,7 +60,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,12 +84,16 @@ _TAKE_PROFIT, _STOP_LOSS, _SIGNAL_FLIP, _END_OF_DATA = range(4)
 
 # ticks in the first block of the exit scan; later blocks double
 EXIT_BLOCK = 16
-_SCAN = np.arange(EXIT_BLOCK)
+_SCAN = np.arange(EXIT_BLOCK)[:, None]
 
-# columns x ticks per block of the column core, and candidates x EXIT_BLOCK
-# per chunk of the exit table; a block's arrays take about 32 bytes an
-# element, so a block peaks near 8.4 MB at any shape
+# candidates x EXIT_BLOCK per chunk of the exit table; a chunk's arrays take
+# about 32 bytes an element, so a chunk peaks near 8.4 MB at any shape
 _BLOCK_ELEMENTS = 1 << 18
+# column-ticks per block of the column core, whose lean state takes 7 bytes
+# a column-tick (3.7 MB a block), and the trades it holds before adding
+# them to their periods (25 bytes a trade, 0.2 MB)
+_COLUMN_TICKS = 1 << 19
+_HELD_TRADES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -251,27 +263,34 @@ def _exit_table(series: TickSeries, midv: np.ndarray, flips: np.ndarray,
     goes on from the block's end, or closes it at the final tick, only if
     the chase takes it.
     """
+    n = midv.size
     exit_tick = np.empty(cand.size, dtype=np.intp)
     chunk = _BLOCK_ELEMENTS // EXIT_BLOCK
     for lo in range(0, cand.size, chunk):
         part = slice(lo, lo + chunk)
         fi, up = cand[part] + 1, is_long[part]
         entry_px = np.where(up, series.ask[fi], series.bid[fi])
-        k, found = _block_scan(midv, flips, up.astype(np.intp), fi,
+        k, found = _block_scan(midv, flips.reshape(-1), n * up, fi, n - 2,
                                np.where(up, 1.0, -1.0), entry_px, tp, -sl)
         exit_tick[part] = np.where(found, fi + 1 + k, -1)
     return exit_tick
 
 
 def run_backtest_columns(series: TickSeries, surprises: Iterable[np.ndarray],
-                         cfgs: Sequence[StrategyConfig]) -> np.ndarray:
+                         cfgs: Sequence[StrategyConfig],
+                         starts: Optional[Sequence[int]] = None,
+                         length: Optional[int] = None) -> np.ndarray:
     """Period returns of surprise column c traded under cfgs[c], in lockstep.
 
-    `surprises` is a (C, n) matrix or any iterable of C length-n rows. Rows
-    are read one block at a time, so a generator holds only one block in
-    memory. All configs must share one period_ticks. Row c of the
-    (C, n_periods) result equals `run_backtest_signals(series,
-    surprises[c], cfgs[c]).period_returns` bit for bit; no fills are built.
+    Column c trades the `length` ticks of `series` from tick starts[c]; by
+    default every column starts at tick 0 and spans the series. Columns
+    may overlap or abut. `surprises` is a (C, length) matrix or any
+    iterable of C length-`length` rows; each row is read as its block
+    starts and only its lean state is kept, so a generator never has more
+    than one row in memory. All configs must share one period_ticks. Row c
+    of the (C, n_periods) result equals `run_backtest_signals(
+    series.window(starts[c], starts[c] + length), surprises[c],
+    cfgs[c]).period_returns` bit for bit; no fills are built.
     """
     if not cfgs:
         raise ValidationError("no columns to backtest")
@@ -279,118 +298,166 @@ def run_backtest_columns(series: TickSeries, surprises: Iterable[np.ndarray],
     if any(cfg.period_ticks != period_ticks for cfg in cfgs):
         raise ValidationError("all columns must share one period_ticks")
     n = len(series)
-    n_periods = -(-n // period_ticks)
-    out = np.empty((len(cfgs), n_periods))
-    rows = iter(surprises)
-    width = max(1, _BLOCK_ELEMENTS // n)
+    length = n if length is None else length
+    starts = np.zeros(len(cfgs), dtype=np.intp) if starts is None \
+        else np.asarray(starts, dtype=np.intp)
+    if length < 1 or starts.shape != (len(cfgs),) or \
+            (starts.size and (starts.min() < 0 or starts.max() > n - length)):
+        raise ValidationError(
+            f"need one start per column, each with {length} ticks inside "
+            f"the {n}-tick series")
+    out = np.zeros((len(cfgs), -(-length // period_ticks)))
+    rows = _checked_rows(surprises, len(cfgs), length)
+    width = max(1, _COLUMN_TICKS // length)
     for lo in range(0, len(cfgs), width):
-        block = np.empty((min(width, len(cfgs) - lo), n))
-        for j in range(len(block)):
-            row = np.asarray(next(rows, None), dtype=np.float64)
-            if row.shape != (n,):
-                raise ValidationError(
-                    f"surprises must be {len(cfgs)} rows of {n} ticks")
-            block[j] = row
-        out[lo:lo + len(block)] = _run_block(
-            series, block, cfgs[lo:lo + len(block)], n_periods)
-    if next(rows, None) is not None:
-        raise ValidationError(f"surprises has more than {len(cfgs)} rows")
+        hi = min(lo + width, len(cfgs))
+        _run_block(series, rows, cfgs[lo:hi], starts[lo:hi], length,
+                   out[lo:hi])
+    next(rows, None)  # raises when there are rows to spare
     return out
 
 
-def _run_block(series: TickSeries, surprise: np.ndarray,
-               cfgs: Sequence[StrategyConfig], n_periods: int) -> np.ndarray:
-    """`run_backtest_columns` on one block of columns."""
-    c, n = surprise.shape
-    last_entry = n - 3
+def _checked_rows(surprises: Iterable[np.ndarray], c: int,
+                  length: int) -> Iterator[np.ndarray]:
+    """The c rows of `surprises` as float64, each checked to hold `length`
+    ticks; asked for one more, it raises if `surprises` has one."""
+    rows = iter(surprises)
+    for _ in range(c):
+        row = np.asarray(next(rows, None), dtype=np.float64)
+        if row.shape != (length,):
+            raise ValidationError(f"surprises must be {c} rows of {length} ticks")
+        yield row
+    if next(rows, None) is not None:
+        raise ValidationError(f"surprises has more than {c} rows")
+
+
+def _run_block(series: TickSeries, rows: Iterator[np.ndarray],
+               cfgs: Sequence[StrategyConfig], starts: np.ndarray, n: int,
+               out: np.ndarray) -> None:
+    """`run_backtest_columns` on one block of columns, n ticks each, into
+    the block's rows of `out`."""
+    c = len(cfgs)
     thr, tp, sl, fee = (np.array([getattr(cfg, name) for cfg in cfgs]) * 1e-4
                         for name in ("threshold_bps", "take_profit_bps",
                                      "stop_loss_bps", "fee_bps"))
-    short_ok = np.array([cfg.allow_short for cfg in cfgs])
-    # flips row j ends a short in column j, and row c + j a long
-    flips = np.empty((2, c, n), dtype=bool)
-    with np.errstate(invalid="ignore"):
-        long_sig = surprise > thr[:, None]
-        entry_sig = long_sig | ((surprise < -thr[:, None])
-                                & short_ok[:, None])
-        np.greater(surprise, 0.0, out=flips[0])
-        np.less(surprise, 0.0, out=flips[1])
-    flips = flips.reshape(2 * c, n)
+    # The lean state, 7 bytes a column-tick, built as each row arrives:
+    # long_sig[j, t] is column j's long signal; flips row j ends a short in
+    # column j and row c + j a long; next_entry[j, t] is the first tick at
+    # or after t whose signal opens a position in column j, or n when none
+    # is left (a reverse running minimum).
+    long_sig = np.empty((c, n), dtype=bool)
+    flips = np.empty((2 * c, n), dtype=bool)
+    next_entry = np.empty((c, n), dtype=np.int32 if n < 2**31 else np.intp)
+    # the ticks a signal can open a position at; the last two open none
+    ticks = np.arange(n, dtype=next_entry.dtype)
+    ticks[max(n - 2, 0):] = n
+    for j, cfg in enumerate(cfgs):
+        surprise = next(rows)
+        np.greater(surprise, thr[j], out=long_sig[j])
+        entry_sig = long_sig[j]
+        if cfg.allow_short:
+            entry_sig = entry_sig | (surprise < -thr[j])
+        np.greater(surprise, 0.0, out=flips[j])
+        np.less(surprise, 0.0, out=flips[c + j])
+        cand = np.where(entry_sig, ticks, n)
+        np.minimum.accumulate(cand[::-1], out=next_entry[j, ::-1])
+    del surprise, entry_sig, cand
+
     midv = series.mid
     bid, ask = series.bid, series.ask
-    # next_entry[j, t]: the first tick at or after t whose signal opens a
-    # position in column j, or n when none is left (a reverse running
-    # minimum); ticks past last_entry open none
-    entry_sig[:, last_entry + 1:] = False
-    cand = np.where(entry_sig, np.arange(n), n)
-    next_entry = np.minimum.accumulate(cand[:, ::-1], axis=1)[:, ::-1]
-    del cand, entry_sig
-
+    long_flat, flips_flat = long_sig.reshape(-1), flips.reshape(-1)
+    next_flat = next_entry.reshape(-1)
     cols = np.arange(c)
     i = next_entry[:, 0]
-    tp_open, neg_sl_open = tp[:, None], -sl[:, None]
-    steps = []
+    # per open column: its first element in the flat (c, n) state, the
+    # offset of its ticks in `series` (its fills are at i + fill_base) and
+    # its last tick there that can trigger; its flip at tick u of `series`
+    # is flips_flat[u + flip_base] (a long's row is c rows on)
+    row, fill_base, last = cols * n, starts + 1, starts + (n - 2)
+    flip_base = row - starts
+    tp_open, neg_sl_open = tp, -sl
+    steps, held = [], 0
     while True:
         live = i < n
-        if not live.all():
+        if np.count_nonzero(live) < cols.size:
             cols, i = cols[live], i[live]
-            tp_open, neg_sl_open = tp_open[live], neg_sl_open[live]
             if not cols.size:
                 break
-        is_long = long_sig[cols, i]
-        fi = i + 1
-        entry_px = np.where(is_long, ask[fi], bid[fi])
+            row, fill_base, last = row[live], fill_base[live], last[live]
+            flip_base = flip_base[live]
+            tp_open, neg_sl_open = tp_open[live], neg_sl_open[live]
+        is_long = long_flat[row + i]
+        fill = i + fill_base
+        entry_px = np.where(is_long, ask[fill], bid[fill])
         side = np.where(is_long, 1.0, -1.0)
-        row = cols + c * is_long
-        k, found = _block_scan(midv, flips, row, fi, side, entry_px,
-                               tp_open, neg_sl_open)
-        ei = fi + 1 + k
-        if not found.all():
+        k, found = _block_scan(midv, flips_flat, flip_base + (c * n) * is_long,
+                               fill, last, side, entry_px, tp_open,
+                               neg_sl_open)
+        ei = k + i
+        ei += 2  # the exit fill, local: a trigger at fill + k fills a tick on
+        if np.count_nonzero(found) < found.size:
             # exits past the first block: the doubling scan
             for j in np.flatnonzero(~found):
-                col = cols[j]
-                ei[j] = _scan_exit(midv, flips[row[j]],
-                                   int(fi[j]) + EXIT_BLOCK, side[j],
+                col, lo = cols[j], starts[cols[j]]
+                ei[j] = _scan_exit(midv[lo:lo + n],
+                                   flips[col + c * is_long[j]],
+                                   int(i[j]) + 1 + EXIT_BLOCK, side[j],
                                    entry_px[j], tp[col], sl[col])
         steps.append((cols, ei, is_long, entry_px))
-        i = next_entry[cols, ei]  # flat again as of the exit fill tick
+        held += cols.size
+        if held >= _HELD_TRADES:
+            _add_trades(steps, series, starts, fee, cfgs[0].period_ticks, out)
+            steps, held = [], 0
+        i = next_flat[row + ei]  # flat again as of the exit fill tick
+    if steps:
+        _add_trades(steps, series, starts, fee, cfgs[0].period_ticks, out)
 
-    if not steps:
-        return np.zeros((c, n_periods))
+
+def _add_trades(steps, series: TickSeries, starts: np.ndarray,
+                fee: np.ndarray, period_ticks: int, out: np.ndarray) -> None:
+    """Add the returns of the trades held in `steps` to their periods in
+    the block's (c, n_periods) result.
+
+    In step order each column's trades come in exit order, and `np.add.at`
+    adds in that order, so every period adds its trade returns in the
+    scalar path's order, from 0.0.
+    """
     cols, ei, is_long, entry_px = map(np.concatenate, zip(*steps))
-    exit_px = np.where(is_long, bid[ei], ask[ei])
+    fill = ei + starts[cols]
+    exit_px = np.where(is_long, series.bid[fill], series.ask[fill])
     rets = (np.where(is_long, exit_px / entry_px, entry_px / exit_px)
             - 1.0 - 2.0 * fee[cols])
-    # in step order each column's trades come in exit order, so every
-    # period adds its trade returns in the scalar path's order, from 0.0
-    return np.bincount(cols * n_periods + ei // cfgs[0].period_ticks,
-                       weights=rets,
-                       minlength=c * n_periods).reshape(c, n_periods)
+    np.add.at(out.reshape(-1), cols * out.shape[1] + ei // period_ticks, rets)
 
 
-def _block_scan(midv: np.ndarray, flips: np.ndarray, row: np.ndarray,
-                fi: np.ndarray, side: np.ndarray, entry_px: np.ndarray,
-                tp, neg_sl) -> Tuple[np.ndarray, np.ndarray]:
+def _block_scan(midv: np.ndarray, flips: np.ndarray, base: np.ndarray,
+                fi: np.ndarray, last, side: np.ndarray,
+                entry_px: np.ndarray, tp, neg_sl) -> Tuple[np.ndarray, np.ndarray]:
     """Exit search over the first EXIT_BLOCK ticks of positions filled at fi.
 
-    Position j reads ticks fi[j], fi[j]+1, ... of midv and of flips[row[j]];
-    tp and neg_sl are scalars or one per position as a column. Returns the
-    offset k of each position's first trigger (its exit fills at
-    fi + 1 + k) and whether it found one.
+    Position j reads ticks fi[j], fi[j]+1, ... of midv, and its flip at
+    tick u is flips[u + base[j]] of the flat flips array. last, tp and
+    neg_sl are scalars or one per position. Returns the offset k of each
+    position's first trigger (its exit fills at fi + 1 + k) and whether it
+    found one. The (EXIT_BLOCK, positions) arrays put the positions on the
+    inner axis, where numpy's loops are long.
 
     A trigger at tick u fills at u+1, so the last tick that can trigger is
-    n-2. Every entry fills at or before n-2, so a block that runs past it
-    reads n-2 again instead: its repeats trigger only where tick n-2 has,
-    earlier in the same block.
+    `last`, the one before the position's final tick. Every entry fills at
+    or before it, so a block that runs past it reads it again instead: its
+    repeats trigger only where that tick has, earlier in the same block.
     """
-    u = fi[:, None] + _SCAN
-    np.minimum(u, midv.size - 2, out=u)
+    u = _SCAN + fi
+    np.minimum(u, last, out=u)
     pnl = midv[u]
-    pnl /= entry_px[:, None]
+    pnl /= entry_px
     pnl -= 1.0
-    pnl *= side[:, None]
-    trig = (pnl >= tp) | (pnl <= neg_sl) | flips[row[:, None], u]
-    return trig.argmax(axis=1), trig.any(axis=1)
+    pnl *= side
+    u += base
+    trig = pnl >= tp
+    trig |= pnl <= neg_sl
+    trig |= flips[u]
+    return trig.argmax(axis=0), trig.any(axis=0)
 
 
 def _scan_exit(midv: np.ndarray, flip: np.ndarray, lo: int, side: float,

@@ -107,14 +107,16 @@ def load_csv(path: Union[str, Path]) -> TickSeries:
       the last, which may have no line end;
     - a row is `-?digits,digits.digits,digits.digits` and nothing else: no
       spaces, `+`, `_`, exponents, `nan`/`inf` text or blank lines;
-    - a timestamp is in int64, and a price has at most 19 digits.
+    - a timestamp is in int64, and a price has at most 26 digits, as
+      `write_csv`'s longest bulk price (16 integer and 10 fraction digits).
     Such a price with k decimals, its digits read as one integer M, is
     M / 10**k. Below 2**53, M and 10**k (k <= 19) are exact doubles, so
     the one division rounds the exact value once and gives the double
     `float(text)` gives (Clinger, "How to read floating point numbers
-    accurately", 1990). The fields with M from 2**53 up are converted from
-    their text by numpy's `astype(np.float64)`, which also rounds
-    correctly. `TickSeries` then checks the columns as arrays.
+    accurately", 1990). The fields with M from 2**53 up, and those of 20
+    or more digits, are converted from their text by numpy's
+    `astype(np.float64)`, which also rounds correctly. `TickSeries` then
+    checks the columns as arrays.
 
     Any other file, and any file whose columns fail a check, goes to the
     per-row scan `_scan_rows`: it is the reference, so it returns the same
@@ -154,12 +156,15 @@ _HEADER_LINES = (f"{CSV_HEADER}\n".encode("ascii"),
 # ticks 256 and 512 KiB parsed fastest: 64 KiB makes more numpy calls, and
 # from 1 MiB on the block's arrays fall out of cache.
 _READ_BYTES = 1 << 18
-# digits per number: 10**19 < 2**64, so each is exact in uint64
+# digits per number read as an integer: 10**19 < 2**64, so each is exact
+# in uint64; a price of up to _PRICE_DIGITS digits past that is cast from
+# its text
 _MAX_DIGITS = 19
+_PRICE_DIGITS = 26
 # the shortest row the parser takes, "0,0.0,0.0\n", and the longest: a
 # signed timestamp, two prices with the point and "\r\n"
 _MIN_ROW_BYTES = 10
-_MAX_ROW_BYTES = 1 + _MAX_DIGITS + 2 * (2 + _MAX_DIGITS) + 2
+_MAX_ROW_BYTES = 1 + _MAX_DIGITS + 2 * (2 + _PRICE_DIGITS) + 2
 _LANE_BYTES = 8
 _ZERO, _MINUS, _COMMA, _POINT, _NEWLINE, _CR = b"0-,.\n\r"
 # the bytes other than digits in a row, once a sign and a CR are set aside
@@ -177,7 +182,7 @@ _POW10 = np.array([10**k for k in range(_MAX_DIGITS + 1)], dtype=np.uint64)
 _POW10_F = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
 _MANTISSA_LIMIT = 2**53
 # the longest price text the bulk parse takes: its digits and the point
-_TEXT_BYTES = _MAX_DIGITS + 1
+_TEXT_BYTES = _PRICE_DIGITS + 1
 _INT64_MAX = np.uint64(_TS_MAX)
 
 
@@ -316,20 +321,27 @@ def _prices(buf: np.ndarray, lanes: np.ndarray, comma: np.ndarray,
             dot: np.ndarray, end: np.ndarray, out: np.ndarray) -> bool:
     """Write the prices `digits.digits` between each comma and end to `out`.
 
-    Each is exact as `load_csv` says: M / 10**k, or for M from 2**53 up the
-    field's text through numpy's cast. False, leaving `out` partly written,
-    when a field is empty or there are more than 19 digits.
+    Each is exact as `load_csv` says: M / 10**k, or for M from 2**53 up and
+    for fields of 20 or more digits the field's text through numpy's cast.
+    False, leaving `out` partly written, when a field is empty or there are
+    more than 26 digits.
     """
     n_int = dot - comma - 1
     n_frac = end - dot - 1
-    if min(n_int.min(), n_frac.min()) < 1 or \
-            (n_int + n_frac).max() > _MAX_DIGITS:
+    if min(n_int.min(), n_frac.min()) < 1:
         return False
+    wide = n_int + n_frac > _MAX_DIGITS
+    if wide.any():
+        if (n_int + n_frac).max() > _PRICE_DIGITS:
+            return False
+        # M of a wide field would wrap in uint64; its text is cast below
+        n_int = np.minimum(n_int, _MAX_DIGITS)
+        n_frac = np.minimum(n_frac, _MAX_DIGITS)
     m = _digits(lanes, dot, n_int)
     m *= _POW10[n_frac]
     m += _digits(lanes, end, n_frac)
     np.divide(m, _POW10_F[n_frac], out=out)
-    big = np.flatnonzero(m >= _MANTISSA_LIMIT)
+    big = np.flatnonzero((m >= _MANTISSA_LIMIT) | wide)
     if big.size:
         # each such field's text after leading ASCII zeros: it has 17 or
         # more bytes, so its window starts inside the block

@@ -22,13 +22,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .analysis import SweepSpec, sweep
-from .backtest import BacktestResult, StrategyConfig, sharpe
+from .analysis import PreparedSweep, SweepSpec, finish_sweep, prepare_sweep
+from .backtest import (BacktestResult, StrategyConfig, run_backtest_columns,
+                       sharpe)
 from .errors import DegenerateError, ValidationError
 from .market_data import TickSeries
 from .predictor import TrainSpec, draw_masks, train
@@ -297,9 +299,10 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
     Each window is split into a leading training slice (train_frac of the
     ticks) and a trailing evaluation slice that receives the sweep. The
     observed Sharpe tracks the first drawn sweep config. Windows whose
-    training diverges, or whose sweep cannot support a fit (all points on
-    one risk value, or a strategy that never trades), record NaN rather
-    than aborting the run. Windows are evaluated in order of start.
+    training diverges, whose base or variant forecast is not finite, or
+    whose sweep cannot support a fit (all points on one risk value, or a
+    strategy that never trades), record NaN rather than aborting the run;
+    no window changes another's numbers.
 
     Every window trains with one spec (so one seed) on train_len ticks, so
     every window draws the same dropout keep masks: they are drawn once,
@@ -308,6 +311,15 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
     four float64 arrays per hidden layer take 4 * 8 * rows * sum(hidden);
     the stream is held only while it is no larger, that is while epochs
     <= 256, and above that each window draws its own.
+
+    Each window is trained and its sweep prepared (`prepare_sweep`) in
+    order of start. Then the variant columns of all windows go through one
+    `run_backtest_columns` call, each column starting at its window's
+    evaluation slice of `series`; the engine runs them in block-sized
+    passes and keeps only their lean state. A window whose variant
+    forecast turns out non-finite during the call fills its remaining
+    columns with NaN rows, which never trade. Last, each window's sweep
+    is finished (`finish_sweep`) and fitted.
     """
     n = len(series)
     train_len = rolling_train_len(window, step, train_frac, train_spec.window,
@@ -317,24 +329,62 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
     if train_spec.dropout_p > 0 and train_spec.epochs <= 4 * 8 * 8:
         masks = draw_masks(train_spec, train_len - train_spec.window - 1)
 
-    def _one_window(start: int) -> Tuple[float, float]:
+    prepared: List[Optional[PreparedSweep]] = []
+    for start in starts:
         chunk = series.window(start, start + window)
         try:
             predictor = train(chunk.window(0, train_len), train_spec,
                               masks=masks)
-            triples = sweep(chunk.window(train_len, window), predictor,
-                            sweep_spec)
+            prepared.append(prepare_sweep(chunk.window(train_len, window),
+                                          predictor, sweep_spec))
+        except DegenerateError:
+            prepared.append(None)
+
+    failed = set()
+
+    def rows():
+        for w, prep in enumerate(prepared):
+            if prep is None:
+                continue
+            made = 0
+            try:
+                for row in prep.rows:
+                    yield row
+                    made += 1
+            except DegenerateError:
+                failed.add(w)
+                yield from repeat(np.full(window - train_len, np.nan),
+                                  len(prep.columns) - made)
+
+    columns = [(start + train_len, cfg)
+               for start, prep in zip(starts, prepared) if prep is not None
+               for cfg in prep.columns]
+    returns = None
+    if columns:
+        returns = run_backtest_columns(
+            series, rows(), [cfg for _, cfg in columns],
+            starts=[lo for lo, _ in columns], length=window - train_len)
+
+    sr_theta = np.full(len(starts), np.nan)
+    sr_obs = np.full(len(starts), np.nan)
+    lo = 0
+    for w, prep in enumerate(prepared):
+        if prep is None:
+            continue
+        part = returns[lo:lo + len(prep.columns)] if prep.columns else None
+        lo += len(prep.columns)
+        if w in failed:
+            continue
+        triples = finish_sweep(prep, part)
+        try:
             fit = fit_pml(sweep_points(triples),
                           r_f_per_period=r_f_per_period,
                           intercept_mode=intercept_mode, risk_axis=risk_axis)
         except DegenerateError:
-            return np.nan, np.nan
+            continue
         observed = sharpe(triples[0][1], r_f_per_period)
-        return fit.sr_theta, np.nan if observed is None else observed
-
-    rows = [_one_window(s) for s in starts]
-    sr_theta = np.array([r[0] for r in rows], dtype=np.float64)
-    sr_obs = np.array([r[1] for r in rows], dtype=np.float64)
+        sr_theta[w] = fit.sr_theta
+        sr_obs[w] = np.nan if observed is None else observed
     return RollingPmlResult(window_starts=np.array(starts, dtype=np.int64),
                             sr_theta_series=sr_theta,
                             sr_observed_series=sr_obs,

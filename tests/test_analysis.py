@@ -148,11 +148,12 @@ def dropout_net():
 
 
 @pytest.mark.parametrize("K", [2, 4, 16])
-def test_sweep_matches_per_variant_reference(dropout_net, K):
+def test_sweep_matches_per_variant_reference(dropout_net, K, monkeypatch):
     series = gen_synthetic(SIGNAL_SPEC)
     spec = _mini_spec(n_configs=5, K=K, threshold_range=(0.0, 2.0), seed=K)
     if K == 16:  # the variant columns span two engine blocks
-        assert 5 * K > backtest._BLOCK_ELEMENTS // len(series)
+        monkeypatch.setattr(backtest, "_COLUMN_TICKS", 1 << 18)
+        assert 5 * K > backtest._COLUMN_TICKS // len(series)
     got = sweep(series, dropout_net, spec)
     want = _reference_sweep(series, dropout_net, spec)
     for (cfg, result, mc), (cfg_w, result_w, mc_w) in zip(got, want):

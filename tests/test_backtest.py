@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,7 +333,7 @@ class TestEngineVsOracle:
     def test_columns_wider_than_one_block(self):
         rng = np.random.default_rng(2026)
         n = 2000
-        c = 2 * (backtest._BLOCK_ELEMENTS // n) + 3
+        c = 2 * (backtest._COLUMN_TICKS // n) + 3
         s = random_walk(n, seed=5)
         signals, cfgs = self.random_batch(rng, n, c, 64)
         signals[-1] = np.nan
@@ -447,6 +448,72 @@ class TestEngineVsOracle:
                         s, signals,
                         [dataclasses.replace(cfg, period_ticks=p)
                          for cfg in cfgs], f"trial {trial} period {p}")
+
+
+    def test_columns_with_window_starts(self, monkeypatch):
+        # columns that trade windows of one series, adjacent, overlapping
+        # and ending at its last tick, each equal the walk on their window
+        # and one call per window, bit for bit; so do blocks that end
+        # inside a window, and trades added to their periods a few at a time
+        rng = np.random.default_rng(22)
+        for trial in range(6):
+            n = int(rng.integers(300, 1500))
+            length = int(rng.integers(3, n // 3))
+            s = random_walk(n, seed=int(rng.integers(0, 1 << 31)))
+            a = int(rng.integers(0, n - 2 * length + 1))
+            windows = [a, a + length, int(rng.integers(a + 1, a + length)),
+                       n - length]
+            c = int(rng.integers(8, 40))
+            signals, cfgs = self.random_batch(rng, length, c,
+                                              int(rng.integers(1, 60)))
+            starts = rng.choice(windows, c)
+            starts[:len(windows)] = windows
+            got = run_backtest_columns(s, signals, cfgs, starts=starts,
+                                       length=length)
+            assert got.shape == (c, -(-length // cfgs[0].period_ticks))
+            for col, (lo, signal, cfg) in enumerate(zip(starts, signals,
+                                                        cfgs)):
+                _, _, want = walk_backtest(
+                    list(s.bid[lo:lo + length]), list(s.ask[lo:lo + length]),
+                    list(signal), cfg.threshold_bps, cfg.stop_loss_bps,
+                    cfg.take_profit_bps, cfg.fee_bps, cfg.allow_short,
+                    cfg.period_ticks)
+                assert list(got[col]) == want, f"trial {trial} column {col}"
+            for lo in windows:
+                mine = np.flatnonzero(starts == lo)
+                alone = run_backtest_columns(s.window(lo, lo + length),
+                                             signals[mine],
+                                             [cfgs[j] for j in mine])
+                assert alone.tobytes() == got[mine].tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(backtest, "_COLUMN_TICKS", 5 * length)
+                m.setattr(backtest, "_HELD_TRADES", 7)
+                assert run_backtest_columns(
+                    s, iter(signals), cfgs, starts=starts,
+                    length=length).tobytes() == got.tobytes()
+
+    def test_columns_state_stays_lean(self):
+        # the sweep benchmark's variant columns: 128 of 4,000 ticks, one
+        # block. Its lean state takes 3.6 MB and the peak measured 4.5 MB;
+        # the float64 block it replaced (two blocks here) peaked at 11.7 MB
+        n, c = 4000, 128
+        assert c * n <= backtest._COLUMN_TICKS
+        s = random_walk(n, seed=3, spread_bps=1.0)
+        rng = np.random.default_rng(4)
+        signals = rng.normal(0.0, 3e-4, (c, n))
+        cfgs = [StrategyConfig(threshold_bps=float(rng.uniform(0, 1)),
+                               stop_loss_bps=float(rng.uniform(30, 40)),
+                               take_profit_bps=float(rng.uniform(30, 40)),
+                               fee_bps=0.2, period_ticks=64)
+                for _ in range(c)]
+        tracemalloc.start()
+        try:
+            got = run_backtest_columns(s, signals, cfgs)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(got) > c * got.shape[1] // 2
+        assert peak_mb < 6.0, f"the column core peaked at {peak_mb:.2f} MB"
 
 
 class TestResultInvariants:
@@ -591,6 +658,11 @@ class TestResultInvariants:
                     np.zeros(50)):
             with pytest.raises(ValidationError, match="rows"):
                 run_backtest_columns(s, bad, [cfg, cfg])
+        for starts, length in (([0, 41], 10), ([-1, 0], 10), ([0], 10),
+                               ([0, 0], 0), ([0, 0], 51)):
+            with pytest.raises(ValidationError, match="one start per column"):
+                run_backtest_columns(s, np.zeros((2, max(length, 1))),
+                                     [cfg, cfg], starts=starts, length=length)
 
 
 class TestSharpe:

@@ -78,14 +78,17 @@ HEAD = "ts_ns,bid,ask\n"
 # the scan
 EDGE_FILES = (
     # 2**53 = 9007199254740992: the parser divides a price's digits, read
-    # as one integer, below it and casts the text from it up; 20 digits
-    # go to the scan
+    # as one integer, below it and casts the text from it up, as it casts
+    # prices of 20 to 26 digits; 27 digits go to the scan
     ("mantissa_15", HEAD + "1,99999999.9999999,100000000.0\n"),
     ("mantissa_16_below", HEAD + "1,900719925.4740991,900719925.4740991\n"),
     ("mantissa_16_at", HEAD + "1,900719925.4740992,900719925.4740992\n"),
     ("mantissa_16_above", HEAD + "1,0.9007199254740993,9.999999999999999\n"),
     ("mantissa_19", HEAD + "1,99.99999999999999999,100.0\n"),
     ("mantissa_20", HEAD + "1,99.999999999999999999,100.0\n"),
+    ("mantissa_26", HEAD + "1,4503599627370495.9999999999,"
+                           "4503599627370496.0000000001\n"),
+    ("mantissa_27", HEAD + "1,99.9999999999999999999999999,100.0\n"),
     ("ts_18_digits", HEAD + "999999999999999999,99.0,101.0\n"),
     ("ts_19_digits", HEAD + "1000000000000000000,99.0,101.0\n"
                             "-1000000000000000000,99.0,101.0\n"),
@@ -160,7 +163,8 @@ EDGE_FILES = (
 # the cases inside the bulk grammar: `_parse_bytes` returns every other
 # file to the scan
 BULK_EDGES = ("mantissa_15", "mantissa_16_below", "mantissa_16_at",
-              "mantissa_16_above", "mantissa_19", "ts_18_digits",
+              "mantissa_16_above", "mantissa_19", "mantissa_20",
+              "mantissa_26", "ts_18_digits",
               "ts_19_digits", "ts_minus_zero", "price_leading_zeros",
               "crlf_no_final_newline", "no_final_newline", "crlf",
               "crlf_body", "cr_final", "ts_negative", "ts_int64_min",
@@ -348,10 +352,10 @@ class TestBulkMatchesScan:
             return "".join(map(str, rng.integers(0, 10, k).tolist()))
 
         def price():
-            # M below 10**19 as `total` digits, leading zeros included
-            total = int(rng.integers(2, 20))
-            text = str(int(rng.integers(0, 10**total, dtype=np.uint64)))
-            text = text.zfill(total)
+            # M as `total` digits, leading zeros included: read as one
+            # integer below 20 digits, and cast from its text up to 26
+            total = int(rng.integers(2, 27))
+            text = digits(total)
             point = int(rng.integers(1, total))
             return f"{text[:point]}.{text[point:]}"
 
@@ -369,6 +373,45 @@ class TestBulkMatchesScan:
         for got, text in ((got_bid, bid), (got_ask, ask)):
             want = np.array([float(x) for x in text])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestWidePrices:
+    """Prices of 20 to 26 digits are cast from their text, without the
+    scan; at 27 the scan takes the file."""
+
+    def test_write_csv_prices_from_1e9_stay_bulk(self, tmp_path):
+        # from 1e9 to 2**52 `write_csv` writes a price with a fraction with
+        # 20 or more digits, such as 10000000511.8216247559
+        rng = np.random.default_rng(20)
+        n = 5000
+        bid = np.exp(rng.uniform(np.log(1e9), np.log(2.0**52), n))
+        bid[0] = 10000000511.8216247559
+        p = tmp_path / "big.csv"
+        write_csv(TickSeries(np.arange(1, n + 1), bid,
+                             bid + rng.exponential(1.0, n)), p)
+        rows = p.read_bytes().split(b"\n")[1:-1]
+        assert rows[0].split(b",")[1] == b"10000000511.8216247559"
+        digits = [len(field) - 1 for row in rows for field in row.split(b",")[1:]]
+        assert min(digits) < 20 and max(digits) >= 20
+        assert _bulk_outcome(p) == _scan_outcome(p)
+
+    @pytest.mark.parametrize("total", [19, 20, 26])
+    def test_prices_of_n_digits_equal_the_scan(self, tmp_path, total):
+        rng = np.random.default_rng(total)
+        rows = []
+        for t in range(1, 501):
+            text = "".join(map(str, rng.integers(0, 10, total).tolist()))
+            text = str(int(rng.integers(1, 10))) + text[1:]
+            point = int(rng.integers(1, total))
+            rows.append(f"{t},{text[:point]}.{text[point:]},"
+                        f"{text[:point]}.{text[point:]}\n")
+        p = tmp_path / f"d{total}.csv"
+        p.write_text(HEAD + "".join(rows), encoding="utf-8")
+        got = _bulk_outcome(p)
+        want = _scan_outcome(p)
+        assert np.array_equal(np.array(got[1]).view(np.int64),
+                              np.array(want[1]).view(np.int64))
+        assert got == want
 
 
 def _oracle_csv(series):

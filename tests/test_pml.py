@@ -11,8 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from risklab import pml
-from risklab.backtest import BacktestResult, TradeLog, sharpe
+from risklab import analysis, backtest, pml
+from risklab.backtest import (BacktestResult, TradeLog, run_backtest_columns,
+                              sharpe)
 from risklab.analysis import SweepSpec, sweep
 from risklab.errors import DegenerateError, ValidationError
 from risklab.market_data import SyntheticSpec, TickSeries, gen_synthetic
@@ -355,11 +356,11 @@ def test_rolling_degenerate_window_records_nan():
 
 
 def _climb_in_second_window():
-    """SIGNAL's first 1,800 ticks, with a steady climb of 10 bps a tick in
-    place of ticks 600 to 900. Standardized by its tiny noise, that climb
+    """SIGNAL's 3,000 ticks, with a steady climb of 10 bps a tick in place
+    of ticks 600 to 900. Standardized by its tiny noise, that climb
     saturates the net's hidden layer, and the descent diverges at learning
     rates that the other 600-tick windows train at."""
-    s = gen_synthetic(SIGNAL).window(0, 1800)
+    s = gen_synthetic(SIGNAL)
     r = np.diff(np.log(s.mid))
     r[600:900] = 1e-3 + 1e-6 * np.random.default_rng(0).standard_normal(300)
     mid = s.mid[0] * np.exp(np.concatenate([[0.0], np.cumsum(r)]))
@@ -393,32 +394,55 @@ def test_rolling_matches_the_windows_trained_one_by_one(
         monkeypatch, epochs, learning_rate):
     # up to 256 epochs every window replays one stream of masks, drawn
     # once; above, each window draws its own. Either way each window's
-    # numbers are those it gives alone, also after a window that diverges
+    # numbers are those it gives alone: also after a window whose training
+    # diverges (the second), after one whose variant forecast is not finite
+    # (the fourth), and with engine passes that end inside windows
     series = _climb_in_second_window()
     spec = dataclasses.replace(TRAIN, epochs=epochs,
                                learning_rate=learning_rate)
     with pytest.raises(DegenerateError, match="non-finite training loss"):
         train(series.window(600, 900), spec)
+    variant_row = analysis.variant_surprise_series
+
+    def non_finite_in_fourth(vs, k, s, first=None):
+        if k == 1 and s.ts[0] == series.ts[1800 + 300]:
+            raise DegenerateError("non-finite forecast")
+        return variant_row(vs, k, s, first)
+
+    monkeypatch.setattr(analysis, "variant_surprise_series",
+                        non_finite_in_fourth)
     theta, observed = _windows_one_by_one(series, spec, 600, 300)
-    assert np.isnan(theta[1]) and np.isfinite(theta[[0, 2]]).all()
-    replayed = []
+    assert np.isnan(theta[[1, 3]]).all()
+    assert np.isfinite(theta[[0, 2, 4]]).all()
+    replayed, engine_calls = [], []
 
     def spy(series, spec, masks=None):
         replayed.append(masks)
         return train(series, spec, masks=masks)
 
+    def engine(*args, **kwargs):
+        engine_calls.append(kwargs["starts"])
+        return run_backtest_columns(*args, **kwargs)
+
     monkeypatch.setattr(pml, "train", spy)
+    monkeypatch.setattr(pml, "run_backtest_columns", engine)
+    # 8 variant columns of 300 ticks a window, 12 columns an engine pass
+    monkeypatch.setattr(backtest, "_COLUMN_TICKS", 12 * 300)
     r = rolling_pml(series, spec, SWEEP, window=600, step=600)
     assert r.sr_theta_series.tobytes() == theta.tobytes()
     assert r.sr_observed_series.tobytes() == observed.tobytes()
     # one call per window, through the name `pml.train`: a tracer that
     # wraps it counts the trainings there
-    assert len(replayed) == 3
+    assert len(replayed) == 5
     if epochs <= 256:
         assert replayed[0].rows == 293
         assert all(m is replayed[0] for m in replayed)
     else:
-        assert replayed == [None, None, None]
+        assert replayed == [None] * 5
+    # one engine call for the variant columns of every window that
+    # trained, through the name `pml.run_backtest_columns`
+    assert [list(s) for s in engine_calls] == [
+        [start + 300 for start in (0, 1200, 1800, 2400) for _ in range(8)]]
 
 
 def test_rolling_masks_stay_packed():
