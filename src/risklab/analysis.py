@@ -22,7 +22,8 @@ from .backtest import (
 from .errors import ValidationError
 from .market_data import TickSeries
 from .predictor import (Predictor, VariantSet, first_layer, sample_variants,
-                        surprise_series, variant_surprise_series)
+                        surprise_series, variant_masks,
+                        variant_surprise_series)
 from .uncertainty import McEstimate, estimate_from_matrix
 
 # child-stream tags: config draws must not share a stream with mask seeds
@@ -107,44 +108,60 @@ class PreparedSweep(NamedTuple):
 
     `results` are the configs' backtests on the base signal. With K > 1,
     `columns` holds the config of each variant column, K per config in
-    config order, and `rows` makes their surprise rows one at a time as
-    they are read; with K = 1 both are empty.
+    config order, `masks` each column's keep masks (one bool array per
+    hidden layer), and `rows` makes their surprise rows one at a time as
+    they are read; with K = 1 all three are empty.
     """
 
     configs: List[StrategyConfig]
     results: List[BacktestResult]
     columns: List[StrategyConfig]
     rows: Iterator[np.ndarray]
+    masks: List[List[np.ndarray]]
 
 
 def prepare_sweep(series: TickSeries, predictor: Predictor,
-                  spec: SweepSpec) -> PreparedSweep:
+                  spec: SweepSpec,
+                  masks: Optional[List[List[np.ndarray]]] = None
+                  ) -> PreparedSweep:
     """Draw the configs, backtest each on the base signal and set up the
-    variant rows of `sweep(series, predictor, spec)`."""
+    variant rows of `sweep(series, predictor, spec)`.
+
+    The net's first hidden layer is computed once, for the base signal
+    and every variant. `masks`, if given, is the `masks` of a sweep
+    prepared with this spec for a net of the same hidden sizes and
+    dropout_p: the variants' keep masks depend on nothing else, so the
+    windows of a rolling refit draw them once.
+    """
     configs = sweep_configs(spec)
-    base_surprise = surprise_series(predictor, series)
+    first = first_layer(predictor, series)
+    base_surprise = surprise_series(predictor, series, first)
     results = [run_backtest_signals(series, base_surprise, cfg)
                for cfg in configs]
     if spec.K == 1:
-        return PreparedSweep(configs, results, [], iter(()))
+        return PreparedSweep(configs, results, [], iter(()), [])
     seed_rng = np.random.default_rng(np.random.SeedSequence([spec.seed,
                                                              _VARIANT_STREAM]))
     variant_sets = [sample_variants(predictor, spec.K, seed=int(seed))
                     for seed in seed_rng.integers(0, 2 ** 63 - 1,
                                                   size=spec.n_configs)]
+    if masks is None:
+        masks = [m for vs in variant_sets for m in variant_masks(vs)]
     return PreparedSweep(configs, results,
                          [cfg for cfg in configs for _ in range(spec.K)],
-                         _variant_rows(series, variant_sets))
+                         _variant_rows(series, variant_sets, first, masks),
+                         masks)
 
 
-def _variant_rows(series: TickSeries,
-                  variant_sets: Sequence[VariantSet]) -> Iterator[np.ndarray]:
-    """Every variant's surprise row in turn. All variants start from the
-    same first hidden layer, computed once when the first row is read."""
-    first = first_layer(variant_sets[0].base, series)
-    for vs in variant_sets:
-        for k in range(vs.K):
-            yield variant_surprise_series(vs, k, series, first)
+def _variant_rows(series: TickSeries, variant_sets: Sequence[VariantSet],
+                  first: Optional[np.ndarray],
+                  masks: Sequence[Sequence[np.ndarray]]
+                  ) -> Iterator[np.ndarray]:
+    """Every variant's surprise row in turn, each from the shared first
+    hidden layer and its column's keep masks."""
+    variants = ((vs, k) for vs in variant_sets for k in range(vs.K))
+    for (vs, k), m in zip(variants, masks, strict=True):
+        yield variant_surprise_series(vs, k, series, first, m)
 
 
 def finish_sweep(prep: PreparedSweep, returns: Optional[np.ndarray]

@@ -17,7 +17,9 @@ masks; each variant applies its mask at inference across all timesteps, so
 variant k is a deterministic function of (base predictor, mask seed k), and
 `variant_surprise_series` gives its series. Every net forecast takes one
 forward path, from `first_layer`'s tanh(x @ W0 + b0): computed once per
-series, that first hidden layer is shared by all variants.
+series, that first hidden layer is shared by the base forecast and all
+variants, and each variant's keep masks (`variant_masks`) depend only on
+its mask seed and the net's shape.
 
 Everything is seed-deterministic: training the same series with the same
 spec twice yields bit-identical weights, and no call touches global random
@@ -25,7 +27,8 @@ state. A training draws its initial weights and then its dropout keep
 masks from default_rng(spec.seed), so the masks depend only on the spec
 and the number of training rows, not on the series: `draw_masks` draws
 them once, packed one bit per draw, and trainings that share spec and row
-count (the windows of a rolling refit) replay that stream via `train`.
+count (the windows of a rolling refit) replay that stream via `train`,
+which trains such series in lockstep, each with the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -153,10 +156,12 @@ def _forward(first: np.ndarray, weights: Sequence[np.ndarray],
     return (h @ weights[last] + biases[last])[:, 0]
 
 
-def _features(r: np.ndarray, window: int, scale: float) -> np.ndarray:
+def _features(r: np.ndarray, window: int, scale: float,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """The net's input at every tick from `window` on: the last `window`
     of the log returns `r`, over the training scale."""
-    return np.lib.stride_tricks.sliding_window_view(r, window) / scale
+    return np.divide(np.lib.stride_tricks.sliding_window_view(r, window),
+                     scale, out=out)
 
 
 def _initial_params(spec: TrainSpec, rng: np.random.Generator
@@ -211,14 +216,26 @@ def draw_masks(spec: TrainSpec, rows: int) -> MaskStream:
 def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
              biases: List[np.ndarray], spec: TrainSpec,
              rng: np.random.Generator,
-             stream: Optional[MaskStream] = None) -> None:
+             stream: Optional[MaskStream] = None) -> np.ndarray:
     """Run spec.epochs of full-batch gradient descent on weights and biases.
 
+    x is (n, window) and y (n,), weights (in, out) and biases (out,); or
+    every one of them has a leading axis of G nets, trained in lockstep:
+    x (G, n, window), y (G, n), weights (G, in, out), biases (G, 1, out).
+    A 3-D matmul makes the same BLAS call per net, elementwise operations
+    act per element and each reduction runs along one net's own axis in
+    the same order, so every net gets the bits it gets alone. The nets
+    share one spec, so one set of keep masks serves them all. Returns the
+    epoch at which each net's loss first went non-finite, -1 where it
+    never did, in the shape of the leading axis; the loop stops early once
+    every net's has.
+
     Each hidden layer's (n, width) arrays are allocated once and rewritten
-    in place every epoch: the tanh output, the keep mask (as 0 or
-    keep_scale; after the backward pass has applied it, the scratch for the
-    tanh derivative), the masked activation and the gradient. So is the
-    residual, whose loss is np.mean(resid ** 2) without np.mean's wrapper.
+    in place every epoch: the tanh output, the masked activation (once the
+    next layer's weight gradient has read it, the scratch for the tanh
+    derivative) and the gradient, one of each per net, and the keep mask
+    (as 0 or keep_scale), shared. So is the residual, whose loss is
+    np.mean(resid ** 2) without np.mean's wrapper.
 
     The keep masks are drawn from `rng` into the mask array, or, given a
     `stream` drawn for this spec and row count, unpacked from it: 0 or 1
@@ -240,16 +257,21 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
     rng.normal, and w - lr * (+-0.0) is w for w nonzero. Biases start at
     +0.0, and b - lr * gb yields -0.0 only when b is already -0.0.
     """
-    n = x.shape[0]
+    *lead, n, _ = x.shape
     last = len(weights) - 1
     p = spec.dropout_p
     keep_scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-    tanhs = [np.empty((n, width)) for width in spec.hidden]
-    masks = [np.empty((n, width)) for width in spec.hidden]
-    acts = [np.empty((n, width)) for width in spec.hidden] if p > 0 else tanhs
-    grads = [np.empty((n, width)) for width in spec.hidden]
+    tanhs = [np.empty((*lead, n, width)) for width in spec.hidden]
+    grads = [np.empty((*lead, n, width)) for width in spec.hidden]
+    masks = [np.empty((n, width)) for width in spec.hidden] if p > 0 else []
+    acts = ([np.empty((*lead, n, width)) for width in spec.hidden]
+            if p > 0 else tanhs)
+    # where 1 - tanh**2 goes: the activation, read by then, or its own
+    spare = acts if p > 0 else [np.empty((*lead, n, width))
+                                for width in spec.hidden]
     inputs = [x, *acts]     # what each weight layer reads
-    resid = np.empty(n)
+    resid = np.empty(y.shape)
+    failed = np.full(lead, -1)
     for epoch in range(spec.epochs):
         h = x
         for l in range(last):
@@ -270,39 +292,47 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
                 # exact reassociation of (a * keep) * keep_scale
                 np.multiply(a, m, out=acts[l])
             h = acts[l]
-        pred = (h @ weights[last] + biases[last])[:, 0]
+        pred = (h @ weights[last] + biases[last])[..., 0]
         np.subtract(pred, y, out=resid)
-        loss = float(np.add.reduce(resid * resid)) / n \
-            + spec.l2 * sum(float((w ** 2).sum()) for w in weights)
-        if not math.isfinite(loss):
-            raise DegenerateError(f"non-finite training loss at epoch {epoch}")
-        grad = (2.0 / n) * resid[:, None]
+        loss = np.add.reduce(resid * resid, axis=-1) / n \
+            + spec.l2 * sum((w ** 2).sum(axis=(-2, -1)) for w in weights)
+        if not np.isfinite(loss).all():
+            failed[(failed < 0) & ~np.isfinite(loss)] = epoch
+            if (failed >= 0).all():
+                break
+        grad = (2.0 / n) * resid[..., None]
         for l in range(last, -1, -1):
-            gw = inputs[l].T @ grad + 2.0 * spec.l2 * weights[l]
-            if grad.shape[1] > 1:
-                gb = np.einsum("ij->j", grad)
+            gw = np.swapaxes(inputs[l], -1, -2) @ grad \
+                + 2.0 * spec.l2 * weights[l]
+            if grad.shape[-1] > 1:
+                gb = np.einsum("...ij->...j", grad)
             else:
-                gb = grad.sum(axis=0)
+                gb = grad.sum(axis=-2)
             if l > 0:
-                g, d, t = grads[l - 1], masks[l - 1], tanhs[l - 1]
+                g, d, t = grads[l - 1], spare[l - 1], tanhs[l - 1]
                 if l == last:
                     # one column: grad @ W.T is a single product per element
-                    np.einsum("i,j->ij", grad[:, 0], weights[l][:, 0], out=g)
+                    np.einsum("...i,...j->...ij", grad[..., 0],
+                              weights[l][..., 0], out=g)
                 else:
-                    np.matmul(grad, weights[l].T, out=g)
+                    np.matmul(grad, np.swapaxes(weights[l], -1, -2), out=g)
                 if p > 0:
-                    g *= d
+                    g *= masks[l - 1]
                 np.multiply(t, t, out=d)
                 np.subtract(1.0, d, out=d)
                 g *= d
                 grad = g
             weights[l] = weights[l] - spec.learning_rate * gw
-            biases[l] = biases[l] - spec.learning_rate * gb
+            biases[l] = biases[l] - spec.learning_rate * gb.reshape(
+                biases[l].shape)
+    return failed
 
 
-def train(series: TickSeries, spec: TrainSpec,
-          masks: Optional[MaskStream] = None) -> Predictor:
-    """Fit the dropout network to one series.
+def train(series: Union[TickSeries, Sequence[TickSeries]], spec: TrainSpec,
+          masks: Optional[MaskStream] = None
+          ) -> Union[Predictor, List[Union[Predictor, DegenerateError]]]:
+    """Fit the dropout network to one series, or one net to each of a
+    sequence of equal-length series.
 
     Inputs are the last `window` log returns, the target is the next log
     return, both standardized by the training return volatility. The loss
@@ -310,37 +340,69 @@ def train(series: TickSeries, spec: TrainSpec,
     full-batch gradient descent with fresh dropout masks each epoch.
     `masks`, if given, is `draw_masks` of this spec and row count, replayed
     in place of drawing: the result is the same bits either way.
+
+    Nets trained with one spec start from the same weights and draw the
+    same masks, so a sequence trains in one epoch loop, all its nets in
+    lockstep (`_descend`), and its memory grows with its length. It gives
+    a list with, for each series, the Predictor that training it alone
+    returns, or the DegenerateError that training it alone raises.
     """
-    if len(series) < spec.window + 2:
+    one = isinstance(series, TickSeries)
+    group = [series] if one else list(series)
+    if not group:
+        raise ValidationError("no series to train on")
+    n = len(group[0])
+    if any(len(s) != n for s in group):
+        raise ValidationError("series trained together must have equal "
+                              "lengths")
+    if n < spec.window + 2:
         raise ValidationError(
-            f"series too short to train: {len(series)} ticks, "
+            f"series too short to train: {n} ticks, "
             f"need at least {spec.window + 2}")
-    rows = len(series) - spec.window - 1
+    rows = n - spec.window - 1
     if masks is not None and (masks.spec != spec or masks.rows != rows):
         raise ValidationError("the mask stream was drawn for another spec "
                               f"or row count ({masks.rows} rows, not {rows})")
-    r = np.diff(np.log(series.mid))
-    y_raw = r[spec.window:]
-    std = float(y_raw.std())
-    scale = std if std > 0 else 1.0
-    x = _features(r, spec.window, scale)[:-1]
-    y = y_raw / scale
+    x = np.empty((len(group), rows, spec.window))
+    y = np.empty((len(group), rows))
+    scales = []
+    for s, xs, ys in zip(group, x, y):
+        r = np.diff(np.log(s.mid))
+        std = float(r[spec.window:].std())
+        scales.append(std if std > 0 else 1.0)
+        _features(r[:-1], spec.window, scales[-1], out=xs)
+        np.divide(r[spec.window:], scales[-1], out=ys)
 
     rng = np.random.default_rng(spec.seed)
     weights, biases = _initial_params(spec, rng)
+    weights = [np.repeat(w[None], len(group), axis=0) for w in weights]
+    biases = [np.repeat(b[None, None], len(group), axis=0) for b in biases]
+    fits: List[Union[Predictor, DegenerateError]] = []
     # a diverging descent overflows to inf or NaN on its way to the
     # DegenerateError below, which says so without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _descend(x, y, weights, biases, spec, rng, masks)
-        # report the dropout-free in-sample MSE in raw return units
-        final = _forward(np.tanh(x @ weights[0] + biases[0]),
-                         weights, biases) - y
-        final_loss = float(np.mean(final ** 2)) * scale * scale
-    if not math.isfinite(final_loss):
-        raise DegenerateError(f"non-finite training loss at epoch {spec.epochs - 1}")
-    return Predictor(kind=KIND_NET, train_spec=spec,
-                     weights=tuple(weights), biases=tuple(biases),
-                     scale=scale, final_loss=final_loss)
+        failed = _descend(x, y, weights, biases, spec, rng, masks)
+        for g, scale in enumerate(scales):
+            epoch = int(failed[g])
+            if epoch < 0:
+                ws = [w[g] for w in weights]
+                bs = [b[g, 0] for b in biases]
+                # report the dropout-free in-sample MSE in raw return units
+                final = _forward(np.tanh(x[g] @ ws[0] + bs[0]), ws, bs) - y[g]
+                final_loss = float(np.mean(final ** 2)) * scale * scale
+                if math.isfinite(final_loss):
+                    fits.append(Predictor(
+                        kind=KIND_NET, train_spec=spec, weights=tuple(ws),
+                        biases=tuple(bs), scale=scale, final_loss=final_loss))
+                    continue
+                epoch = spec.epochs - 1
+            fits.append(DegenerateError(
+                f"non-finite training loss at epoch {epoch}"))
+    if not one:
+        return fits
+    if isinstance(fits[0], DegenerateError):
+        raise fits[0]
+    return fits[0]
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -443,12 +505,14 @@ def eps(seed: int, ts: np.ndarray) -> np.ndarray:
     return np.where(k >= _TOP_HALF, -draw, draw)
 
 
-def surprise_series(p: Predictor, series: TickSeries) -> np.ndarray:
+def surprise_series(p: Predictor, series: TickSeries,
+                    first: Optional[np.ndarray] = None) -> np.ndarray:
     """Surprise at every tick; NaN where the predictor is undefined.
 
     The net needs `window` prior returns, so its first `window` entries are
     NaN; the leaked predictor reads `horizon` ticks ahead, so its last
-    `horizon` entries are NaN.
+    `horizon` entries are NaN. `first`, if given, is `first_layer(p,
+    series)`, computed once for this and the variants' series.
     """
     n = len(series)
     if p.kind == KIND_PERSISTENCE:
@@ -462,7 +526,9 @@ def surprise_series(p: Predictor, series: TickSeries) -> np.ndarray:
         return out
     if p.kind == KIND_NOISE:
         return np.exp(p.noise_scale * eps(p.noise_seed, series.ts)) - 1.0
-    return _net_surprise(p, series, first_layer(p, series), None, 1.0)
+    if first is None:
+        first = first_layer(p, series)
+    return _net_surprise(p, series, first, None, 1.0)
 
 
 def _net_surprise(p: Predictor, series: TickSeries,
@@ -535,12 +601,22 @@ def _variant_masks(p: Predictor, mask_seed: int) -> List[np.ndarray]:
     return masks
 
 
+def variant_masks(vs: VariantSet) -> List[List[np.ndarray]]:
+    """Each variant's keep masks, one bool array per hidden layer, for a
+    dropout net. They depend only on the net's hidden sizes and dropout_p
+    and on the mask seeds, so variant sets that share these share them."""
+    return [_variant_masks(vs.base, seed) for seed in vs.mask_seeds]
+
+
 def variant_surprise_series(vs: VariantSet, k: int, series: TickSeries,
-                            first: Optional[np.ndarray] = None) -> np.ndarray:
+                            first: Optional[np.ndarray] = None,
+                            masks: Optional[Sequence[np.ndarray]] = None
+                            ) -> np.ndarray:
     """Surprise series of variant k (base series when no dropout applies).
 
     `first`, if given, is `first_layer(vs.base, series)`, shared by every
-    variant so that none recomputes it; the series is the same either way.
+    variant so that none recomputes it, and `masks`, if given, is
+    `variant_masks(vs)[k]`; the series is the same either way.
     """
     if not 0 <= k < vs.K:
         raise ValidationError(f"variant index {k} outside [0, {vs.K})")
@@ -549,7 +625,8 @@ def variant_surprise_series(vs: VariantSet, k: int, series: TickSeries,
         return surprise_series(p, series)
     if first is None:
         first = first_layer(p, series)
-    masks = _variant_masks(p, vs.mask_seeds[k])
+    if masks is None:
+        masks = _variant_masks(p, vs.mask_seeds[k])
     keep_scale = 1.0 / (1.0 - p.dropout_p)
     return _net_surprise(p, series, first, masks, keep_scale)
 

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from risklab import analysis, backtest, pml
+from risklab import analysis, backtest, pml, predictor
 from risklab.backtest import (BacktestResult, TradeLog, run_backtest_columns,
                               sharpe)
 from risklab.analysis import SweepSpec, sweep
@@ -392,11 +392,12 @@ def _windows_one_by_one(series, train_spec, window, train_len):
 @pytest.mark.parametrize("epochs, learning_rate", [(200, 0.5), (257, 0.3)])
 def test_rolling_matches_the_windows_trained_one_by_one(
         monkeypatch, epochs, learning_rate):
-    # up to 256 epochs every window replays one stream of masks, drawn
-    # once; above, each window draws its own. Either way each window's
-    # numbers are those it gives alone: also after a window whose training
-    # diverges (the second), after one whose variant forecast is not finite
-    # (the fourth), and with engine passes that end inside windows
+    # the windows train in groups, here of 2, 2 and 1; up to 256 epochs
+    # every group replays one stream of masks, drawn once, and above, each
+    # draws its own. Either way each window's numbers are those it gives
+    # alone: also beside and after a window whose training diverges (the
+    # second), after one whose variant forecast is not finite (the
+    # fourth), and with engine passes that end inside windows
     series = _climb_in_second_window()
     spec = dataclasses.replace(TRAIN, epochs=epochs,
                                learning_rate=learning_rate)
@@ -404,19 +405,20 @@ def test_rolling_matches_the_windows_trained_one_by_one(
         train(series.window(600, 900), spec)
     variant_row = analysis.variant_surprise_series
 
-    def non_finite_in_fourth(vs, k, s, first=None):
+    def non_finite_in_fourth(vs, k, s, first=None, masks=None):
         if k == 1 and s.ts[0] == series.ts[1800 + 300]:
             raise DegenerateError("non-finite forecast")
-        return variant_row(vs, k, s, first)
+        return variant_row(vs, k, s, first, masks)
 
     monkeypatch.setattr(analysis, "variant_surprise_series",
                         non_finite_in_fourth)
     theta, observed = _windows_one_by_one(series, spec, 600, 300)
     assert np.isnan(theta[[1, 3]]).all()
     assert np.isfinite(theta[[0, 2, 4]]).all()
-    replayed, engine_calls = [], []
+    groups, replayed, engine_calls = [], [], []
 
     def spy(series, spec, masks=None):
+        groups.append(len(series))
         replayed.append(masks)
         return train(series, spec, masks=masks)
 
@@ -428,27 +430,55 @@ def test_rolling_matches_the_windows_trained_one_by_one(
     monkeypatch.setattr(pml, "run_backtest_columns", engine)
     # 8 variant columns of 300 ticks a window, 12 columns an engine pass
     monkeypatch.setattr(backtest, "_COLUMN_TICKS", 12 * 300)
+    # 293 training rows of 8 units: seven arrays' bytes hold a group of 2
+    # (three arrays a window and the shared mask)
+    monkeypatch.setattr(pml, "_GROUP_BYTES", 7 * 8 * 293 * 8)
     r = rolling_pml(series, spec, SWEEP, window=600, step=600)
     assert r.sr_theta_series.tobytes() == theta.tobytes()
     assert r.sr_observed_series.tobytes() == observed.tobytes()
-    # one call per window, through the name `pml.train`: a tracer that
+    # one call per group, through the name `pml.train`: a tracer that
     # wraps it counts the trainings there
-    assert len(replayed) == 5
+    assert groups == [2, 2, 1]
     if epochs <= 256:
         assert replayed[0].rows == 293
         assert all(m is replayed[0] for m in replayed)
     else:
-        assert replayed == [None] * 5
+        assert replayed == [None] * 3
     # one engine call for the variant columns of every window that
     # trained, through the name `pml.run_backtest_columns`
     assert [list(s) for s in engine_calls] == [
         [start + 300 for start in (0, 1200, 1800, 2400) for _ in range(8)]]
 
 
+def test_rolling_draws_each_first_layer_and_variant_mask_once(monkeypatch):
+    # a window's first hidden layer serves its base forecast and all its
+    # variants; the variants' keep masks depend only on the specs, so the
+    # first window's serve every window
+    firsts, masks = [], []
+    first_layer, variant_masks = predictor.first_layer, predictor._variant_masks
+
+    def counted_first(*args):
+        firsts.append(args)
+        return first_layer(*args)
+
+    def counted_masks(*args):
+        masks.append(args)
+        return variant_masks(*args)
+
+    monkeypatch.setattr(analysis, "first_layer", counted_first)
+    monkeypatch.setattr(predictor, "first_layer", counted_first)
+    monkeypatch.setattr(predictor, "_variant_masks", counted_masks)
+    r = rolling_pml(gen_synthetic(SIGNAL), TRAIN, SWEEP, window=1200,
+                    step=900)
+    assert np.isfinite(r.sr_theta_series).all()
+    assert len(firsts) == len(r) == 3
+    assert len(masks) == SWEEP.n_configs * SWEEP.K
+
+
 def test_rolling_masks_stay_packed():
     # the decay benchmark's windows: 1,993 training rows, hidden 8 and 150
     # epochs. The stream of masks they share is 298,950 bytes packed, and
-    # the peak measured 2.34 MB, 2.03 MB where every window drew its own;
+    # the peak measured 1.91 MB, 1.58 MB where the group drew its own;
     # the stream as bools (2.4 MB) or as float64 (19 MB) crosses the gate
     series = gen_synthetic(SyntheticSpec(n_ticks=6000, sigma_noise=3e-4,
                                          phi=0.9, sigma_signal=2e-4,
@@ -468,6 +498,53 @@ def test_rolling_masks_stay_packed():
         tracemalloc.stop()
     assert np.isfinite(r.sr_theta_series).all()
     assert peak_mb < 3.5, f"rolling_pml peaked at {peak_mb:.2f} MB"
+
+
+def test_rolling_trains_its_groups_within_the_byte_budget(monkeypatch):
+    # the decay benchmark's shape: 19 windows of 1,993 training rows and
+    # hidden 8. A group's training holds three float64 (rows, 8) arrays a
+    # window and one shared mask, 127,552 bytes each, so the 2 MiB budget
+    # makes groups of 5; besides them it holds its inputs (window + 1
+    # floats a row) and the loop's temporaries (measured under 6 floats a
+    # row). One group of all 19 grew by 10.8 MB and peaked at 11.2 MB
+    series = gen_synthetic(SyntheticSpec(n_ticks=40000, sigma_noise=3e-4,
+                                         phi=0.9, sigma_signal=2e-4,
+                                         spread_bps=1.0, seed=41,
+                                         decay_to=0.0))
+    spec = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=150,
+                     learning_rate=0.05, l2=1e-4, seed=41)
+    sweep_spec = SweepSpec(n_configs=8, threshold_range=(2.0, 4.0),
+                           stop_loss_range=(30.0, 40.0),
+                           take_profit_range=(30.0, 40.0), fee_bps=0.2,
+                           seed=41, K=4, period_ticks=64)
+    sizes, grown = [], []
+
+    def measured(group, spec, masks=None):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fits = train(group, spec, masks=masks)
+        grown.append(tracemalloc.get_traced_memory()[1] - before)
+        sizes.append(len(group))
+        return fits
+
+    monkeypatch.setattr(pml, "train", measured)
+    tracemalloc.start()
+    try:
+        rolling_pml(series, spec, sweep_spec, window=4000, step=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+        # the benchmark's run part trains 15,993 rows of 16 units first;
+        # its training alone peaks higher, so the decay part never sets the
+        # pass's peak
+        tracemalloc.reset_peak()
+        train(gen_synthetic(SyntheticSpec(n_ticks=16000, seed=41)),
+              dataclasses.replace(spec, hidden=(16,), epochs=1))
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [5, 5, 5, 4]
+    for size, bytes_grown in zip(sizes, grown):
+        assert bytes_grown < pml._GROUP_BYTES + 8 * size * 1993 * (7 + 6)
+    assert peak < run_peak, (peak, run_peak)
 
 
 def test_unstable_fit_raises_instead_of_trading_inf_surprises():

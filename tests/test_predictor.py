@@ -185,17 +185,19 @@ class TestTrain:
     def test_einsum_forms_match_numpy_bitwise(self, rows):
         # the epoch loop's bias gradients and output-layer product rest on
         # this property of the installed numpy: einsum adds row after row,
-        # as sum(axis=0) does once a row holds more than one value
+        # as sum(axis=0) does once a row holds more than one value, also
+        # for each net of a group stacked on a leading axis
         rng = np.random.default_rng(rows)
         for width in range(2, 33):
-            g = rng.normal(size=(rows, width))
-            assert np.einsum("ij->j", g).tobytes() \
-                == g.sum(axis=0).tobytes(), width
-            grad = rng.normal(size=(rows, 1))
-            w = rng.normal(size=(width, 1))
-            out = np.empty((rows, width))
-            np.einsum("i,j->ij", grad[:, 0], w[:, 0], out=out)
-            assert out.tobytes() == np.multiply(grad, w.T).tobytes(), width
+            g = rng.normal(size=(3, rows, width))
+            assert np.einsum("...ij->...j", g).tobytes() \
+                == np.stack([gi.sum(axis=0) for gi in g]).tobytes(), width
+            grad = rng.normal(size=(3, rows, 1))
+            w = rng.normal(size=(3, width, 1))
+            out = np.empty((3, rows, width))
+            np.einsum("...i,...j->...ij", grad[..., 0], w[..., 0], out=out)
+            assert out.tobytes() == np.multiply(
+                grad, np.swapaxes(w, -1, -2)).tobytes(), width
 
     def test_seed_changes_weights(self):
         s = planted_series(4000)
@@ -243,6 +245,106 @@ class TestTrain:
         for bad in (0, -1):
             with pytest.raises(ValidationError, match="leak horizon"):
                 Predictor(kind="leaked", horizon=bad)
+
+
+def windows(series, count, length=300):
+    """The first `count` back-to-back windows of `length` ticks."""
+    return [series.window(lo, lo + length)
+            for lo in range(0, count * length, length)]
+
+
+def trained_in_groups(series_list, spec, size, masks):
+    """`train` on consecutive groups of `size` series, one list of fits."""
+    rows = len(series_list[0]) - spec.window - 1
+    fits = []
+    for lo in range(0, len(series_list), size):
+        fits += train(series_list[lo:lo + size], spec,
+                      masks=mask_stream(masks, spec, rows))
+    return fits
+
+
+def like_the_oracle(fit, series, spec):
+    """Holds one fit of a group to the oracle trained on `series` alone:
+    the same weights, biases and final_loss, or the same DegenerateError.
+    Returns the error's message, or None."""
+    try:
+        with np.errstate(all="ignore"):
+            weights, biases, final_loss = train_oracle.fit(series, spec)
+    except DegenerateError as want:
+        assert isinstance(fit, DegenerateError)
+        assert str(fit) == str(want)
+        return str(want)
+    assert isinstance(fit, Predictor)
+    for want, got in zip(weights + biases, fit.weights + fit.biases,
+                         strict=True):
+        assert want.tobytes() == got.tobytes()
+    assert fit.final_loss == final_loss
+    return None
+
+
+class TestTrainInGroups:
+    # 300-tick windows give 293 training rows, no multiple of 8: every
+    # replayed mask ends in a partly padded byte
+    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
+    def test_a_group_of_one_trains_as_alone(self, masks):
+        s = planted_series(300)
+        spec = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=40,
+                         seed=3)
+        [fit] = trained_in_groups([s], spec, 1, masks)
+        like_the_oracle(fit, s, spec)
+        alone = train(s, spec)
+        assert [w.tobytes() for w in fit.weights + fit.biases] \
+            == [w.tobytes() for w in alone.weights + alone.biases]
+
+    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
+    def test_nineteen_windows_in_groups_of_four(self, masks):
+        # the decay benchmark's 19 windows, shortened: four groups of 4
+        # and a remainder group of 3
+        spec = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=40,
+                         seed=3)
+        series = windows(planted_series(), 19)
+        fits = trained_in_groups(series, spec, 4, masks)
+        assert len(fits) == 19
+        for fit, s in zip(fits, series):
+            assert like_the_oracle(fit, s, spec) is None
+
+    # two hidden layers; no dropout (no masks to share); and more epochs
+    # than a rolling refit replays from a stream, drawn from the generator
+    @pytest.mark.parametrize("hidden, dropout_p, epochs, masks", [
+        ((8, 4), 0.2, 40, "drawn"), ((8, 4), 0.2, 40, "replayed"),
+        ((5, 7, 3), 0.3, 20, "replayed"), ((8,), 0.0, 40, "drawn"),
+        ((8,), 0.2, 257, "drawn")])
+    def test_each_shape_trains_as_alone(self, hidden, dropout_p, epochs,
+                                        masks):
+        spec = TrainSpec(window=6, hidden=hidden, dropout_p=dropout_p,
+                         epochs=epochs, seed=3)
+        series = windows(planted_series(), 6)
+        for fit, s in zip(trained_in_groups(series, spec, 4, masks),
+                          series):
+            assert like_the_oracle(fit, s, spec) is None
+
+    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
+    def test_windows_that_diverge_leave_the_others_alone(self, masks):
+        # at learning rate 1e2 the second window's loss goes non-finite at
+        # epoch 32 and the eighth's at epoch 30; the loop goes on for the
+        # six that train
+        spec = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=40,
+                         learning_rate=1e2, seed=3)
+        series = windows(planted_series(), 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = trained_in_groups(series, spec, 8, masks)
+        errors = [like_the_oracle(fit, s, spec)
+                  for fit, s in zip(fits, series)]
+        assert errors == [None, "non-finite training loss at epoch 32",
+                          *[None] * 5, "non-finite training loss at epoch 30"]
+
+    def test_a_group_needs_equal_lengths(self):
+        s = planted_series(600)
+        with pytest.raises(ValidationError, match="equal lengths"):
+            train([s.window(0, 300), s.window(300, 599)], SPEC)
+        with pytest.raises(ValidationError, match="no series"):
+            train([], SPEC)
 
 
 class TestPredict:

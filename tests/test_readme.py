@@ -1,14 +1,17 @@
 """The README stays true: its Python examples run, and the public surface it
 describes is what `risklab` exports."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import re
 from pathlib import Path
 
 import pytest
 
 import risklab
-from risklab import capm, market_data, pml, predictor, uncertainty
+from risklab import capm, cli, market_data, pml, predictor, uncertainty
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,6 +51,36 @@ def test_readme_python_blocks_run_in_order(capsys):
     assert namespace["est"].K == 8
     assert namespace["returns"].shape == (8, namespace["est"].n_periods)
     capsys.readouterr()
+
+
+# sha256 of the README config's `run` artifacts that kept their bytes when
+# numpy ran without its AVX-512 kernels and when OpenBLAS took another
+# core's kernels (ROADMAP item 13); `mc.json` and `pml.json` did not, and
+# `manifest.json` names the versions. A change that alters one of these
+# on purpose updates it here and says why in CHANGES.md.
+README_RUN_SHA256 = {
+    "points.csv":
+        "104a42660dd51ca025110c51a9263762ea30ba45cb76abe6838a16e66aa81f01",
+    "correlation.csv":
+        "9fc2703ff601cca28507cb80f9e4771611d24aba80447b8bdea0cf615ff974e5",
+    "rolling.csv":
+        "63cb4f717309004c921bdaae309c35229940ec8a25e3b748d3b7327491a43b70",
+}
+
+
+def test_readme_config_run_writes_the_pinned_bytes(tmp_path):
+    [config] = re.findall(r"^```ini\n(.*?)^```",
+                          README.read_text(encoding="utf-8"),
+                          flags=re.M | re.S)
+    path = tmp_path / "experiment.ini"
+    path.write_text(config, encoding="utf-8")
+    out = tmp_path / "results"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "--config", str(path),
+                         "--out-dir", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in README_RUN_SHA256}
+    assert got == README_RUN_SHA256
 
 
 def test_readme_names_no_removed_api():
