@@ -205,6 +205,20 @@ class CorrelationCurve:
 
 def surprise_return_correlation(series: TickSeries, predictor: Predictor,
                                 max_lag: int = 5) -> CorrelationCurve:
+    """Pearson correlation of surprise at t with the mid return t -> t+lag.
+
+    Each lag pairs the ticks whose surprise is finite. Every sum is
+    `np.add.reduce` over the same contiguous values, in the same order, as
+    the plain form: means, `x.std()` as sqrt(sum(dx * dx) / m) with
+    dx = x - mean(x), and the mean of the centred products. So the bits are
+    those of the masked copies and `std` in `tests/correlation_oracle.py`.
+
+    `surprise_series` leaves NaN only at a head and a tail, so a lag's
+    finite surprise is one run, read as a slice; a run with gaps is taken
+    as masked copies. Two full-length rows are reused for every lag: the
+    centred surprise, then its products; the squares, then the centred
+    returns.
+    """
     if max_lag < 1:
         raise ValidationError("max_lag must be at least 1")
     n = len(series)
@@ -217,21 +231,33 @@ def surprise_return_correlation(series: TickSeries, predictor: Predictor,
     lags = np.arange(-max_lag, max_lag + 1)
     corr = np.full(lags.size, np.nan)
     counts = np.zeros(lags.size, dtype=np.int64)
+    d_row, r_row = np.empty(n), np.empty(n)
     for i, lag in enumerate(int(j) for j in lags):
         lo, hi = max(0, -lag), min(n, n - lag)
-        ret = midv[lo + lag:hi + lag] / midv[lo:hi] - 1.0
-        sv = s[lo:hi]
-        ok = np.isfinite(sv)
-        m = int(ok.sum())
+        ok = np.isfinite(s[lo:hi])
+        m = int(np.count_nonzero(ok))
         counts[i] = m
         if m < 2:
             continue
-        x, y = sv[ok], ret[ok]
-        sx, sy = float(x.std()), float(y.std())
+        a = lo + int(ok.argmax())
+        if ok[a - lo:a - lo + m].all():
+            x, now = s[a:a + m], midv[a:a + m]
+            later = midv[a + lag:a + lag + m]
+        else:
+            x, now = s[lo:hi][ok], midv[lo:hi][ok]
+            later = midv[lo + lag:hi + lag][ok]
+        d, r = d_row[:m], r_row[:m]
+        np.subtract(x, np.add.reduce(x) / m, out=d)
+        sx = float(np.sqrt(np.add.reduce(np.multiply(d, d, out=r)) / m))
+        np.divide(later, now, out=r)
+        r -= 1.0
+        r -= np.add.reduce(r) / m
+        d *= r
+        cov = float(np.add.reduce(d) / m)
+        sy = float(np.sqrt(np.add.reduce(np.multiply(r, r, out=d)) / m))
         if sx == 0.0 or sy == 0.0:
             continue
-        r = float(np.mean((x - x.mean()) * (y - y.mean()))) / (sx * sy)
-        corr[i] = min(1.0, max(-1.0, r))
+        corr[i] = min(1.0, max(-1.0, cov / (sx * sy)))
     return CorrelationCurve(lags=lags, corr=corr, n=counts)
 
 

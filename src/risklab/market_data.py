@@ -28,7 +28,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -73,7 +73,9 @@ class TickSeries:
 
     @property
     def mid(self) -> np.ndarray:
-        return (self.bid + self.ask) / 2.0
+        out = np.add(self.bid, self.ask)
+        out /= 2.0
+        return out
 
     def window(self, start: int, stop: int) -> "TickSeries":
         """Sub-series over tick indices [start, stop)."""
@@ -161,9 +163,8 @@ _READ_BYTES = 1 << 18
 # its text
 _MAX_DIGITS = 19
 _PRICE_DIGITS = 26
-# the shortest row the parser takes, "0,0.0,0.0\n", and the longest: a
-# signed timestamp, two prices with the point and "\r\n"
-_MIN_ROW_BYTES = 10
+# the longest row the parser takes: a signed timestamp, two prices with
+# the point and "\r\n"
 _MAX_ROW_BYTES = 1 + _MAX_DIGITS + 2 * (2 + _PRICE_DIGITS) + 2
 _LANE_BYTES = 8
 _ZERO, _MINUS, _COMMA, _POINT, _NEWLINE, _CR = b"0-,.\n\r"
@@ -190,23 +191,32 @@ def _parse_bytes(path: Path) -> Optional[Tuple[np.ndarray, ...]]:
     """ts, bid, ask of a file in `load_csv`'s bulk grammar, else None.
 
     The file is read `_READ_BYTES` at a time; each read is parsed by
-    `_parse_block` up to its last newline into preallocated columns, so
-    memory holds a block and the columns. The columns are sized for the
-    most rows the file could hold and shrunk in place at the end; the rows
-    never written are never touched, so they take no memory.
+    `_parse_block` up to its last newline into the columns, so memory holds
+    a block and the columns. When a block's rows do not fit, the columns
+    grow to hold them and the rows the unread bytes should hold at the
+    density read so far; a pipe (`st_size` 0) gives no such guess, and
+    every growth adds at least a quarter. The columns are shrunk in place
+    to the rows read at the end.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(_HEADER_LINES[1]))
         header = next((h for h in _HEADER_LINES if head.startswith(h)), None)
         if header is None:
             return None
-        # st_size is 0 for a pipe: the columns fill, and the scan decides
-        size = max(os.fstat(fh.fileno()).st_size - len(header), 0)
-        cap = size // _MIN_ROW_BYTES + 1
-        ts = np.empty(cap, dtype=np.int64)
-        bid = np.empty(cap, dtype=np.float64)
-        ask = np.empty(cap, dtype=np.float64)
-        n, rest = 0, head[len(header):]
+        size = os.fstat(fh.fileno()).st_size
+        columns = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64),
+                   np.empty(0, dtype=np.float64)]
+        n, rest, done = 0, head[len(header):], len(header)
+
+        def reserve(rows: int) -> List[np.ndarray]:
+            need = n + rows
+            if need > columns[0].size:
+                cap = max(need + need * max(size - done, 0) // done,
+                          columns[0].size * 5 // 4)
+                for column in columns:
+                    column.resize(cap, refcheck=False)
+            return [column[n:need] for column in columns]
+
         while True:
             block = fh.read(_READ_BYTES)
             if block:
@@ -222,24 +232,26 @@ def _parse_bytes(path: Path) -> Optional[Tuple[np.ndarray, ...]]:
                 cut = len(data)
             else:
                 break
-            rows = _parse_block(data, cut, ts[n:], bid[n:], ask[n:])
+            done += cut - len(_PAD)
+            rows = _parse_block(data, cut, reserve)
             if rows is None:
                 return None
             n += rows
             rest = data[cut:]
     if n == 0:
         return None
-    for column in (ts, bid, ask):
+    for column in columns:
         column.resize(n, refcheck=False)  # no view of a column is left
-    return ts, bid, ask
+    return tuple(columns)
 
 
-def _parse_block(data: bytes, cut: int, ts: np.ndarray, bid: np.ndarray,
-                 ask: np.ndarray) -> Optional[int]:
-    """Parse the rows in data[len(_PAD):cut] into the columns' heads.
+def _parse_block(data: bytes, cut: int,
+                 reserve: Callable[[int], List[np.ndarray]]) -> Optional[int]:
+    """Parse the rows in data[len(_PAD):cut] into the ts, bid and ask
+    arrays of that many rows that `reserve(rows)` returns.
 
     Returns the number of rows, or None unless every row is in the bulk
-    grammar and fits the columns. data[cut - 1] is a newline.
+    grammar. data[cut - 1] is a newline.
     """
     buf = np.frombuffer(data, dtype=np.uint8, count=cut)
     # every byte but a digit; uint8 wraps the bytes below "0" past 9
@@ -255,8 +267,7 @@ def _parse_block(data: bytes, cut: int, ts: np.ndarray, bid: np.ndarray,
         return None
     comma1, dot1, comma2, dot2, newline = pos.reshape(-1, _ROW_BYTES.size).T
     rows = newline.size
-    if rows > ts.size:
-        return None
+    ts, bid, ask = reserve(rows)
     lo = np.empty(rows, dtype=np.intp)
     lo[0] = len(_PAD)
     lo[1:] = newline[:-1] + 1
@@ -281,9 +292,9 @@ def _parse_block(data: bytes, cut: int, ts: np.ndarray, bid: np.ndarray,
     signed = mag.view(np.int64)
     if n_extra:
         np.negative(signed, out=signed, where=neg)  # 2**63 wraps to -2**63
-    ts[:rows] = signed
-    if not (_prices(buf, lanes, comma1, dot1, comma2, bid[:rows])
-            and _prices(buf, lanes, comma2, dot2, hi, ask[:rows])):
+    ts[:] = signed
+    if not (_prices(buf, lanes, comma1, dot1, comma2, bid)
+            and _prices(buf, lanes, comma2, dot2, hi, ask)):
         return None
     return rows
 
@@ -569,8 +580,17 @@ def signal_vol_schedule(spec: SyntheticSpec) -> np.ndarray:
     m = spec.n_ticks - 1
     if spec.decay_to is None:
         return np.full(m, spec.sigma_signal)
-    ramp = np.arange(m) / max(m - 1, 1)
-    return spec.sigma_signal + (spec.decay_to - spec.sigma_signal) * ramp
+    # sigma + (decay_to - sigma) * i / (m - 1), built in one row
+    ramp = np.arange(m, dtype=np.float64)
+    ramp /= max(m - 1, 1)
+    ramp *= spec.decay_to - spec.sigma_signal
+    ramp += spec.sigma_signal
+    return ramp
+
+
+# Innovations per step of the AR(1) loop: each step holds its values as
+# Python floats, about 0.5 MB, rather than two lists of the whole series.
+_AR_CHUNK = 1 << 14
 
 
 def gen_synthetic(spec: SyntheticSpec) -> TickSeries:
@@ -585,27 +605,41 @@ def gen_synthetic(spec: SyntheticSpec) -> TickSeries:
     CLI call (2-vCPU Xeon VM). Python never fuses the multiply and the
     add, so the values are lfilter's bit for bit; with phi = 0 the signal
     is eta itself.
+
+    Each step writes into a row it already holds: the noise row takes the
+    lagged signal, its running sum goes into the log-mid row, and that row
+    becomes the mid. At most three full-length rows are alive at once,
+    the returned series' own three included.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_ticks
-    eps = rng.normal(0.0, spec.sigma_noise, n - 1) if spec.sigma_noise > 0 \
+    # inc[t] = s[t] + eps[t], the log-mid step from tick t to t + 1
+    inc = rng.normal(0.0, spec.sigma_noise, n - 1) if spec.sigma_noise > 0 \
         else np.zeros(n - 1)
-    sched = signal_vol_schedule(spec)
-    eta = rng.standard_normal(n - 1) * sched
-    # s[t+1] = phi*s[t] + eta[t] with s[0] = 0
-    s = np.empty(n)
-    s[0] = 0.0
-    if spec.phi == 0.0:
-        s[1:] = eta
+    # eta, then in place the signal s[t+1] = phi*s[t] + eta[t], s[0] = 0
+    sig = rng.standard_normal(n - 1)
+    if spec.decay_to is None:
+        sig *= spec.sigma_signal
     else:
-        phi, y, ys = spec.phi, 0.0, []
-        for e in eta.tolist():
-            y = e + phi * y
-            ys.append(y)
-        s[1:] = ys
-    log_mid = math.log(INITIAL_MID) + np.concatenate(
-        ([0.0], np.cumsum(s[:-1] + eps)))
-    mid_px = np.exp(log_mid)
+        sig *= signal_vol_schedule(spec)
+    if spec.phi != 0.0:
+        phi, y = spec.phi, 0.0
+        for lo in range(0, n - 1, _AR_CHUNK):
+            ys = []
+            for e in sig[lo:lo + _AR_CHUNK].tolist():
+                y = e + phi * y
+                ys.append(y)
+            sig[lo:lo + _AR_CHUNK] = ys
+    inc[1:] += sig[:-1]
+    del sig
+    mid_px = np.empty(n)
+    mid_px[0] = 0.0
+    np.cumsum(inc, out=mid_px[1:])
+    del inc
+    mid_px += math.log(INITIAL_MID)
+    np.exp(mid_px, out=mid_px)
     half = spec.spread_bps * 1e-4 / 2.0
-    ts = spec.dt_ns * np.arange(1, n + 1, dtype=np.int64)
-    return TickSeries(ts, mid_px * (1.0 - half), mid_px * (1.0 + half))
+    ts = np.arange(1, n + 1, dtype=np.int64)
+    ts *= spec.dt_ns
+    bid = mid_px * (1.0 - half)
+    return TickSeries(ts, bid, np.multiply(mid_px, 1.0 + half, out=mid_px))

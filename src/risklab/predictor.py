@@ -519,10 +519,11 @@ def surprise_series(p: Predictor, series: TickSeries,
         return np.zeros(n)
     midv = series.mid
     if p.kind == KIND_LEAKED:
-        out = np.full(n, np.nan)
-        h = p.horizon
-        if h < n:
-            out[:n - h] = midv[h:] / midv[:n - h] - 1.0
+        out = np.empty(n)
+        h = min(p.horizon, n)
+        np.divide(midv[h:], midv[:n - h], out=out[:n - h])
+        out[:n - h] -= 1.0
+        out[n - h:] = np.nan
         return out
     if p.kind == KIND_NOISE:
         return np.exp(p.noise_scale * eps(p.noise_seed, series.ts)) - 1.0

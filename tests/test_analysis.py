@@ -1,10 +1,12 @@
 """Sweep, lead-lag correlation, and cluster-tightness tests."""
 
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
+from correlation_oracle import correlation
 from risklab import analysis, backtest
 from risklab.analysis import (
     CorrelationCurve,
@@ -18,8 +20,8 @@ from risklab.backtest import run_backtest_signals, sharpe
 from risklab.errors import ValidationError
 from risklab.market_data import SyntheticSpec, gen_synthetic
 from risklab.predictor import (TrainSpec, make_leaked, make_noise,
-                               sample_variants, surprise_series, train,
-                               variant_surprise_series)
+                               make_persistence, sample_variants,
+                               surprise_series, train, variant_surprise_series)
 from risklab.uncertainty import mc_disentangle
 
 SIGNAL_SPEC = SyntheticSpec(n_ticks=4000, sigma_noise=3e-4, phi=0.9,
@@ -197,8 +199,6 @@ def test_correlation_leaked_is_perfect_at_its_horizon():
 
 
 def test_correlation_persistence_has_no_values():
-    from risklab.predictor import make_persistence
-
     series = gen_synthetic(WALK_SPEC)
     curve = surprise_return_correlation(series, make_persistence())
     assert np.isnan(curve.corr).all()
@@ -232,6 +232,75 @@ def test_correlation_input_validation():
         surprise_return_correlation(series, make_leaked(1), max_lag=0)
     with pytest.raises(ValidationError, match="too short"):
         surprise_return_correlation(series.window(0, 8), make_leaked(1))
+
+
+@pytest.fixture(scope="module")
+def correlation_predictors():
+    net = train(gen_synthetic(SIGNAL_SPEC).window(0, 2000),
+                TrainSpec(window=6, hidden=(4,), epochs=10, seed=1))
+    return {"leaked1": make_leaked(1), "leaked3": make_leaked(3),
+            "net": net, "noise": make_noise(2e-4, seed=4),
+            "persistence": make_persistence()}
+
+
+def _assert_matches_the_oracle(series, predictor, max_lag):
+    got = surprise_return_correlation(series, predictor, max_lag=max_lag)
+    corr, n = correlation(analysis.surprise_series(predictor, series),
+                          series.bid, series.ask, max_lag)
+    assert got.corr.tobytes() == corr.tobytes()
+    assert got.n.tobytes() == n.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("max_lag", [1, 2, 5])
+@pytest.mark.parametrize("length", ["walk", "signal", "minimum"])
+@pytest.mark.parametrize("name", ["leaked1", "leaked3", "net", "noise",
+                                  "persistence"])
+def test_correlation_matches_the_oracle_bitwise(correlation_predictors, name,
+                                                length, max_lag):
+    predictor = correlation_predictors[name]
+    series = gen_synthetic(WALK_SPEC if length == "walk" else SIGNAL_SPEC)
+    if length == "minimum":
+        series = series.window(0, 2 * max_lag + max(predictor.window, 1) + 1)
+    got = _assert_matches_the_oracle(series, predictor, max_lag)
+    if name == "persistence":
+        assert np.isnan(got.corr).all()
+    elif length != "minimum":
+        assert np.isfinite(got.corr).sum() == 2 * max_lag
+
+
+@pytest.mark.parametrize("max_lag", [1, 2, 5])
+@pytest.mark.parametrize("finite", ["gaps", "two"])
+def test_correlation_with_gaps_matches_the_oracle_bitwise(monkeypatch, finite,
+                                                          max_lag):
+    # finite surprise that is not one run takes the masked copies
+    series = gen_synthetic(WALK_SPEC)
+    surprise = surprise_series(make_noise(2e-4, seed=6), series)
+    if finite == "gaps":
+        surprise[np.random.default_rng(1).random(surprise.size) < 0.1] = np.nan
+    else:
+        surprise[np.arange(surprise.size) % 997 != 500] = np.nan
+    monkeypatch.setattr(analysis, "surprise_series",
+                        lambda p, s: surprise.copy())
+    got = _assert_matches_the_oracle(series, make_noise(2e-4, seed=6),
+                                     max_lag)
+    if finite == "two":
+        assert got.n.max() == 2 and np.isfinite(got.corr).any()
+
+
+def test_correlation_stays_lean():
+    # the surprise, the mid and two working rows peak at 4.25 rows; with
+    # copies per lag the peak was 7.1
+    n = 250_000
+    series = gen_synthetic(SyntheticSpec(n_ticks=n, seed=3))
+    tracemalloc.start()
+    try:
+        curve = surprise_return_correlation(series, make_leaked(1), max_lag=5)
+        rows = tracemalloc.get_traced_memory()[1] / (8 * n)
+    finally:
+        tracemalloc.stop()
+    assert curve.corr[6] == pytest.approx(1.0, abs=1e-9)
+    assert rows <= 4.5, f"the correlation peaked at {rows:.2f} rows"
 
 
 def test_correlation_curve_invariants():

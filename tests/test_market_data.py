@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,19 @@ def _write(tmp_path, name, text):
 
 
 SEC = 1_000_000_000
+
+# the memory gates' series length; their peaks are in rows of 8 * N bytes
+N_LEAN = 250_000
+
+
+def _peak_rows(fn):
+    """fn()'s result and its tracemalloc peak in rows of 8 * N_LEAN bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] / (8 * N_LEAN)
+    finally:
+        tracemalloc.stop()
 
 
 class TestLoadCsv:
@@ -343,6 +360,43 @@ class TestBulkMatchesScan:
                 assert (columns is not None) == (name in BULK_EDGES), name
                 assert _outcome(path) == _scan_outcome(path), name
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_reads_a_pipe_once(self, tmp_path):
+        # a pipe reports st_size 0, so the columns grow as its rows arrive;
+        # its bytes can be read only once, by the bulk parse
+        path = tmp_path / "ticks.csv"
+        write_csv(gen_synthetic(SyntheticSpec(n_ticks=30_000, seed=4)), path)
+        fifo = tmp_path / "ticks.fifo"
+        os.mkfifo(fifo)
+        got = {}
+        writer = threading.Thread(target=fifo.write_bytes,
+                                  args=(path.read_bytes(),), daemon=True)
+        reader = threading.Thread(
+            target=lambda: got.update(series=load_csv(fifo)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=20)
+        if reader.is_alive():  # it opened the drained pipe again: end it
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=20)
+        writer.join(timeout=20)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert "series" in got, "the pipe was not parsed in one read"
+        want = load_csv(path)
+        for name in ("ts", "bid", "ask"):
+            assert getattr(got["series"], name).tobytes() == \
+                getattr(want, name).tobytes()
+
+    def test_columns_stay_lean(self, tmp_path):
+        # three columns are three rows, and the peak was 3.75; sized for
+        # every row the file's bytes could hold, they peaked at 14.2
+        series = gen_synthetic(SyntheticSpec(n_ticks=N_LEAN, seed=3))
+        path = tmp_path / "ticks.csv"
+        write_csv(series, path)
+        got, rows = _peak_rows(lambda: load_csv(path))
+        assert got.ts.tobytes() == series.ts.tobytes()
+        assert rows <= 4.0, f"load_csv peaked at {rows:.2f} rows"
+
     def test_random_decimals_parse_exactly(self, tmp_path):
         # digit strings of every length the parser takes, leading zeros
         # included, against Python's correctly rounded int() and float()
@@ -627,6 +681,18 @@ class TestGenSynthetic:
         r = np.diff(np.log(gen_synthetic(spec).mid))
         head, tail = r[:4000], r[-4000:]
         assert tail.var() < 0.25 * head.var()
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n_ticks=N_LEAN, seed=3),
+        SyntheticSpec(n_ticks=N_LEAN, phi=0.9, sigma_signal=2e-4, seed=3,
+                      decay_to=0.0),
+    ], ids=["phi0", "ar_decay"])
+    def test_stays_lean(self, spec):
+        # the series' own three rows hold the peak: 3.1 and 3.2 rows, where
+        # a fresh row for every step peaked at 9.1 and 13.2
+        got, rows = _peak_rows(lambda: gen_synthetic(spec))
+        assert len(got) == N_LEAN
+        assert rows <= 5.5, f"gen_synthetic peaked at {rows:.2f} rows"
 
     @pytest.mark.parametrize("spec", [
         SyntheticSpec(n_ticks=5000, sigma_noise=4e-4, phi=0.0,

@@ -83,6 +83,55 @@ def test_readme_config_run_writes_the_pinned_bytes(tmp_path):
     assert got == README_RUN_SHA256
 
 
+# sha256 of the tick-CSV path's artifacts: a `gen-data` spec whose AR(1)
+# recursion spans two of `gen_synthetic`'s chunks, and `correlate` on its
+# CSV with the leaked predictor and with a small trained net. Rules as for
+# README_RUN_SHA256.
+TAPE_SPEC = """\
+[synthetic]
+n_ticks = 20000
+sigma_noise = 0.0003
+phi = 0.9
+sigma_signal = 0.0002
+decay_to = 0.0
+spread_bps = 1.0
+seed = 5
+"""
+TAPE_TRAIN = {
+    "leaked": "[train]\nkind = leaked\nhorizon = 2\n",
+    "net": "[train]\nkind = net\nwindow = 6\nhidden = 4\nepochs = 20\n"
+           "seed = 2\n",
+}
+TAPE_SHA256 = {
+    "ticks.csv":
+        "e2cc54f933947f30219597d8e687b858b19ffb6dce1d132d0446abf6084b1575",
+    "corr-leaked.csv":
+        "0a067df02557a82cf3779a6d88d678d9ca6bc4bef4bde175d62ba95ed3b46189",
+    "corr-net.csv":
+        "f320da8656e62f39a1ff381b692f5456b524c7ca77df26d88a4a19a178903388",
+}
+
+
+def test_tape_commands_write_the_pinned_bytes(tmp_path):
+    (tmp_path / "spec.ini").write_text(TAPE_SPEC, encoding="utf-8")
+    data = str(tmp_path / "ticks.csv")
+    calls = [["gen-data", "--spec", str(tmp_path / "spec.ini"),
+              "--out", data]]
+    for kind, config in TAPE_TRAIN.items():
+        (tmp_path / f"{kind}.ini").write_text(config, encoding="utf-8")
+        model = str(tmp_path / f"{kind}.json")
+        calls += [["train", "--data", data, "--config",
+                   str(tmp_path / f"{kind}.ini"), "--out", model],
+                  ["correlate", "--data", data, "--predictor", model,
+                   "--out", str(tmp_path / f"corr-{kind}.csv")]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in calls:
+            assert cli.main(argv) == 0, argv
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in TAPE_SHA256}
+    assert got == TAPE_SHA256
+
+
 def test_readme_names_no_removed_api():
     text = README.read_text(encoding="utf-8")
     for name in ("BboTick", "predict_variant", "resample", "sr_theta_line",
