@@ -12,7 +12,7 @@ Every run is seed-deterministic down to the output bytes.
 # first seeded call inside a command does not pay for it
 import numpy.random  # noqa: F401
 
-from .analysis import (CorrelationCurve, SweepSpec, cluster_tightness,
+from .analysis import (CorrelationCurve, SweepSpec,
                        surprise_return_correlation, sweep, sweep_configs)
 from .backtest import (BacktestResult, Fill, StrategyConfig, annualized_sharpe,
                        run_backtest, run_backtest_columns,
@@ -28,7 +28,7 @@ from .predictor import (Predictor, TrainSpec, VariantSet, load_predictor,
                         make_leaked, make_noise, make_persistence,
                         sample_variants, save_predictor, surprise_series,
                         train, variant_surprise_series)
-from .uncertainty import (McEstimate, estimate_from_matrix, mc_disentangle)
+from .uncertainty import McEstimate, estimate_from_matrix
 
 __version__ = "0.1.0"
 
@@ -37,11 +37,10 @@ __all__ = [
     "CorrelationCurve", "DegenerateError", "Fill", "McEstimate", "PmlFit",
     "Portfolio", "Predictor", "RiskReturnPoint", "RollingPmlResult",
     "StrategyConfig", "SweepSpec", "SyntheticSpec", "TickSeries", "TrainSpec",
-    "ValidationError", "VariantSet", "annualized_sharpe", "beta",
-    "cluster_tightness", "cml", "estimate_from_matrix", "fit_pml",
-    "gen_synthetic", "load_csv", "load_points_csv", "load_predictor",
-    "make_leaked", "make_noise", "make_persistence",
-    "mc_disentangle", "min_variance_portfolio", "priced_point",
+    "ValidationError", "VariantSet", "annualized_sharpe", "beta", "cml",
+    "estimate_from_matrix", "fit_pml", "gen_synthetic", "load_csv",
+    "load_points_csv", "load_predictor", "make_leaked", "make_noise",
+    "make_persistence", "min_variance_portfolio", "priced_point",
     "rolling_pml", "run_backtest", "run_backtest_columns",
     "run_backtest_signals", "sample_variants", "save_predictor", "sharpe",
     "surprise_return_correlation", "surprise_series", "sweep",

@@ -1,15 +1,13 @@
 """Studies of one predictor on one series: a hyperparameter sweep that
 turns the predictor into a cloud of (strategy, backtest, variant-spread)
 triples and a lead-lag correlation between surprise and nearby mid
-returns, which `risklab.pipeline` chains into the experiment; plus a
-tightness score for comparing risk-return point clusters.
+returns, which `risklab.pipeline` chains into the experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, Hashable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -259,34 +257,3 @@ def surprise_return_correlation(series: TickSeries, predictor: Predictor,
             continue
         corr[i] = min(1.0, max(-1.0, cov / (sx * sy)))
     return CorrelationCurve(lags=lags, corr=corr, n=counts)
-
-
-def cluster_tightness(
-        points_by_group: Dict[Hashable, Sequence]) -> Dict[Hashable, float]:
-    """Trace of the per-group covariance of (sigma_total, mean_return).
-
-    Both axes are standardized by the pooled cross-group population
-    spread first, so groups are compared on a common scale; an axis that
-    is constant everywhere is left unscaled. Smaller is tighter.
-    """
-    if not points_by_group:
-        raise ValidationError("no groups")
-    for g, pts in points_by_group.items():
-        if len(pts) < 2:
-            raise ValidationError(f"group '{g}' needs at least 2 points")
-    all_x = np.array([p.sigma_total for pts in points_by_group.values()
-                      for p in pts], dtype=np.float64)
-    all_y = np.array([p.mean_return for pts in points_by_group.values()
-                      for p in pts], dtype=np.float64)
-    scale_x = float(all_x.std())
-    scale_y = float(all_y.std())
-    if scale_x == 0.0:
-        scale_x = 1.0
-    if scale_y == 0.0:
-        scale_y = 1.0
-    out = {}
-    for g, pts in points_by_group.items():
-        x = np.array([p.sigma_total for p in pts], dtype=np.float64) / scale_x
-        y = np.array([p.mean_return for p in pts], dtype=np.float64) / scale_y
-        out[g] = float(x.var() + y.var())
-    return out

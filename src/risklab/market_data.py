@@ -24,11 +24,12 @@ The bulk parse is exact: each price is read as integer digits M and, below
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import BinaryIO, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -125,26 +126,34 @@ def load_csv(path: Union[str, Path]) -> TickSeries:
     series or raises the line-numbered error. The scan reads the file as
     text, so a lone "\\r" ends a line there. Only the scan holds the file's
     text in memory.
+
+    The file is opened once, and the scan rewinds it. A pipe cannot be
+    rewound, so it is read whole first and both parsers read those bytes.
     """
     path = Path(path)
-    columns = _parse_bytes(path)
-    if columns is not None:
-        try:
-            return TickSeries(*columns)
-        except ValidationError:
-            pass  # the scan names the first bad line
-    return TickSeries(*_scan_rows(path, _read_body(path)))
+    with open(path, "rb") as fh:
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        columns = _parse_bytes(fh)
+        if columns is not None:
+            try:
+                return TickSeries(*columns)
+            except ValidationError:
+                pass  # the scan names the first bad line
+        fh.seek(0)
+        return TickSeries(*_scan_rows(path, _read_body(path, fh)))
 
 
-def _read_body(path: Path) -> str:
-    """The text after a valid header line, which must hold some text."""
+def _read_body(path: Path, fh: BinaryIO) -> str:
+    """The text after a valid header line of the file `fh` reads from its
+    start, which must hold some text; `path` names the file in errors."""
+    text = io.TextIOWrapper(fh, encoding="utf-8")
     try:
-        with open(path, encoding="utf-8") as fh:
-            # a long first line is rejected without being read whole
-            if fh.readline(len(CSV_HEADER) + 1).removesuffix("\n") != CSV_HEADER:
-                raise ValidationError(
-                    f"{path.name}: malformed header, expected '{CSV_HEADER}'")
-            body = fh.read()
+        # a long first line is rejected without being read whole
+        if text.readline(len(CSV_HEADER) + 1).removesuffix("\n") != CSV_HEADER:
+            raise ValidationError(
+                f"{path.name}: malformed header, expected '{CSV_HEADER}'")
+        body = text.read()
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path.name}: not UTF-8 text ({e.reason})") from None
     if not body:
@@ -187,57 +196,57 @@ _TEXT_BYTES = _PRICE_DIGITS + 1
 _INT64_MAX = np.uint64(_TS_MAX)
 
 
-def _parse_bytes(path: Path) -> Optional[Tuple[np.ndarray, ...]]:
-    """ts, bid, ask of a file in `load_csv`'s bulk grammar, else None.
+def _parse_bytes(fh: BinaryIO) -> Optional[Tuple[np.ndarray, ...]]:
+    """ts, bid, ask of the file `fh` reads, from its start, in `load_csv`'s
+    bulk grammar, else None.
 
     The file is read `_READ_BYTES` at a time; each read is parsed by
     `_parse_block` up to its last newline into the columns, so memory holds
     a block and the columns. When a block's rows do not fit, the columns
     grow to hold them and the rows the unread bytes should hold at the
-    density read so far; a pipe (`st_size` 0) gives no such guess, and
-    every growth adds at least a quarter. The columns are shrunk in place
-    to the rows read at the end.
+    density read so far, and every growth adds at least a quarter. The
+    columns are shrunk in place to the rows read at the end.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(len(_HEADER_LINES[1]))
-        header = next((h for h in _HEADER_LINES if head.startswith(h)), None)
-        if header is None:
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    head = fh.read(len(_HEADER_LINES[1]))
+    header = next((h for h in _HEADER_LINES if head.startswith(h)), None)
+    if header is None:
+        return None
+    columns = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64),
+               np.empty(0, dtype=np.float64)]
+    n, rest, done = 0, head[len(header):], len(header)
+
+    def reserve(rows: int) -> List[np.ndarray]:
+        need = n + rows
+        if need > columns[0].size:
+            cap = max(need + need * max(size - done, 0) // done,
+                      columns[0].size * 5 // 4)
+            for column in columns:
+                column.resize(cap, refcheck=False)
+        return [column[n:need] for column in columns]
+
+    while True:
+        block = fh.read(_READ_BYTES)
+        if block:
+            data = b"".join((_PAD, rest, block))
+            cut = data.rfind(b"\n", len(_PAD)) + 1
+            if cut == 0:  # a row longer than a read
+                rest = data[len(_PAD):]
+                if len(rest) > _MAX_ROW_BYTES:
+                    return None
+                continue
+        elif rest:  # the last row has no newline
+            data = b"".join((_PAD, rest, b"\n"))
+            cut = len(data)
+        else:
+            break
+        done += cut - len(_PAD)
+        rows = _parse_block(data, cut, reserve)
+        if rows is None:
             return None
-        size = os.fstat(fh.fileno()).st_size
-        columns = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64),
-                   np.empty(0, dtype=np.float64)]
-        n, rest, done = 0, head[len(header):], len(header)
-
-        def reserve(rows: int) -> List[np.ndarray]:
-            need = n + rows
-            if need > columns[0].size:
-                cap = max(need + need * max(size - done, 0) // done,
-                          columns[0].size * 5 // 4)
-                for column in columns:
-                    column.resize(cap, refcheck=False)
-            return [column[n:need] for column in columns]
-
-        while True:
-            block = fh.read(_READ_BYTES)
-            if block:
-                data = b"".join((_PAD, rest, block))
-                cut = data.rfind(b"\n", len(_PAD)) + 1
-                if cut == 0:  # a row longer than a read
-                    rest = data[len(_PAD):]
-                    if len(rest) > _MAX_ROW_BYTES:
-                        return None
-                    continue
-            elif rest:  # the last row has no newline
-                data = b"".join((_PAD, rest, b"\n"))
-                cut = len(data)
-            else:
-                break
-            done += cut - len(_PAD)
-            rows = _parse_block(data, cut, reserve)
-            if rows is None:
-                return None
-            n += rows
-            rest = data[cut:]
+        n += rows
+        rest = data[cut:]
     if n == 0:
         return None
     for column in columns:

@@ -33,7 +33,7 @@ from .backtest import (BacktestResult, StrategyConfig, run_backtest_columns,
                        sharpe)
 from .errors import DegenerateError, ValidationError
 from .market_data import TickSeries
-from .predictor import TrainSpec, draw_masks, train
+from .predictor import TrainSpec, train
 from .uncertainty import McEstimate
 
 INTERCEPT_FIXED = "fixed"
@@ -44,11 +44,6 @@ AXIS_MC = "mc"
 DEFAULT_RF_ANNUAL = 0.05
 DEFAULT_PERIODS_PER_YEAR = 252
 DEFAULT_RF_PER_PERIOD = DEFAULT_RF_ANNUAL / DEFAULT_PERIODS_PER_YEAR
-
-# A rolling refit trains its windows in groups whose training arrays take
-# at most this many bytes: about the L2 cache of one core, where groups
-# train fastest
-_GROUP_BYTES = 1 << 21
 
 POINTS_CSV_HEADER = "config_id,mean_return,sigma_total,sigma_mc,sigma_priced,clamped"
 
@@ -311,24 +306,14 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
 
     Every window trains with one spec (so one seed) on train_len ticks, so
     every window starts from the same weights and draws the same dropout
-    keep masks. The windows train in groups, in order of start, each group
-    in one `train` call whose epoch loop runs its nets in lockstep, each
-    bit for bit as alone. The group size follows from `_GROUP_BYTES`: a
-    group's training holds three float64 (rows, width) arrays per window
-    and hidden layer, and one mask array shared, 8 * rows * sum(hidden)
-    bytes each, so at most (_GROUP_BYTES / that - 1) / 3 windows make a
-    group (5 at 1,993 rows of 8 units). The masks are drawn once, one bit
-    per draw, and replayed in every group. The packed stream takes epochs
-    * rows * sum(hidden) / 8 bytes; it is held only while it is no larger
-    than a group of one's four arrays, that is while epochs <= 256, and
-    above that each group draws its own.
-
-    After each group, its windows' sweeps are prepared (`prepare_sweep`);
-    the variants' keep masks depend only on the specs, so they are drawn
-    for the first window and reused. Then the variant columns of all
-    windows go through one `run_backtest_columns` call, each column
-    starting at its window's evaluation slice of `series`; the engine runs
-    them in block-sized passes and keeps only their lean state. A window
+    keep masks: all of them train in one `train` call, each bit for bit as
+    alone, and `train` bounds its own memory. Then each window's sweep is
+    prepared (`prepare_sweep`); the variants' keep masks depend only on
+    the specs, so they are drawn for the first window and reused. Then
+    the variant columns of all windows go through one
+    `run_backtest_columns` call, each column starting at its window's
+    evaluation slice of `series`; the engine runs them in block-sized
+    passes and keeps only their lean state. A window
     whose variant forecast turns out non-finite during the call fills its
     remaining columns with NaN rows, which never trade. Last, each
     window's sweep is finished (`finish_sweep`) and fitted.
@@ -337,30 +322,22 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
     train_len = rolling_train_len(window, step, train_frac, train_spec.window,
                                   n_ticks=n)
     starts = list(range(0, n - window + 1, step))
-    rows = train_len - train_spec.window - 1
-    masks = None
-    if train_spec.dropout_p > 0 and train_spec.epochs <= 4 * 8 * 8:
-        masks = draw_masks(train_spec, rows)
-    array_bytes = 8 * rows * sum(train_spec.hidden)
-    group = max(1, (_GROUP_BYTES // array_bytes - 1) // 3)
+    fits = train([series.window(start, start + train_len) for start in starts],
+                 train_spec)
 
     prepared: List[Optional[PreparedSweep]] = []
     variant_masks = None
-    for lo in range(0, len(starts), group):
-        chunks = [series.window(start, start + window)
-                  for start in starts[lo:lo + group]]
-        fits = train([chunk.window(0, train_len) for chunk in chunks],
-                     train_spec, masks=masks)
-        for chunk, fit in zip(chunks, fits):
-            prep = None
-            if not isinstance(fit, DegenerateError):
-                try:
-                    prep = prepare_sweep(chunk.window(train_len, window), fit,
-                                         sweep_spec, variant_masks)
-                    variant_masks = prep.masks
-                except DegenerateError:
-                    pass
-            prepared.append(prep)
+    for start, fit in zip(starts, fits):
+        prep = None
+        if not isinstance(fit, DegenerateError):
+            try:
+                prep = prepare_sweep(
+                    series.window(start + train_len, start + window), fit,
+                    sweep_spec, variant_masks)
+                variant_masks = prep.masks
+            except DegenerateError:
+                pass
+        prepared.append(prep)
 
     failed = set()
 

@@ -25,10 +25,10 @@ Everything is seed-deterministic: training the same series with the same
 spec twice yields bit-identical weights, and no call touches global random
 state. A training draws its initial weights and then its dropout keep
 masks from default_rng(spec.seed), so the masks depend only on the spec
-and the number of training rows, not on the series: `draw_masks` draws
-them once, packed one bit per draw, and trainings that share spec and row
-count (the windows of a rolling refit) replay that stream via `train`,
-which trains such series in lockstep, each with the bits it gets alone.
+and the number of training rows, not on the series: `train` trains
+series of one length (the windows of a rolling refit) in one epoch loop
+that draws each epoch's masks once for all of them, each net getting the
+bits it gets alone.
 """
 
 from __future__ import annotations
@@ -175,72 +175,37 @@ def _initial_params(spec: TrainSpec, rng: np.random.Generator
     return weights, biases
 
 
-@dataclass(frozen=True)
-class MaskStream:
-    """The keep masks a training with `spec` on `rows` rows draws.
-
-    bits[l][epoch] is hidden layer l's mask in that epoch: np.packbits of
-    its (rows, width) uniform draws >= dropout_p, in C order.
-    """
-
-    spec: TrainSpec
-    rows: int
-    bits: Tuple[np.ndarray, ...]
-
-
-def draw_masks(spec: TrainSpec, rows: int) -> MaskStream:
-    """Every keep mask that `train` draws for `spec` on a series that
-    gives `rows` training rows (len(series) - spec.window - 1).
-
-    The generator is advanced past the initial weights by the helper
-    `train` uses, and then draws each epoch's masks layer by layer, as
-    `_descend` does. Packed, the stream takes one bit per draw.
-    """
-    if spec.dropout_p == 0.0:
-        raise ValidationError("a net with dropout_p = 0 draws no masks")
-    if rows < 1:
-        raise ValidationError("a mask stream needs at least 1 row")
-    rng = np.random.default_rng(spec.seed)
-    _initial_params(spec, rng)
-    bits = [np.empty((spec.epochs, (rows * width + 7) // 8), dtype=np.uint8)
-            for width in spec.hidden]
-    for epoch in range(spec.epochs):
-        for layer, width in zip(bits, spec.hidden):
-            layer[epoch] = np.packbits(rng.random(rows * width)
-                                       >= spec.dropout_p)
-    for layer in bits:
-        layer.setflags(write=False)
-    return MaskStream(spec=spec, rows=rows, bits=tuple(bits))
+# A training steps its nets in groups whose scratch arrays take at most
+# this many bytes: about the L2 cache of one core, where groups train
+# fastest
+_GROUP_BYTES = 1 << 21
 
 
 def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
              biases: List[np.ndarray], spec: TrainSpec,
-             rng: np.random.Generator,
-             stream: Optional[MaskStream] = None) -> np.ndarray:
-    """Run spec.epochs of full-batch gradient descent on weights and biases.
+             rng: np.random.Generator) -> np.ndarray:
+    """Run spec.epochs of full-batch gradient descent on G nets that share
+    `spec`, updating their stacked weights and biases in place.
 
-    x is (n, window) and y (n,), weights (in, out) and biases (out,); or
-    every one of them has a leading axis of G nets, trained in lockstep:
-    x (G, n, window), y (G, n), weights (G, in, out), biases (G, 1, out).
-    A 3-D matmul makes the same BLAS call per net, elementwise operations
-    act per element and each reduction runs along one net's own axis in
-    the same order, so every net gets the bits it gets alone. The nets
-    share one spec, so one set of keep masks serves them all. Returns the
-    epoch at which each net's loss first went non-finite, -1 where it
-    never did, in the shape of the leading axis; the loop stops early once
-    every net's has.
+    x is (G, n, window), y (G, n), weights (G, in, out) and biases
+    (G, 1, out). A 3-D matmul makes the same BLAS call per net,
+    elementwise operations act per element and each reduction runs along
+    one net's own axis in the same order, so every net gets the bits it
+    gets alone. Returns the epoch at which each net's loss first went
+    non-finite, -1 where it never did.
 
-    Each hidden layer's (n, width) arrays are allocated once and rewritten
-    in place every epoch: the tanh output, the masked activation (once the
-    next layer's weight gradient has read it, the scratch for the tanh
-    derivative) and the gradient, one of each per net, and the keep mask
-    (as 0 or keep_scale), shared. So is the residual, whose loss is
-    np.mean(resid ** 2) without np.mean's wrapper.
-
-    The keep masks are drawn from `rng` into the mask array, or, given a
-    `stream` drawn for this spec and row count, unpacked from it: 0 or 1
-    times keep_scale gives the same 0.0 or keep_scale as a draw compared
-    with p in place and then scaled.
+    Each epoch draws every hidden layer's keep mask from `rng` once, in
+    layer order, into one (n, width) array (as 0 or keep_scale), shared by
+    all nets: a net trained alone draws the same. Then it steps the nets a
+    group at a time, through one group's (group, n, width) arrays per
+    hidden layer, rewritten in place: the tanh output, the masked
+    activation (once the next layer's weight gradient has read it, the
+    scratch for the tanh derivative) and the gradient. Those and the
+    masks take 8 * n * sum(hidden) bytes each, so a group holds as many
+    nets as fit `_GROUP_BYTES` (5 at 1,993 rows of 8 units). A group
+    whose nets have all diverged is skipped, and the loop stops once
+    every net has. The loss is np.mean(resid ** 2) without np.mean's
+    wrapper.
 
     Two operations along the narrow hidden axis take einsum forms, which
     give the same bits in a fraction of the time at these widths: a bias
@@ -257,79 +222,85 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
     rng.normal, and w - lr * (+-0.0) is w for w nonzero. Biases start at
     +0.0, and b - lr * gb yields -0.0 only when b is already -0.0.
     """
-    *lead, n, _ = x.shape
+    nets, n, _ = x.shape
     last = len(weights) - 1
     p = spec.dropout_p
     keep_scale = 1.0 / (1.0 - p) if p > 0 else 1.0
-    tanhs = [np.empty((*lead, n, width)) for width in spec.hidden]
-    grads = [np.empty((*lead, n, width)) for width in spec.hidden]
+    array_bytes = 8 * n * sum(spec.hidden)
+    size = min(nets, max(1, (_GROUP_BYTES // array_bytes - 1) // 3))
+    tanhs = [np.empty((size, n, width)) for width in spec.hidden]
+    grads = [np.empty((size, n, width)) for width in spec.hidden]
     masks = [np.empty((n, width)) for width in spec.hidden] if p > 0 else []
-    acts = ([np.empty((*lead, n, width)) for width in spec.hidden]
+    acts = ([np.empty((size, n, width)) for width in spec.hidden]
             if p > 0 else tanhs)
     # where 1 - tanh**2 goes: the activation, read by then, or its own
-    spare = acts if p > 0 else [np.empty((*lead, n, width))
+    spare = acts if p > 0 else [np.empty((size, n, width))
                                 for width in spec.hidden]
-    inputs = [x, *acts]     # what each weight layer reads
-    resid = np.empty(y.shape)
-    failed = np.full(lead, -1)
+    resid = np.empty((size, n))
+    failed = np.full(nets, -1)
+    live = [slice(lo, lo + size) for lo in range(0, nets, size)]
     for epoch in range(spec.epochs):
-        h = x
-        for l in range(last):
-            a = tanhs[l]
-            np.matmul(h, weights[l], out=a)
-            a += biases[l]
-            np.tanh(a, out=a)
-            if p > 0:
-                m = masks[l]
-                if stream is None:
-                    rng.random(out=m)
-                    np.greater_equal(m, p, out=m)
-                    m *= keep_scale
-                else:
-                    np.multiply(np.unpackbits(stream.bits[l][epoch],
-                                              count=m.size),
-                                keep_scale, out=m.reshape(-1))
-                # exact reassociation of (a * keep) * keep_scale
-                np.multiply(a, m, out=acts[l])
-            h = acts[l]
-        pred = (h @ weights[last] + biases[last])[..., 0]
-        np.subtract(pred, y, out=resid)
-        loss = np.add.reduce(resid * resid, axis=-1) / n \
-            + spec.l2 * sum((w ** 2).sum(axis=(-2, -1)) for w in weights)
-        if not np.isfinite(loss).all():
-            failed[(failed < 0) & ~np.isfinite(loss)] = epoch
-            if (failed >= 0).all():
-                break
-        grad = (2.0 / n) * resid[..., None]
-        for l in range(last, -1, -1):
-            gw = np.swapaxes(inputs[l], -1, -2) @ grad \
-                + 2.0 * spec.l2 * weights[l]
-            if grad.shape[-1] > 1:
-                gb = np.einsum("...ij->...j", grad)
-            else:
-                gb = grad.sum(axis=-2)
-            if l > 0:
-                g, d, t = grads[l - 1], spare[l - 1], tanhs[l - 1]
-                if l == last:
-                    # one column: grad @ W.T is a single product per element
-                    np.einsum("...i,...j->...ij", grad[..., 0],
-                              weights[l][..., 0], out=g)
-                else:
-                    np.matmul(grad, np.swapaxes(weights[l], -1, -2), out=g)
+        if not live:
+            break
+        for m in masks:
+            rng.random(out=m)
+            np.greater_equal(m, p, out=m)
+            m *= keep_scale
+        for group in tuple(live):
+            ws = [w[group] for w in weights]
+            bs = [b[group] for b in biases]
+            h = x[group]
+            g = h.shape[0]
+            inputs = [h]    # what each weight layer reads
+            for l in range(last):
+                a = tanhs[l][:g]
+                np.matmul(h, ws[l], out=a)
+                a += bs[l]
+                np.tanh(a, out=a)
+                h = acts[l][:g]
                 if p > 0:
-                    g *= masks[l - 1]
-                np.multiply(t, t, out=d)
-                np.subtract(1.0, d, out=d)
-                g *= d
-                grad = g
-            weights[l] = weights[l] - spec.learning_rate * gw
-            biases[l] = biases[l] - spec.learning_rate * gb.reshape(
-                biases[l].shape)
+                    # exact reassociation of (a * keep) * keep_scale
+                    np.multiply(a, masks[l], out=h)
+                inputs.append(h)
+            r = resid[:g]
+            np.subtract((h @ ws[last] + bs[last])[..., 0], y[group], out=r)
+            loss = np.add.reduce(r * r, axis=-1) / n \
+                + spec.l2 * sum((w ** 2).sum(axis=(-2, -1)) for w in ws)
+            if not np.isfinite(loss).all():
+                fresh = failed[group]
+                fresh[(fresh < 0) & ~np.isfinite(loss)] = epoch
+                if (fresh >= 0).all():
+                    live.remove(group)
+                    continue
+            grad = (2.0 / n) * r[..., None]
+            for l in range(last, -1, -1):
+                gw = np.swapaxes(inputs[l], -1, -2) @ grad \
+                    + 2.0 * spec.l2 * ws[l]
+                if grad.shape[-1] > 1:
+                    gb = np.einsum("...ij->...j", grad)
+                else:
+                    gb = grad.sum(axis=-2)
+                if l > 0:
+                    d, t = spare[l - 1][:g], tanhs[l - 1][:g]
+                    if l == last:
+                        # one column: grad @ W.T is a single product per
+                        # element
+                        grad = np.einsum("...i,...j->...ij", grad[..., 0],
+                                         ws[l][..., 0], out=grads[l - 1][:g])
+                    else:
+                        grad = np.matmul(grad, np.swapaxes(ws[l], -1, -2),
+                                         out=grads[l - 1][:g])
+                    if p > 0:
+                        grad *= masks[l - 1]
+                    np.multiply(t, t, out=d)
+                    np.subtract(1.0, d, out=d)
+                    grad *= d
+                ws[l] -= spec.learning_rate * gw
+                bs[l] -= spec.learning_rate * gb.reshape(bs[l].shape)
     return failed
 
 
-def train(series: Union[TickSeries, Sequence[TickSeries]], spec: TrainSpec,
-          masks: Optional[MaskStream] = None
+def train(series: Union[TickSeries, Sequence[TickSeries]], spec: TrainSpec
           ) -> Union[Predictor, List[Union[Predictor, DegenerateError]]]:
     """Fit the dropout network to one series, or one net to each of a
     sequence of equal-length series.
@@ -338,14 +309,12 @@ def train(series: Union[TickSeries, Sequence[TickSeries]], spec: TrainSpec,
     return, both standardized by the training return volatility. The loss
     is mean squared error plus an l2 weight penalty, minimized by
     full-batch gradient descent with fresh dropout masks each epoch.
-    `masks`, if given, is `draw_masks` of this spec and row count, replayed
-    in place of drawing: the result is the same bits either way.
 
     Nets trained with one spec start from the same weights and draw the
-    same masks, so a sequence trains in one epoch loop, all its nets in
-    lockstep (`_descend`), and its memory grows with its length. It gives
-    a list with, for each series, the Predictor that training it alone
-    returns, or the DegenerateError that training it alone raises.
+    same masks, so a sequence trains in one epoch loop (`_descend`), its
+    nets in groups of bounded memory. It gives a list with, for each
+    series, the Predictor that training it alone returns, or the
+    DegenerateError that training it alone raises.
     """
     one = isinstance(series, TickSeries)
     group = [series] if one else list(series)
@@ -360,9 +329,6 @@ def train(series: Union[TickSeries, Sequence[TickSeries]], spec: TrainSpec,
             f"series too short to train: {n} ticks, "
             f"need at least {spec.window + 2}")
     rows = n - spec.window - 1
-    if masks is not None and (masks.spec != spec or masks.rows != rows):
-        raise ValidationError("the mask stream was drawn for another spec "
-                              f"or row count ({masks.rows} rows, not {rows})")
     x = np.empty((len(group), rows, spec.window))
     y = np.empty((len(group), rows))
     scales = []
@@ -381,7 +347,7 @@ def train(series: Union[TickSeries, Sequence[TickSeries]], spec: TrainSpec,
     # a diverging descent overflows to inf or NaN on its way to the
     # DegenerateError below, which says so without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        failed = _descend(x, y, weights, biases, spec, rng, masks)
+        failed = _descend(x, y, weights, biases, spec, rng)
         for g, scale in enumerate(scales):
             epoch = int(failed[g])
             if epoch < 0:

@@ -18,11 +18,9 @@ share instead, which is the paper's reading.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .backtest import BacktestResult
 from .errors import ValidationError
 
 
@@ -42,23 +40,6 @@ class McEstimate:
 
     def __post_init__(self) -> None:
         self.per_period_variance.setflags(write=False)
-
-
-def mc_disentangle(results: Sequence[BacktestResult]) -> McEstimate:
-    """Pool K variant backtests of the same strategy into an McEstimate.
-
-    All results must cover the same periods. Variances are population
-    (1/K) moments; identical variants therefore give exactly zero.
-    """
-    if len(results) < 2:
-        raise ValidationError("need at least 2 variant results (K >= 2)")
-    n_periods = results[0].period_returns.size
-    for i, r in enumerate(results[1:], start=1):
-        if r.period_returns.size != n_periods:
-            raise ValidationError(
-                f"mismatched period counts: variant 0 has {n_periods}, "
-                f"variant {i} has {r.period_returns.size}")
-    return estimate_from_matrix(np.stack([r.period_returns for r in results]))
 
 
 def estimate_from_matrix(returns: np.ndarray) -> McEstimate:

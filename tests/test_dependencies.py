@@ -1,6 +1,7 @@
 """The runtime dependencies that `pyproject.toml` declares are exactly the
 third-party modules that `src/risklab` imports: an unused or undeclared
-dependency fails here."""
+dependency fails here. So does an unused import in `src/risklab`, or a
+function or class there that nothing outside the tests calls."""
 
 import ast
 import re
@@ -65,3 +66,70 @@ def test_no_unused_import_in_src():
     unused = [entry for path in sorted((ROOT / "src" / "risklab").rglob("*.py"))
               if path.name != "__init__.py" for entry in _unused_imports(path)]
     assert unused == []
+
+
+# Acceptance criteria 01-02 check the capm optimizer and beta directly;
+# no stage of the laboratory runs them yet
+NO_CALLER_YET = {("capm", "min_variance_portfolio"),
+                 ("capm", "tangency_portfolio"), ("capm", "cml"),
+                 ("capm", "beta")}
+
+
+def _reads(tree, skip=None):
+    """What `tree` reads outside the node `skip`: the bare names, and each
+    attribute read off a name that an import from risklab binds."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0]
+                           for alias in node.names
+                           if alias.name.split(".")[0] == "risklab")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "risklab"):
+            modules.update(alias.asname or alias.name for alias in node.names)
+    names, attrs = set(), set()
+    for top in tree.body:
+        if top is skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def _imports_of(tree, name):
+    """The names under which `tree` imports `name` from risklab."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.split(".")[0] == "risklab")
+            for alias in node.names if alias.name == name}
+
+
+def _without_callers():
+    """(module, name) of each top-level function and class of src/risklab
+    that no code in src/risklab or benchmark reads, outside its own body.
+    A re-export is no read: importing a name is not calling it."""
+    src = sorted((ROOT / "src" / "risklab").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src + sorted((ROOT / "benchmark").glob("*.py"))}
+    reads = {path: _reads(tree) for path, tree in trees.items()}
+    found = set()
+    for path in src:
+        for top in trees[path].body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if top.name in _reads(trees[path], skip=top)[0] or any(
+                    top.name in reads[other][1]
+                    or _imports_of(trees[other], top.name) & reads[other][0]
+                    for other in trees if other != path):
+                continue
+            found.add((path.stem, top.name))
+    return found
+
+
+def test_every_definition_in_src_has_a_caller_outside_the_tests():
+    assert _without_callers() == NO_CALLER_YET

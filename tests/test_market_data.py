@@ -207,8 +207,14 @@ def _outcome(path):
 
 def _scan_outcome(path):
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(market_data, "_parse_bytes", lambda path: None)
+        m.setattr(market_data, "_parse_bytes", lambda fh: None)
         return _outcome(path)
+
+
+def _bulk_columns(path):
+    """`_parse_bytes` of the file at `path`."""
+    with open(path, "rb") as fh:
+        return market_data._parse_bytes(fh)
 
 
 def _bulk_outcome(path):
@@ -257,6 +263,34 @@ def _corrupt(rng, lines):
         lines[i] = f"{t},{b},{a},0"
 
 
+def _load_from_pipe(tmp_path, data):
+    """load_csv of `data` written to a named pipe: the series or the
+    ValidationError, or None when it blocked opening the pipe again."""
+    fifo = tmp_path / "ticks.fifo"
+    os.mkfifo(fifo)
+    got = {}
+
+    def load():
+        try:
+            got["out"] = load_csv(fifo)
+        except ValidationError as e:
+            got["out"] = e
+
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,),
+                              daemon=True)
+    reader = threading.Thread(target=load, daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=20)
+    blocked = reader.is_alive()
+    if blocked:  # it opened the drained pipe again: end it
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=20)
+    writer.join(timeout=20)
+    assert not reader.is_alive() and not writer.is_alive()
+    return None if blocked else got["out"]
+
+
 class TestBulkMatchesScan:
     @pytest.mark.parametrize("name,text", EDGE_FILES,
                              ids=[name for name, _ in EDGE_FILES])
@@ -267,7 +301,7 @@ class TestBulkMatchesScan:
     @pytest.mark.parametrize("name", [name for name, _ in EDGE_FILES])
     def test_bulk_grammar_edges(self, tmp_path, name):
         p = _write_edge(tmp_path, name)
-        columns = market_data._parse_bytes(p)
+        columns = _bulk_columns(p)
         assert (columns is not None) == (name in BULK_EDGES)
         want = _scan_outcome(p)
         if columns is not None and not isinstance(want, str):
@@ -352,40 +386,39 @@ class TestBulkMatchesScan:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(market_data, "_READ_BYTES", read_bytes)
             for path in (p, crlf):
-                assert market_data._parse_bytes(path) is not None
+                assert _bulk_columns(path) is not None
                 assert _bulk_outcome(path) == _scan_outcome(path)
             for name, _ in EDGE_FILES:
                 path = _write_edge(tmp_path, name)
-                columns = market_data._parse_bytes(path)
+                columns = _bulk_columns(path)
                 assert (columns is not None) == (name in BULK_EDGES), name
                 assert _outcome(path) == _scan_outcome(path), name
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_reads_a_pipe_once(self, tmp_path):
-        # a pipe reports st_size 0, so the columns grow as its rows arrive;
-        # its bytes can be read only once, by the bulk parse
+        # a pipe's bytes can be read only once: load_csv reads them whole
+        # and parses them in bulk
         path = tmp_path / "ticks.csv"
         write_csv(gen_synthetic(SyntheticSpec(n_ticks=30_000, seed=4)), path)
-        fifo = tmp_path / "ticks.fifo"
-        os.mkfifo(fifo)
-        got = {}
-        writer = threading.Thread(target=fifo.write_bytes,
-                                  args=(path.read_bytes(),), daemon=True)
-        reader = threading.Thread(
-            target=lambda: got.update(series=load_csv(fifo)), daemon=True)
-        writer.start()
-        reader.start()
-        reader.join(timeout=20)
-        if reader.is_alive():  # it opened the drained pipe again: end it
-            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-            reader.join(timeout=20)
-        writer.join(timeout=20)
-        assert not reader.is_alive() and not writer.is_alive()
-        assert "series" in got, "the pipe was not parsed in one read"
+        got = _load_from_pipe(tmp_path, path.read_bytes())
+        assert isinstance(got, TickSeries), got
         want = load_csv(path)
         for name in ("ts", "bid", "ask"):
-            assert getattr(got["series"], name).tobytes() == \
-                getattr(want, name).tobytes()
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_scans_the_bytes_a_pipe_gave(self, tmp_path):
+        # the crossed last quote fails the bulk parse's column check, and
+        # the per-row scan names its line from the same bytes
+        path = tmp_path / "ticks.csv"
+        write_csv(gen_synthetic(SyntheticSpec(n_ticks=30_000, seed=4)), path)
+        head, last = path.read_text(encoding="utf-8").rstrip("\n") \
+            .rsplit("\n", 1)
+        ts, bid, ask = last.split(",")
+        got = _load_from_pipe(
+            tmp_path, f"{head}\n{ts},{ask},{float(bid) - 1.0}\n".encode())
+        assert isinstance(got, ValidationError), got
+        assert str(got) == "ticks.fifo: crossed quote at line 30001"
 
     def test_columns_stay_lean(self, tmp_path):
         # three columns are three rows, and the peak was 3.75; sized for
@@ -422,7 +455,7 @@ class TestBulkMatchesScan:
         p.write_text(HEAD + "".join(f"{t},{b},{a}\n"
                                     for t, b, a in zip(ts, bid, ask)),
                      encoding="utf-8")
-        got_ts, got_bid, got_ask = market_data._parse_bytes(p)
+        got_ts, got_bid, got_ask = _bulk_columns(p)
         assert got_ts.tolist() == [int(t) for t in ts]
         for got, text in ((got_bid, bid), (got_ask, ask)):
             want = np.array([float(x) for x in text])

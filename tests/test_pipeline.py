@@ -53,6 +53,11 @@ def test_run_experiment_hands_over_the_sweep_before_failing(tmp_path):
     assert handed == ["points.csv", "mc.json"]
 
 
+# tracer targets taken out of risklab, which no pass called; the tracer's
+# entry goes with the next change to the benchmark
+RETIRED_TARGETS = {("risklab.uncertainty", "mc_disentangle")}
+
+
 def test_benchmark_hooks_resolve():
     # the tracer skips a target it cannot find, so a moved function would
     # read zero in the benchmark's per-layer metrics instead of failing
@@ -63,7 +68,10 @@ def test_benchmark_hooks_resolve():
     assert tracing.TARGETS
     for module_name, attr, _ in tracing.TARGETS:
         fn = getattr(importlib.import_module(module_name), attr, None)
-        assert callable(fn), f"{module_name}.{attr}"
+        if (module_name, attr) in RETIRED_TARGETS:
+            assert fn is None, f"{module_name}.{attr}"
+        else:
+            assert callable(fn), f"{module_name}.{attr}"
     # the benchmark's worker parses each experiment config with it
     assert callable(getattr(cli, "load_experiment", None))
 

@@ -392,12 +392,11 @@ def _windows_one_by_one(series, train_spec, window, train_len):
 @pytest.mark.parametrize("epochs, learning_rate", [(200, 0.5), (257, 0.3)])
 def test_rolling_matches_the_windows_trained_one_by_one(
         monkeypatch, epochs, learning_rate):
-    # the windows train in groups, here of 2, 2 and 1; up to 256 epochs
-    # every group replays one stream of masks, drawn once, and above, each
-    # draws its own. Either way each window's numbers are those it gives
-    # alone: also beside and after a window whose training diverges (the
-    # second), after one whose variant forecast is not finite (the
-    # fourth), and with engine passes that end inside windows
+    # the windows train in one call, stepped in groups of 2, 2 and 1, and
+    # each window's numbers are those it gives alone: also beside and
+    # after a window whose training diverges (the second), after one whose
+    # variant forecast is not finite (the fourth), and with engine passes
+    # that end inside windows
     series = _climb_in_second_window()
     spec = dataclasses.replace(TRAIN, epochs=epochs,
                                learning_rate=learning_rate)
@@ -415,12 +414,11 @@ def test_rolling_matches_the_windows_trained_one_by_one(
     theta, observed = _windows_one_by_one(series, spec, 600, 300)
     assert np.isnan(theta[[1, 3]]).all()
     assert np.isfinite(theta[[0, 2, 4]]).all()
-    groups, replayed, engine_calls = [], [], []
+    calls, engine_calls = [], []
 
-    def spy(series, spec, masks=None):
-        groups.append(len(series))
-        replayed.append(masks)
-        return train(series, spec, masks=masks)
+    def spy(series, spec):
+        calls.append(len(series))
+        return train(series, spec)
 
     def engine(*args, **kwargs):
         engine_calls.append(kwargs["starts"])
@@ -432,18 +430,13 @@ def test_rolling_matches_the_windows_trained_one_by_one(
     monkeypatch.setattr(backtest, "_COLUMN_TICKS", 12 * 300)
     # 293 training rows of 8 units: seven arrays' bytes hold a group of 2
     # (three arrays a window and the shared mask)
-    monkeypatch.setattr(pml, "_GROUP_BYTES", 7 * 8 * 293 * 8)
+    monkeypatch.setattr(predictor, "_GROUP_BYTES", 7 * 8 * 293 * 8)
     r = rolling_pml(series, spec, SWEEP, window=600, step=600)
     assert r.sr_theta_series.tobytes() == theta.tobytes()
     assert r.sr_observed_series.tobytes() == observed.tobytes()
-    # one call per group, through the name `pml.train`: a tracer that
-    # wraps it counts the trainings there
-    assert groups == [2, 2, 1]
-    if epochs <= 256:
-        assert replayed[0].rows == 293
-        assert all(m is replayed[0] for m in replayed)
-    else:
-        assert replayed == [None] * 3
+    # one call for every window, through the name `pml.train`: a tracer
+    # that wraps it counts the training there
+    assert calls == [5]
     # one engine call for the variant columns of every window that
     # trained, through the name `pml.run_backtest_columns`
     assert [list(s) for s in engine_calls] == [
@@ -475,11 +468,10 @@ def test_rolling_draws_each_first_layer_and_variant_mask_once(monkeypatch):
     assert len(masks) == SWEEP.n_configs * SWEEP.K
 
 
-def test_rolling_masks_stay_packed():
+def test_rolling_refit_stays_small():
     # the decay benchmark's windows: 1,993 training rows, hidden 8 and 150
-    # epochs. The stream of masks they share is 298,950 bytes packed, and
-    # the peak measured 1.91 MB, 1.58 MB where the group drew its own;
-    # the stream as bools (2.4 MB) or as float64 (19 MB) crosses the gate
+    # epochs. The peak measured 1.61 MB; all 150 epochs' masks held as
+    # bools (2.4 MB) or as float64 (19 MB) would cross the gate
     series = gen_synthetic(SyntheticSpec(n_ticks=6000, sigma_noise=3e-4,
                                          phi=0.9, sigma_signal=2e-4,
                                          spread_bps=1.0, seed=41,
@@ -502,11 +494,12 @@ def test_rolling_masks_stay_packed():
 
 def test_rolling_trains_its_groups_within_the_byte_budget(monkeypatch):
     # the decay benchmark's shape: 19 windows of 1,993 training rows and
-    # hidden 8. A group's training holds three float64 (rows, 8) arrays a
-    # window and one shared mask, 127,552 bytes each, so the 2 MiB budget
-    # makes groups of 5; besides them it holds its inputs (window + 1
-    # floats a row) and the loop's temporaries (measured under 6 floats a
-    # row). One group of all 19 grew by 10.8 MB and peaked at 11.2 MB
+    # hidden 8, in one `train` call. It steps groups whose scratch holds
+    # three float64 (rows, 8) arrays a window and one shared mask, 127,552
+    # bytes each, so the 2 MiB budget makes groups of 5; besides them it
+    # holds every window's inputs (window + 1 floats a row) and a group's
+    # temporaries (measured under 6 floats a row). The call grew by 4.50
+    # MB; stepping all 19 as one group grew by 10.5 MB and peaked at 10.5
     series = gen_synthetic(SyntheticSpec(n_ticks=40000, sigma_noise=3e-4,
                                          phi=0.9, sigma_signal=2e-4,
                                          spread_bps=1.0, seed=41,
@@ -519,10 +512,10 @@ def test_rolling_trains_its_groups_within_the_byte_budget(monkeypatch):
                            seed=41, K=4, period_ticks=64)
     sizes, grown = [], []
 
-    def measured(group, spec, masks=None):
+    def measured(group, spec):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fits = train(group, spec, masks=masks)
+        fits = train(group, spec)
         grown.append(tracemalloc.get_traced_memory()[1] - before)
         sizes.append(len(group))
         return fits
@@ -541,9 +534,8 @@ def test_rolling_trains_its_groups_within_the_byte_budget(monkeypatch):
         run_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes == [5, 5, 5, 4]
-    for size, bytes_grown in zip(sizes, grown):
-        assert bytes_grown < pml._GROUP_BYTES + 8 * size * 1993 * (7 + 6)
+    assert sizes == [19]
+    assert grown[0] < predictor._GROUP_BYTES + 8 * 19 * 1993 * (7 + 6)
     assert peak < run_peak, (peak, run_peak)
 
 

@@ -9,8 +9,9 @@ import train_oracle
 from predictor_oracle import surprises, variant_keep_flags
 from risklab import (DegenerateError, SyntheticSpec, TickSeries,
                      ValidationError, gen_synthetic)
+from risklab import predictor
 from risklab.predictor import (Predictor, TrainSpec, _descend, _features,
-                               _initial_params, _ndtri_lower, draw_masks, eps,
+                               _initial_params, _ndtri_lower, eps,
                                first_layer, load_predictor, make_leaked,
                                make_noise, make_persistence, sample_variants,
                                save_predictor, surprise_series, train,
@@ -42,18 +43,9 @@ SPEC = TrainSpec(window=8, hidden=(16,), dropout_p=0.2, epochs=150,
 # hidden sizes whose training at learning rate 1e5 diverges, and the epoch
 DIVERGING = [((5, 7, 3), 27), ((4, 1), 29)]
 
-
-def mask_stream(source, spec, rows):
-    """The `masks` argument of a training that draws its keep masks
-    ("drawn") or replays them from `draw_masks` ("replayed"); a net without
-    dropout draws none, so it has no stream to replay."""
-    if source == "drawn":
-        return None
-    if spec.dropout_p == 0.0:
-        with pytest.raises(ValidationError, match="draws no masks"):
-            draw_masks(spec, rows)
-        return None
-    return draw_masks(spec, rows)
+# how the oracle tests train their net: alone, or stepped in a group beside
+# nets of other data (`second_of_three`)
+NETS = ["alone", "grouped"]
 
 
 class TestTrain:
@@ -76,26 +68,29 @@ class TestTrain:
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
-    # 1,993 training rows: a width that is no multiple of 8 packs its
-    # masks into a last byte that is partly padding
     @pytest.mark.parametrize("hidden",
                              [(16,), (8, 4), (5, 7, 3), (1,), (4, 1), (8,)])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
-    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
-    def test_matches_the_epoch_loop_oracle_bitwise(self, hidden, dropout_p,
-                                                   masks):
+    @pytest.mark.parametrize("net", NETS)
+    def test_matches_the_epoch_loop_oracle_bitwise(self, monkeypatch, hidden,
+                                                   dropout_p, net):
         s = planted_series(2000)
         spec = TrainSpec(window=6, hidden=hidden, dropout_p=dropout_p,
                          epochs=40, learning_rate=0.05, seed=3)
         weights, biases, final_loss = train_oracle.fit(s, spec)
-        p = train(s, spec, masks=mask_stream(masks, spec, 1993))
+        if net == "alone":
+            p = train(s, spec)
+        else:
+            p, groups = second_of_three(monkeypatch, s, spec)
+            assert groups == ([2] * len(hidden) + [1] * len(hidden)) * 40
         for want, got in zip(weights + biases, p.weights + p.biases,
                              strict=True):
             assert np.array_equal(want, got)
         assert p.final_loss == final_loss
 
-    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
-    def test_diverging_training_raises_like_the_oracle(self, masks):
+    @pytest.mark.parametrize("net", NETS)
+    def test_diverging_training_raises_like_the_oracle(self, monkeypatch,
+                                                       net):
         s = planted_series(600)
         for hidden, epoch in DIVERGING:
             spec = TrainSpec(window=6, hidden=hidden, dropout_p=0.2,
@@ -103,9 +98,14 @@ class TestTrain:
             with np.errstate(all="ignore"):
                 with pytest.raises(DegenerateError) as want:
                     train_oracle.fit(s, spec)
-                with pytest.raises(DegenerateError) as got:
-                    train(s, spec, masks=mask_stream(masks, spec, 593))
-            assert str(got.value) == str(want.value) \
+                if net == "alone":
+                    with pytest.raises(DegenerateError) as got:
+                        train(s, spec)
+                    got = got.value
+                else:
+                    got, _ = second_of_three(monkeypatch, s, spec)
+            assert isinstance(got, DegenerateError)
+            assert str(got) == str(want.value) \
                 == f"non-finite training loss at epoch {epoch}"
 
     def test_diverging_training_warns_nothing(self):
@@ -126,9 +126,9 @@ class TestTrain:
     @pytest.mark.parametrize("hidden", [(8,), (4, 1), (5, 7, 3)])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
     @pytest.mark.parametrize("epochs", [1, 40])
-    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
+    @pytest.mark.parametrize("net", NETS)
     def test_descends_like_the_oracle_from_a_zero_output_weight(
-            self, zero, hidden, dropout_p, epochs, masks):
+            self, monkeypatch, zero, hidden, dropout_p, epochs, net):
         # a zero last-layer entry makes its column of grad @ W.T all zeros,
         # which einsum returns as +0.0 whatever the products' signs; after
         # one epoch the zero bias gradient it gives is still in the bytes
@@ -153,33 +153,26 @@ class TestTrain:
 
         want_w, want_b = list(weights), list(biases)
         train_oracle.descend(x, y, want_w, want_b, spec, drawn_after_init())
-        got_w, got_b = list(weights), list(biases)
-        _descend(x, y, got_w, got_b, spec, drawn_after_init(),
-                 mask_stream(masks, spec, x.shape[0]))
-        for want, got in zip(want_w + want_b, got_w + got_b, strict=True):
+        # one net, on the leading axis the epoch loop steps its nets along;
+        # or the second of three in groups of 2, beside nets that start
+        # from other weights and read the rows in reverse
+        at = 0 if net == "alone" else 1
+        nets = [weights]
+        if net == "grouped":
+            nets = [[start.normal(0.0, 0.5, w.shape) for w in weights],
+                    weights,
+                    [start.normal(0.0, 0.5, w.shape) for w in weights]]
+            x = np.stack([x[::-1], x, x[::-1]])
+            y = np.stack([y[::-1], y, y[::-1]])
+            groups_of(monkeypatch, 2, x.shape[1], hidden)
+        else:
+            x, y = x[None], y[None]
+        got_w = [np.stack(ws) for ws in zip(*nets)]
+        got_b = [np.repeat(b[None, None], len(nets), axis=0) for b in biases]
+        _descend(x, y, got_w, got_b, spec, drawn_after_init())
+        for want, got in zip(want_w + want_b, [w[at] for w in got_w]
+                             + [b[at, 0] for b in got_b], strict=True):
             assert want.tobytes() == got.tobytes()
-
-    def test_replays_only_the_stream_of_its_spec_and_row_count(self):
-        # np.unpackbits pads a short stream with zeros without complaint,
-        # so a stream of fewer rows would silently drop every unit there
-        s = planted_series(2000)
-        spec = TrainSpec(window=6, hidden=(5, 7, 3), dropout_p=0.3,
-                         epochs=40, learning_rate=0.05, seed=3)
-        stream = draw_masks(spec, 1993)
-        assert [b.shape for b in stream.bits] == [(40, 1246), (40, 1744),
-                                                  (40, 748)]
-        assert not any(b.flags.writeable for b in stream.bits)
-        for other in (draw_masks(spec, 1992), draw_masks(spec, 1994),
-                      draw_masks(TrainSpec(**{**spec.__dict__, "seed": 4}),
-                                 1993),
-                      draw_masks(TrainSpec(**{**spec.__dict__, "epochs": 41}),
-                                 1993)):
-            with pytest.raises(ValidationError, match="mask stream"):
-                train(s, spec, masks=other)
-        with pytest.raises(ValidationError, match="mask stream"):
-            train(s.window(0, 1999), spec, masks=stream)
-        with pytest.raises(ValidationError, match="at least 1 row"):
-            draw_masks(spec, 0)
 
     @pytest.mark.parametrize("rows", [1993, 15993])
     def test_einsum_forms_match_numpy_bitwise(self, rows):
@@ -253,16 +246,6 @@ def windows(series, count, length=300):
             for lo in range(0, count * length, length)]
 
 
-def trained_in_groups(series_list, spec, size, masks):
-    """`train` on consecutive groups of `size` series, one list of fits."""
-    rows = len(series_list[0]) - spec.window - 1
-    fits = []
-    for lo in range(0, len(series_list), size):
-        fits += train(series_list[lo:lo + size], spec,
-                      masks=mask_stream(masks, spec, rows))
-    return fits
-
-
 def like_the_oracle(fit, series, spec):
     """Holds one fit of a group to the oracle trained on `series` alone:
     the same weights, biases and final_loss, or the same DegenerateError.
@@ -282,62 +265,123 @@ def like_the_oracle(fit, series, spec):
     return None
 
 
+def groups_of(monkeypatch, size, rows, hidden):
+    """Set `_GROUP_BYTES` so that a training on `rows` rows of `hidden`
+    units steps `size` nets a group: three arrays a net and the shared
+    masks. Returns the list of the group sizes the epochs step, in order,
+    filled as training runs: one entry a group and hidden layer."""
+    monkeypatch.setattr(predictor, "_GROUP_BYTES",
+                        (3 * size + 1) * 8 * rows * sum(hidden))
+    stepped = []
+    tanh = np.tanh
+
+    def counted(a, *args, **kwargs):
+        if a.ndim == 3:
+            stepped.append(a.shape[0])
+        return tanh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "tanh", counted)
+    return stepped
+
+
+def second_of_three(monkeypatch, series, spec):
+    """Train `series` second of three equal-length series, stepped in
+    groups of 2, beside two planted series of other seeds. Returns its fit
+    (or DegenerateError) and the group sizes the epochs stepped."""
+    n = len(series)
+    group = [planted_series(n, seed=8), series, planted_series(n, seed=9)]
+    groups = groups_of(monkeypatch, 2, n - spec.window - 1, spec.hidden)
+    fits = train(group, spec)
+    monkeypatch.undo()
+    return fits[1], groups
+
+
 class TestTrainInGroups:
-    # 300-tick windows give 293 training rows, no multiple of 8: every
-    # replayed mask ends in a partly padded byte
-    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
-    def test_a_group_of_one_trains_as_alone(self, masks):
+    # 300-tick windows give 293 training rows
+    def test_a_group_of_one_trains_as_alone(self):
         s = planted_series(300)
         spec = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=40,
                          seed=3)
-        [fit] = trained_in_groups([s], spec, 1, masks)
+        [fit] = train([s], spec)
         like_the_oracle(fit, s, spec)
         alone = train(s, spec)
         assert [w.tobytes() for w in fit.weights + fit.biases] \
             == [w.tobytes() for w in alone.weights + alone.biases]
 
-    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
-    def test_nineteen_windows_in_groups_of_four(self, masks):
-        # the decay benchmark's 19 windows, shortened: four groups of 4
-        # and a remainder group of 3
+    @pytest.mark.parametrize("size, stepped", [(4, [4, 4, 4, 4, 3]),
+                                               (1, [1] * 19)],
+                             ids=["of-4", "of-1"])
+    def test_nineteen_windows_in_groups(self, monkeypatch, size, stepped):
+        # the decay benchmark's 19 windows, shortened, in one call: four
+        # groups of 4 and a remainder group of 3, or groups of 1
         spec = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=40,
                          seed=3)
         series = windows(planted_series(), 19)
-        fits = trained_in_groups(series, spec, 4, masks)
+        groups = groups_of(monkeypatch, size, 293, spec.hidden)
+        fits = train(series, spec)
+        assert groups == stepped * 40
+        monkeypatch.undo()
         assert len(fits) == 19
         for fit, s in zip(fits, series):
             assert like_the_oracle(fit, s, spec) is None
 
-    # two hidden layers; no dropout (no masks to share); and more epochs
-    # than a rolling refit replays from a stream, drawn from the generator
-    @pytest.mark.parametrize("hidden, dropout_p, epochs, masks", [
-        ((8, 4), 0.2, 40, "drawn"), ((8, 4), 0.2, 40, "replayed"),
-        ((5, 7, 3), 0.3, 20, "replayed"), ((8,), 0.0, 40, "drawn"),
-        ((8,), 0.2, 257, "drawn")])
-    def test_each_shape_trains_as_alone(self, hidden, dropout_p, epochs,
-                                        masks):
+    # two and four hidden layers, and no dropout (no masks to share)
+    @pytest.mark.parametrize("hidden, dropout_p, epochs", [
+        ((8, 4), 0.2, 40), ((5, 7, 3, 5), 0.3, 20), ((8,), 0.0, 40)])
+    def test_each_shape_trains_as_alone(self, monkeypatch, hidden, dropout_p,
+                                        epochs):
         spec = TrainSpec(window=6, hidden=hidden, dropout_p=dropout_p,
                          epochs=epochs, seed=3)
         series = windows(planted_series(), 6)
-        for fit, s in zip(trained_in_groups(series, spec, 4, masks),
-                          series):
+        groups = groups_of(monkeypatch, 4, 293, hidden)
+        fits = train(series, spec)
+        assert groups == ([4] * len(hidden) + [2] * len(hidden)) * epochs
+        monkeypatch.undo()
+        for fit, s in zip(fits, series):
             assert like_the_oracle(fit, s, spec) is None
 
-    @pytest.mark.parametrize("masks", ["drawn", "replayed"])
-    def test_windows_that_diverge_leave_the_others_alone(self, masks):
-        # at learning rate 1e2 the second window's loss goes non-finite at
-        # epoch 32 and the eighth's at epoch 30; the loop goes on for the
-        # six that train
-        spec = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=40,
-                         learning_rate=1e2, seed=3)
-        series = windows(planted_series(), 8)
+    # at learning rate 1e2 the second window's loss goes non-finite at
+    # epoch 32 and the eighth's at epoch 30
+    DIVERGE = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=40,
+                        learning_rate=1e2, seed=3)
+
+    @pytest.mark.parametrize("size, order, stepped", [
+        # one group of all 8: the loop goes on for the six that train
+        (8, [0, 1, 2, 3, 4, 5, 6, 7], [8] * 40),
+        # the two that diverge make the first group of 2, skipped from
+        # epoch 33 on while the three others train on
+        (2, [1, 7, 0, 2, 3, 4, 5, 6], [2] * 4 * 33 + [2] * 3 * 7)],
+        ids=["one-group", "a-whole-group-diverges"])
+    def test_windows_that_diverge_leave_the_others_alone(
+            self, monkeypatch, size, order, stepped):
+        series = [windows(planted_series(), 8)[i] for i in order]
+        groups = groups_of(monkeypatch, size, 293, self.DIVERGE.hidden)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fits = trained_in_groups(series, spec, 8, masks)
-        errors = [like_the_oracle(fit, s, spec)
+            fits = train(series, self.DIVERGE)
+        assert groups == stepped
+        monkeypatch.undo()
+        errors = [like_the_oracle(fit, s, self.DIVERGE)
                   for fit, s in zip(fits, series)]
-        assert errors == [None, "non-finite training loss at epoch 32",
-                          *[None] * 5, "non-finite training loss at epoch 30"]
+        epochs = {1: "non-finite training loss at epoch 32",
+                  7: "non-finite training loss at epoch 30"}
+        assert errors == [epochs.get(i) for i in order]
+
+    def test_the_loop_stops_once_every_net_diverges(self, monkeypatch):
+        # groups of 1: the eighth window's is skipped from epoch 31 on, and
+        # the loop stops after epoch 32, where the second's diverges
+        series = windows(planted_series(), 8)
+        series = [series[1], series[7]]
+        groups = groups_of(monkeypatch, 1, 293, self.DIVERGE.hidden)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = train(series, self.DIVERGE)
+        assert groups == [1, 1] * 31 + [1] * 2
+        monkeypatch.undo()
+        errors = [like_the_oracle(fit, s, self.DIVERGE)
+                  for fit, s in zip(fits, series)]
+        assert errors == ["non-finite training loss at epoch 32",
+                          "non-finite training loss at epoch 30"]
 
     def test_a_group_needs_equal_lengths(self):
         s = planted_series(600)

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import risklab
-from risklab import capm, cli, market_data, pml, predictor, uncertainty
+from risklab import (analysis, capm, cli, market_data, pml, predictor,
+                     uncertainty)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,13 +21,15 @@ REMOVED = {
     risklab: ("BboTick", "mid", "predict", "surprise", "predict_variant",
               "resample", "sr_theta_line", "rolling_to_dict",
               "average_correlation_curves", "MODE_WINDOW", "write_points_csv",
-              "load_universe"),
+              "load_universe", "mc_disentangle", "cluster_tightness"),
     market_data: ("BboTick", "mid", "resample"),
-    predictor: ("predict", "surprise", "predict_variant"),
+    predictor: ("predict", "surprise", "predict_variant", "MaskStream",
+                "draw_masks"),
     pml: ("sr_theta_line", "rolling_to_dict", "pml_fit_to_dict",
           "write_points_csv"),
     capm: ("load_universe", "universe_from_dict"),
-    uncertainty: ("MODE_WINDOW",),
+    uncertainty: ("MODE_WINDOW", "mc_disentangle"),
+    analysis: ("cluster_tightness",),
     risklab.TickSeries: ("tick", "ticks", "is_regular", "resolution_ns",
                          "symbol"),
     risklab.VariantSet: ("remask_per_tick",),

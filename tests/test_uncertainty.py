@@ -6,8 +6,8 @@ from risklab.backtest import (BacktestResult, StrategyConfig, TradeLog,
                               run_backtest_columns)
 from risklab.predictor import (TrainSpec, sample_variants, train,
                                variant_surprise_series)
-from risklab.uncertainty import (estimate_from_matrix, mc_disentangle,
-                                 mc_estimate_to_dict)
+from risklab.uncertainty import estimate_from_matrix, mc_estimate_to_dict
+from uncertainty_oracle import mc_disentangle
 
 NO_TRADES = TradeLog(*[np.empty(0)] * len(TradeLog._fields))
 
