@@ -156,6 +156,13 @@ def _forward(first: np.ndarray, weights: Sequence[np.ndarray],
     return (h @ weights[last] + biases[last])[:, 0]
 
 
+def _first_tanh(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tanh(x @ w + b), built in the one array the matmul returns."""
+    a = x @ w
+    a += b
+    return np.tanh(a, out=a)
+
+
 def _features(r: np.ndarray, window: int, scale: float,
               out: Optional[np.ndarray] = None) -> np.ndarray:
     """The net's input at every tick from `window` on: the last `window`
@@ -176,9 +183,9 @@ def _initial_params(spec: TrainSpec, rng: np.random.Generator
 
 
 # A training steps its nets in groups whose scratch arrays take at most
-# this many bytes: about the L2 cache of one core, where groups train
-# fastest
-_GROUP_BYTES = 1 << 21
+# this many bytes (1.5 MiB): about the L2 cache of one core, where groups
+# train fastest
+_GROUP_BYTES = 3 << 19
 
 
 def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
@@ -197,11 +204,13 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
     Each epoch draws every hidden layer's keep mask from `rng` once, in
     layer order, into one (n, width) array (as 0 or keep_scale), shared by
     all nets: a net trained alone draws the same. Then it steps the nets a
-    group at a time, through one group's (group, n, width) arrays per
-    hidden layer, rewritten in place: the tanh output, the masked
-    activation (once the next layer's weight gradient has read it, the
-    scratch for the tanh derivative) and the gradient. Those and the
-    masks take 8 * n * sum(hidden) bytes each, so a group holds as many
+    group at a time, through two (group, n, width) arrays per hidden
+    layer, rewritten in place. Forward, one holds the tanh output t and
+    the other the masked activation; without dropout the activation is t
+    itself. Backward, once the next layer's weight gradient has read the
+    activation, 1 - t*t overwrites it, and the layer's gradient then goes
+    into the array of the two that nothing reads any more. Each array and
+    the masks take 8 * n * sum(hidden) bytes, so a group holds as many
     nets as fit `_GROUP_BYTES` (5 at 1,993 rows of 8 units). A group
     whose nets have all diverged is skipped, and the loop stops once
     every net has. The loss is np.mean(resid ** 2) without np.mean's
@@ -227,15 +236,12 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
     p = spec.dropout_p
     keep_scale = 1.0 / (1.0 - p) if p > 0 else 1.0
     array_bytes = 8 * n * sum(spec.hidden)
-    size = min(nets, max(1, (_GROUP_BYTES // array_bytes - 1) // 3))
+    size = min(nets, max(1, (_GROUP_BYTES // array_bytes - 1) // 2))
     tanhs = [np.empty((size, n, width)) for width in spec.hidden]
-    grads = [np.empty((size, n, width)) for width in spec.hidden]
+    others = [np.empty((size, n, width)) for width in spec.hidden]
     masks = [np.empty((n, width)) for width in spec.hidden] if p > 0 else []
-    acts = ([np.empty((size, n, width)) for width in spec.hidden]
-            if p > 0 else tanhs)
-    # where 1 - tanh**2 goes: the activation, read by then, or its own
-    spare = acts if p > 0 else [np.empty((size, n, width))
-                                for width in spec.hidden]
+    # 1 - t*t overwrites the activation; the gradient takes the other array
+    acts, grads = (others, tanhs) if p > 0 else (tanhs, others)
     resid = np.empty((size, n))
     failed = np.full(nets, -1)
     live = [slice(lo, lo + size) for lo in range(0, nets, size)]
@@ -281,7 +287,9 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
                 else:
                     gb = grad.sum(axis=-2)
                 if l > 0:
-                    d, t = spare[l - 1][:g], tanhs[l - 1][:g]
+                    d, t = acts[l - 1][:g], tanhs[l - 1][:g]
+                    np.multiply(t, t, out=d)
+                    np.subtract(1.0, d, out=d)
                     if l == last:
                         # one column: grad @ W.T is a single product per
                         # element
@@ -292,8 +300,6 @@ def _descend(x: np.ndarray, y: np.ndarray, weights: List[np.ndarray],
                                          out=grads[l - 1][:g])
                     if p > 0:
                         grad *= masks[l - 1]
-                    np.multiply(t, t, out=d)
-                    np.subtract(1.0, d, out=d)
                     grad *= d
                 ws[l] -= spec.learning_rate * gw
                 bs[l] -= spec.learning_rate * gb.reshape(bs[l].shape)
@@ -354,7 +360,8 @@ def train(series: Union[TickSeries, Sequence[TickSeries]], spec: TrainSpec
                 ws = [w[g] for w in weights]
                 bs = [b[g, 0] for b in biases]
                 # report the dropout-free in-sample MSE in raw return units
-                final = _forward(np.tanh(x[g] @ ws[0] + bs[0]), ws, bs) - y[g]
+                first = _first_tanh(x[g], ws[0], bs[0])
+                final = _forward(first, ws, bs) - y[g]
                 final_loss = float(np.mean(final ** 2)) * scale * scale
                 if math.isfinite(final_loss):
                     fits.append(Predictor(
@@ -377,10 +384,14 @@ _MASK53 = np.uint64((1 << 53) - 1)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64's finalizer: a uint64 bijection with full avalanche."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """splitmix64's finalizer, a uint64 bijection with full avalanche,
+    applied to `z` in place (one scratch row). Returns z."""
+    shifted = np.empty_like(z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(factor)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 # Cephes ndtri (Moshier, ndtri.c), the code behind scipy.special.ndtri.
@@ -417,10 +428,12 @@ _EXP_M2 = 0.13533528323661269189  # exp(-2)
 
 def _polevl(x: np.ndarray, coef: Sequence[float],
             leading_one: bool = False) -> np.ndarray:
-    """Horner's rule in Cephes' order (polevl, or p1evl with leading_one)."""
+    """Horner's rule in Cephes' order (polevl, or p1evl with leading_one),
+    in one fresh array."""
     acc = x + coef[0] if leading_one else np.full_like(x, coef[0])
     for c in coef[1:]:
-        acc = acc * x + c
+        acc *= x
+        acc += c
     return acc
 
 
@@ -437,10 +450,19 @@ def _ndtri_lower(u: np.ndarray) -> np.ndarray:
     """
     out = np.empty_like(u)
     middle = u > _EXP_M2
-    y = u[middle] - 0.5
+    y = u[middle]
+    y -= 0.5
     y2 = y * y
-    ratio = y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, True)
-    out[middle] = (y + y * ratio) * _S2PI
+    # in place, in Cephes' grouping: ratio = (y2 * P) / Q, then
+    # (y + y * ratio) * s2pi
+    ratio = _polevl(y2, _P0)
+    ratio *= y2
+    ratio /= _polevl(y2, _Q0, True)
+    ratio *= y
+    y += ratio
+    y *= _S2PI
+    out[middle] = y
+    del y, y2, ratio
     tail = ~middle
     x = np.sqrt(-2.0 * _libm_log(u[tail]))
     z = 1.0 / x
@@ -465,10 +487,18 @@ def eps(seed: int, ts: np.ndarray) -> np.ndarray:
     needs no scipy for it.
     """
     key = _mix64(np.array([seed % (1 << 64)], dtype=np.uint64) + _GOLDEN)
-    ts_bits = np.ascontiguousarray(ts, dtype=np.int64).view(np.uint64)
-    k = _mix64(_mix64(ts_bits) + key) >> np.uint64(11)
-    draw = _ndtri_lower((np.minimum(k, k ^ _MASK53) + 0.5) * 2.0 ** -53)
-    return np.where(k >= _TOP_HALF, -draw, draw)
+    k = _mix64(np.array(ts, dtype=np.int64).view(np.uint64))
+    k += key
+    _mix64(k)
+    k >>= np.uint64(11)
+    upper = k >= _TOP_HALF
+    # k ^ MASK53 = MASK53 - k, the smaller of the two on the upper half
+    np.bitwise_xor(k, _MASK53, out=k, where=upper)
+    u = np.add(k, 0.5)
+    del k
+    u *= 2.0 ** -53
+    draw = _ndtri_lower(u)
+    return np.negative(draw, out=draw, where=upper)
 
 
 def surprise_series(p: Predictor, series: TickSeries,
@@ -483,8 +513,8 @@ def surprise_series(p: Predictor, series: TickSeries,
     n = len(series)
     if p.kind == KIND_PERSISTENCE:
         return np.zeros(n)
-    midv = series.mid
     if p.kind == KIND_LEAKED:
+        midv = series.mid
         out = np.empty(n)
         h = min(p.horizon, n)
         np.divide(midv[h:], midv[:n - h], out=out[:n - h])
@@ -528,7 +558,7 @@ def first_layer(p: Predictor, series: TickSeries) -> Optional[np.ndarray]:
     if p.kind != KIND_NET or len(series) < p.window + 1:
         return None
     x = _features(np.diff(np.log(series.mid)), p.window, p.scale)
-    first = np.tanh(x @ p.weights[0] + p.biases[0])
+    first = _first_tanh(x, p.weights[0], p.biases[0])
     first.setflags(write=False)
     return first
 

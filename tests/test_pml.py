@@ -428,9 +428,9 @@ def test_rolling_matches_the_windows_trained_one_by_one(
     monkeypatch.setattr(pml, "run_backtest_columns", engine)
     # 8 variant columns of 300 ticks a window, 12 columns an engine pass
     monkeypatch.setattr(backtest, "_COLUMN_TICKS", 12 * 300)
-    # 293 training rows of 8 units: seven arrays' bytes hold a group of 2
-    # (three arrays a window and the shared mask)
-    monkeypatch.setattr(predictor, "_GROUP_BYTES", 7 * 8 * 293 * 8)
+    # 293 training rows of 8 units: five arrays' bytes hold a group of 2
+    # (two arrays a window and the shared mask)
+    monkeypatch.setattr(predictor, "_GROUP_BYTES", 5 * 8 * 293 * 8)
     r = rolling_pml(series, spec, SWEEP, window=600, step=600)
     assert r.sr_theta_series.tobytes() == theta.tobytes()
     assert r.sr_observed_series.tobytes() == observed.tobytes()
@@ -495,11 +495,12 @@ def test_rolling_refit_stays_small():
 def test_rolling_trains_its_groups_within_the_byte_budget(monkeypatch):
     # the decay benchmark's shape: 19 windows of 1,993 training rows and
     # hidden 8, in one `train` call. It steps groups whose scratch holds
-    # three float64 (rows, 8) arrays a window and one shared mask, 127,552
-    # bytes each, so the 2 MiB budget makes groups of 5; besides them it
+    # two float64 (rows, 8) arrays a window and one shared mask, 127,552
+    # bytes each, so the 1.5 MiB budget makes groups of 5; besides them it
     # holds every window's inputs (window + 1 floats a row) and a group's
-    # temporaries (measured under 6 floats a row). The call grew by 4.50
-    # MB; stepping all 19 as one group grew by 10.5 MB and peaked at 10.5
+    # temporaries (measured under 6 floats a row). The call grew by 3.87
+    # MB; stepping all 19 as one group (with three arrays a window) grew by
+    # 10.5 MB and peaked at 10.5
     series = gen_synthetic(SyntheticSpec(n_ticks=40000, sigma_noise=3e-4,
                                          phi=0.9, sigma_signal=2e-4,
                                          spread_bps=1.0, seed=41,
@@ -510,7 +511,13 @@ def test_rolling_trains_its_groups_within_the_byte_budget(monkeypatch):
                            stop_loss_range=(30.0, 40.0),
                            take_profit_range=(30.0, 40.0), fee_bps=0.2,
                            seed=41, K=4, period_ticks=64)
-    sizes, grown = [], []
+    sizes, grown, stepped = [], [], []
+    tanh = np.tanh
+
+    def counted(a, *args, **kwargs):
+        if a.ndim == 3:
+            stepped.append(a.shape[0])
+        return tanh(a, *args, **kwargs)
 
     def measured(group, spec):
         before = tracemalloc.get_traced_memory()[0]
@@ -521,10 +528,12 @@ def test_rolling_trains_its_groups_within_the_byte_budget(monkeypatch):
         return fits
 
     monkeypatch.setattr(pml, "train", measured)
+    monkeypatch.setattr(np, "tanh", counted)
     tracemalloc.start()
     try:
         rolling_pml(series, spec, sweep_spec, window=4000, step=2000)
         peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.undo()
         # the benchmark's run part trains 15,993 rows of 16 units first;
         # its training alone peaks higher, so the decay part never sets the
         # pass's peak
@@ -535,6 +544,8 @@ def test_rolling_trains_its_groups_within_the_byte_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sizes == [19]
+    # each epoch steps groups of 5, 5, 5 and 4 while every window is live
+    assert stepped[:8] == [5, 5, 5, 4] * 2
     assert grown[0] < predictor._GROUP_BYTES + 8 * 19 * 1993 * (7 + 6)
     assert peak < run_peak, (peak, run_peak)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -267,11 +268,11 @@ def like_the_oracle(fit, series, spec):
 
 def groups_of(monkeypatch, size, rows, hidden):
     """Set `_GROUP_BYTES` so that a training on `rows` rows of `hidden`
-    units steps `size` nets a group: three arrays a net and the shared
+    units steps `size` nets a group: two arrays a net and the shared
     masks. Returns the list of the group sizes the epochs step, in order,
     filled as training runs: one entry a group and hidden layer."""
     monkeypatch.setattr(predictor, "_GROUP_BYTES",
-                        (3 * size + 1) * 8 * rows * sum(hidden))
+                        (2 * size + 1) * 8 * rows * sum(hidden))
     stepped = []
     tanh = np.tanh
 
@@ -469,6 +470,22 @@ class TestPredict:
         assert abs(np.corrcoef(e[:-1], e[1:])[0, 1]) < 5e-3
         assert np.isfinite(e).all()
 
+    def test_noise_surprise_memory_is_bounded(self):
+        # eps hashes and maps in place: at 250k ticks the noise surprise
+        # peaked at 5.2 rows of 8 bytes a tick, where fresh arrays per
+        # hash step and per Horner step peaked at 8.6; one more row
+        # crosses the gate
+        n = 250_000
+        series = gen_synthetic(SyntheticSpec(n_ticks=n, seed=3))
+        tracemalloc.start()
+        try:
+            got = surprise_series(make_noise(1e-3, seed=5), series)
+            rows = tracemalloc.get_traced_memory()[1] / (8 * n)
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(got).all()
+        assert rows <= 6.0, f"the noise surprise peaked at {rows:.2f} rows"
+
     def test_dropout_off_at_inference(self):
         s = planted_series(4000)
         p = train(s, SPEC)
@@ -510,6 +527,24 @@ class TestSurprise:
         want = surprises(p, s)
         assert np.isnan(sp[:8]).all() and np.isnan(want[:8]).all()
         assert sp[8:] == pytest.approx(want[8:], abs=1e-15)
+
+    def test_net_surprise_memory_is_bounded(self):
+        # first_layer builds tanh(x @ W0 + b0) in the matmul's own array:
+        # a hidden-16, window-6 net over 250k ticks peaked at 22 rows of 8
+        # bytes a tick (6 of inputs, 16 of activations), where a fresh
+        # array for the bias add and one for tanh peaked at 39
+        n = 250_000
+        series = gen_synthetic(SyntheticSpec(n_ticks=n, seed=3))
+        p = train(series.window(0, 2000),
+                  TrainSpec(window=6, hidden=(16,), epochs=3, seed=1))
+        tracemalloc.start()
+        try:
+            got = surprise_series(p, series)
+            rows = tracemalloc.get_traced_memory()[1] / (8 * n)
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(got[6:]).all()
+        assert rows <= 25.0, f"the net surprise peaked at {rows:.2f} rows"
 
     def test_two_hidden_layers_match_oracle(self):
         s = planted_series(300)

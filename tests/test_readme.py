@@ -71,12 +71,16 @@ README_RUN_SHA256 = {
 }
 
 
-def test_readme_config_run_writes_the_pinned_bytes(tmp_path):
+def _readme_config():
     [config] = re.findall(r"^```ini\n(.*?)^```",
                           README.read_text(encoding="utf-8"),
                           flags=re.M | re.S)
+    return config
+
+
+def test_readme_config_run_writes_the_pinned_bytes(tmp_path):
     path = tmp_path / "experiment.ini"
-    path.write_text(config, encoding="utf-8")
+    path.write_text(_readme_config(), encoding="utf-8")
     out = tmp_path / "results"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["run", "--config", str(path),
@@ -133,6 +137,42 @@ def test_tape_commands_write_the_pinned_bytes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in TAPE_SHA256}
     assert got == TAPE_SHA256
+
+
+# sha256 of `sweep`'s points.csv for a net that `train` fitted, both on the
+# ticks that `gen-data` writes from the README config's [data] section and
+# [experiment] seed, as the README's stage-by-stage commands run them.
+# Rules as for README_RUN_SHA256. The predictor JSON is not pinned: its
+# weights change when OpenBLAS takes another core's kernels. Nor is
+# `fit-pml`'s printed fit, whose `x @ x` rests on the BLAS kernel too.
+README_SWEEP_SHA256 = {
+    "points.csv":
+        "8ec7e6e55675936cda2940ea13ad041da46c2027cc24c2eddc20838db8195458",
+}
+
+
+def test_readme_config_train_then_sweep_writes_the_pinned_bytes(tmp_path):
+    config = _readme_config()
+    data_keys = re.search(r"^\[data\]\nkind = synthetic\n(.*?)\n\n", config,
+                          flags=re.M | re.S).group(1)
+    seed = re.search(r"^seed = (\d+)$", config, flags=re.M).group(1)
+    (tmp_path / "spec.ini").write_text(
+        f"[synthetic]\n{data_keys}\nseed = {seed}\n", encoding="utf-8")
+    (tmp_path / "experiment.ini").write_text(config, encoding="utf-8")
+    data, model = str(tmp_path / "ticks.csv"), str(tmp_path / "model.json")
+    out = tmp_path / "results"
+    experiment = str(tmp_path / "experiment.ini")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["gen-data", "--spec", str(tmp_path / "spec.ini"),
+                      "--out", data],
+                     ["train", "--data", data, "--config", experiment,
+                      "--out", model],
+                     ["sweep", "--data", data, "--predictor", model,
+                      "--config", experiment, "--out-dir", str(out)]):
+            assert cli.main(argv) == 0, argv
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in README_SWEEP_SHA256}
+    assert got == README_SWEEP_SHA256
 
 
 def test_readme_names_no_removed_api():
