@@ -1,13 +1,16 @@
-"""Studies of one predictor on one series: a hyperparameter sweep that
-turns the predictor into a cloud of (strategy, backtest, variant-spread)
-triples and a lead-lag correlation between surprise and nearby mid
-returns, which `risklab.pipeline` chains into the experiment.
+"""Studies of predictors on a series: a hyperparameter sweep that turns a
+predictor into a cloud of (strategy, backtest, variant-spread) triples,
+on one series (`sweep`) or on many windows of one series at once, each
+with its own predictor (`sweep_windows`, which the rolling refit uses),
+and a lead-lag correlation between surprise and nearby mid returns.
+`risklab.pipeline` chains them into the experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -17,9 +20,9 @@ from .backtest import (
     run_backtest_columns,
     run_backtest_signals,
 )
-from .errors import ValidationError
+from .errors import DegenerateError, ValidationError
 from .market_data import TickSeries
-from .predictor import (Predictor, VariantSet, first_layer, sample_variants,
+from .predictor import (Predictor, first_layer, sample_variants,
                         surprise_series, variant_masks,
                         variant_surprise_series)
 from .uncertainty import McEstimate, estimate_from_matrix
@@ -93,85 +96,95 @@ def sweep(series: TickSeries, predictor: Predictor,
     variant sampling and reports zero cross-variant variance. With K > 1
     all n_configs*K variant columns run through one lockstep engine call,
     which builds no fills, and each config's estimate comes from its K
-    rows. The output is ordered by config index.
+    rows. The output is ordered by config index. A base or variant
+    forecast that is not finite raises DegenerateError.
     """
-    prep = prepare_sweep(series, predictor, spec)
-    returns = (run_backtest_columns(series, prep.rows, prep.columns)
-               if prep.columns else None)
-    return finish_sweep(prep, returns)
+    [triples] = sweep_windows(series, [predictor], spec, [0], len(series))
+    if isinstance(triples, DegenerateError):
+        raise triples
+    return triples
 
 
-class PreparedSweep(NamedTuple):
-    """A sweep up to its variant columns, which `finish_sweep` completes.
+def sweep_windows(series: TickSeries,
+                  fits: Sequence[Union[Predictor, DegenerateError]],
+                  spec: SweepSpec, starts: Sequence[int], length: int
+                  ) -> List[Union[List[Tuple[StrategyConfig, BacktestResult,
+                                             McEstimate]], DegenerateError]]:
+    """`sweep` of each window `series.window(start, start + length)` with
+    its fit, or the DegenerateError that the fit is or that the window's
+    base or variant forecast raised; no window changes another's numbers.
 
-    `results` are the configs' backtests on the base signal. With K > 1,
-    `columns` holds the config of each variant column, K per config in
-    config order, `masks` each column's keep masks (one bool array per
-    hidden layer), and `rows` makes their surprise rows one at a time as
-    they are read; with K = 1 all three are empty.
-    """
-
-    configs: List[StrategyConfig]
-    results: List[BacktestResult]
-    columns: List[StrategyConfig]
-    rows: Iterator[np.ndarray]
-    masks: List[List[np.ndarray]]
-
-
-def prepare_sweep(series: TickSeries, predictor: Predictor,
-                  spec: SweepSpec,
-                  masks: Optional[List[List[np.ndarray]]] = None
-                  ) -> PreparedSweep:
-    """Draw the configs, backtest each on the base signal and set up the
-    variant rows of `sweep(series, predictor, spec)`.
-
-    The net's first hidden layer is computed once, for the base signal
-    and every variant. `masks`, if given, is the `masks` of a sweep
-    prepared with this spec for a net of the same hidden sizes and
-    dropout_p: the variants' keep masks depend on nothing else, so the
-    windows of a rolling refit draw them once.
+    Every window draws the same configs and variant seeds. Each window's
+    first hidden layer serves its base forecast and all its variants, and
+    is released once its variant rows are read. The variants' keep masks
+    depend only on the spec and on the nets' hidden sizes and dropout_p,
+    which the fits must share (fits of one TrainSpec do): they are drawn
+    once for every window. The n_configs*K variant columns of every window,
+    in window, config, variant order, go through one `run_backtest_columns`
+    call; a window whose variant forecast turns out non-finite there fills
+    its remaining columns with NaN rows, which never trade.
     """
     configs = sweep_configs(spec)
-    first = first_layer(predictor, series)
-    base_surprise = surprise_series(predictor, series, first)
-    results = [run_backtest_signals(series, base_surprise, cfg)
-               for cfg in configs]
-    if spec.K == 1:
-        return PreparedSweep(configs, results, [], iter(()), [])
     seed_rng = np.random.default_rng(np.random.SeedSequence([spec.seed,
                                                              _VARIANT_STREAM]))
-    variant_sets = [sample_variants(predictor, spec.K, seed=int(seed))
-                    for seed in seed_rng.integers(0, 2 ** 63 - 1,
-                                                  size=spec.n_configs)]
-    if masks is None:
-        masks = [m for vs in variant_sets for m in variant_masks(vs)]
-    return PreparedSweep(configs, results,
-                         [cfg for cfg in configs for _ in range(spec.K)],
-                         _variant_rows(series, variant_sets, first, masks),
-                         masks)
+    seeds = seed_rng.integers(0, 2 ** 63 - 1, size=spec.n_configs)
+    # per window: its base backtests (then its triples) or its error, kept
+    # without a traceback so that no frame of this call outlives it
+    out: list = []
+    # window index -> (window, first layer, variant sets) of each window
+    # whose variant rows are still to be read
+    pending = {}
+    for start, fit in zip(starts, fits, strict=True):
+        if isinstance(fit, DegenerateError):
+            out.append(fit)
+            continue
+        # a window that spans the series is the caller's series object
+        window = (series if (start, length) == (0, len(series))
+                  else series.window(start, start + length))
+        first = first_layer(fit, window)
+        try:
+            base_surprise = surprise_series(fit, window, first)
+        except DegenerateError as e:
+            out.append(e.with_traceback(None))
+            continue
+        out.append([run_backtest_signals(window, base_surprise, cfg)
+                    for cfg in configs])
+        if spec.K > 1:
+            pending[len(out) - 1] = (window, first, [
+                sample_variants(fit, spec.K, seed=int(seed)) for seed in seeds])
+    blocks = list(pending)
+    if blocks:
+        width = spec.n_configs * spec.K
+        masks = [m for vs in pending[blocks[0]][2] for m in variant_masks(vs)]
 
+        def rows():
+            for w in blocks:
+                window, first, variant_sets = pending.pop(w)
+                variants = [(vs, k) for vs in variant_sets for k in range(vs.K)]
+                made = 0
+                try:
+                    for (vs, k), m in zip(variants, masks, strict=True):
+                        yield variant_surprise_series(vs, k, window, first, m)
+                        made += 1
+                except DegenerateError as e:
+                    out[w] = e.with_traceback(None)
+                    yield from repeat(np.full(length, np.nan), width - made)
 
-def _variant_rows(series: TickSeries, variant_sets: Sequence[VariantSet],
-                  first: Optional[np.ndarray],
-                  masks: Sequence[Sequence[np.ndarray]]
-                  ) -> Iterator[np.ndarray]:
-    """Every variant's surprise row in turn, each from the shared first
-    hidden layer and its column's keep masks."""
-    variants = ((vs, k) for vs in variant_sets for k in range(vs.K))
-    for (vs, k), m in zip(variants, masks, strict=True):
-        yield variant_surprise_series(vs, k, series, first, m)
-
-
-def finish_sweep(prep: PreparedSweep, returns: Optional[np.ndarray]
-                 ) -> List[Tuple[StrategyConfig, BacktestResult, McEstimate]]:
-    """`sweep`'s triples, given the (len(columns), n_periods) period returns
-    of the prepared sweep's variant columns (None when it has none, and
-    each config's estimate is of its base returns alone)."""
-    if returns is None:
-        returns = np.array([r.period_returns for r in prep.results])
-    return [(cfg, result, estimate_from_matrix(m)) for cfg, result, m in
-            zip(prep.configs, prep.results,
-                returns.reshape(len(prep.configs), -1, returns.shape[1]))]
+        returns = run_backtest_columns(
+            series, rows(), [cfg for cfg in configs for _ in range(spec.K)]
+            * len(blocks), starts=np.repeat([starts[w] for w in blocks], width),
+            length=length)
+        grids = {w: returns[i * width:(i + 1) * width]
+                 for i, w in enumerate(blocks)}
+    for w, results in enumerate(out):
+        if isinstance(results, DegenerateError):
+            continue
+        grid = (grids[w] if spec.K > 1
+                else np.array([r.period_returns for r in results]))
+        out[w] = [(cfg, result, estimate_from_matrix(m)) for cfg, result, m
+                  in zip(configs, results,
+                         grid.reshape(len(configs), -1, grid.shape[1]))]
+    return out
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .analysis import PreparedSweep, SweepSpec, finish_sweep, prepare_sweep
-from .backtest import (BacktestResult, StrategyConfig, run_backtest_columns,
-                       sharpe)
+from .analysis import SweepSpec, sweep_windows
+from .backtest import BacktestResult, StrategyConfig, sharpe
 from .errors import DegenerateError, ValidationError
 from .market_data import TickSeries
 from .predictor import TrainSpec, train
@@ -298,25 +296,19 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
 
     Each window is split into a leading training slice (train_frac of the
     ticks) and a trailing evaluation slice that receives the sweep. The
-    observed Sharpe tracks the first drawn sweep config. Windows whose
-    training diverges, whose base or variant forecast is not finite, or
-    whose sweep cannot support a fit (all points on one risk value, or a
-    strategy that never trades), record NaN rather than aborting the run;
-    no window changes another's numbers.
+    observed Sharpe tracks the first drawn sweep config. A window records
+    NaN rather than aborting the run when its training diverges, when its
+    base or variant forecast is not finite, or when its points cannot
+    support a fit: sr_theta is NaN when every point has one risk value
+    (for example when no config trades), and sr_observed when the first
+    config's period returns have no spread. No window changes another's
+    numbers.
 
     Every window trains with one spec (so one seed) on train_len ticks, so
     every window starts from the same weights and draws the same dropout
     keep masks: all of them train in one `train` call, each bit for bit as
-    alone, and `train` bounds its own memory. Then each window's sweep is
-    prepared (`prepare_sweep`); the variants' keep masks depend only on
-    the specs, so they are drawn for the first window and reused. Then
-    the variant columns of all windows go through one
-    `run_backtest_columns` call, each column starting at its window's
-    evaluation slice of `series`; the engine runs them in block-sized
-    passes and keeps only their lean state. A window
-    whose variant forecast turns out non-finite during the call fills its
-    remaining columns with NaN rows, which never trade. Last, each
-    window's sweep is finished (`finish_sweep`) and fitted.
+    alone, and `train` bounds its own memory. Then one `sweep_windows`
+    call sweeps every evaluation slice, and each window's sweep is fitted.
     """
     n = len(series)
     train_len = rolling_train_len(window, step, train_frac, train_spec.window,
@@ -324,57 +316,14 @@ def rolling_pml(series: TickSeries, train_spec: TrainSpec,
     starts = list(range(0, n - window + 1, step))
     fits = train([series.window(start, start + train_len) for start in starts],
                  train_spec)
-
-    prepared: List[Optional[PreparedSweep]] = []
-    variant_masks = None
-    for start, fit in zip(starts, fits):
-        prep = None
-        if not isinstance(fit, DegenerateError):
-            try:
-                prep = prepare_sweep(
-                    series.window(start + train_len, start + window), fit,
-                    sweep_spec, variant_masks)
-                variant_masks = prep.masks
-            except DegenerateError:
-                pass
-        prepared.append(prep)
-
-    failed = set()
-
-    def rows():
-        for w, prep in enumerate(prepared):
-            if prep is None:
-                continue
-            made = 0
-            try:
-                for row in prep.rows:
-                    yield row
-                    made += 1
-            except DegenerateError:
-                failed.add(w)
-                yield from repeat(np.full(window - train_len, np.nan),
-                                  len(prep.columns) - made)
-
-    columns = [(start + train_len, cfg)
-               for start, prep in zip(starts, prepared) if prep is not None
-               for cfg in prep.columns]
-    returns = None
-    if columns:
-        returns = run_backtest_columns(
-            series, rows(), [cfg for _, cfg in columns],
-            starts=[lo for lo, _ in columns], length=window - train_len)
-
+    sweeps = sweep_windows(series, fits, sweep_spec,
+                           [start + train_len for start in starts],
+                           window - train_len)
     sr_theta = np.full(len(starts), np.nan)
     sr_obs = np.full(len(starts), np.nan)
-    lo = 0
-    for w, prep in enumerate(prepared):
-        if prep is None:
+    for w, triples in enumerate(sweeps):
+        if isinstance(triples, DegenerateError):
             continue
-        part = returns[lo:lo + len(prep.columns)] if prep.columns else None
-        lo += len(prep.columns)
-        if w in failed:
-            continue
-        triples = finish_sweep(prep, part)
         try:
             fit = fit_pml(sweep_points(triples),
                           r_f_per_period=r_f_per_period,

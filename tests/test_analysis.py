@@ -1,5 +1,8 @@
 """Sweep, lead-lag correlation, and cluster-tightness tests."""
 
+import dataclasses
+import gc
+import json
 import tracemalloc
 from collections import namedtuple
 
@@ -8,7 +11,7 @@ import pytest
 
 from cluster_oracle import cluster_tightness
 from correlation_oracle import correlation
-from risklab import analysis, backtest
+from risklab import analysis, backtest, cli
 from risklab.analysis import (
     CorrelationCurve,
     SweepSpec,
@@ -17,11 +20,13 @@ from risklab.analysis import (
     sweep_configs,
 )
 from risklab.backtest import run_backtest_signals, sharpe
-from risklab.errors import ValidationError
+from risklab.errors import DegenerateError, ValidationError
 from risklab.market_data import SyntheticSpec, gen_synthetic
 from risklab.predictor import (TrainSpec, make_leaked, make_noise,
                                make_persistence, sample_variants,
                                surprise_series, train, variant_surprise_series)
+from test_cli import RUN_CONFIG, _with_key
+from test_pml import SIGNAL, SWEEP, TRAIN
 from uncertainty_oracle import mc_disentangle
 
 SIGNAL_SPEC = SyntheticSpec(n_ticks=4000, sigma_noise=3e-4, phi=0.9,
@@ -169,6 +174,127 @@ def test_sweep_matches_per_variant_reference(dropout_net, K, monkeypatch):
             mc_w.per_period_variance.tobytes()
     assert len(got) == len(want) == 5
     assert any(mc.sigma2_mc > 0.0 for _, _, mc in got)
+
+
+def _variant_raises(monkeypatch, bad_k, window_ts=None):
+    """Make variant `bad_k`'s forecast non-finite, in every window or only
+    in the one whose series starts at `window_ts`."""
+    variant_row = analysis.variant_surprise_series
+
+    def non_finite(vs, k, s, first=None, masks=None):
+        if k == bad_k and window_ts in (None, s.ts[0]):
+            raise DegenerateError("non-finite forecast")
+        return variant_row(vs, k, s, first, masks)
+
+    monkeypatch.setattr(analysis, "variant_surprise_series", non_finite)
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for (cfg, result, mc), (cfg_w, result_w, mc_w) in zip(got, want):
+        assert cfg == cfg_w
+        for name in ("period_returns", "mean", "stdev", "n_trades"):
+            assert np.asarray(getattr(result, name)).tobytes() == \
+                np.asarray(getattr(result_w, name)).tobytes(), name
+        for field in dataclasses.fields(mc):
+            assert np.asarray(getattr(mc, field.name)).tobytes() == \
+                np.asarray(getattr(mc_w, field.name)).tobytes(), field.name
+
+
+@pytest.mark.parametrize("K", [1, 4])
+def test_sweep_windows_matches_sweep_window_by_window(dropout_net, K,
+                                                      monkeypatch):
+    # overlapping and abutting windows, two nets of one shape, a lost fit
+    # and (K = 4) a window whose variant forecast is not finite, with
+    # engine passes that end inside windows: every other window's numbers
+    # are those its own sweep gives
+    series = gen_synthetic(SIGNAL_SPEC)
+    other_net = train(series.window(0, 1000),
+                      TrainSpec(window=6, hidden=(8,), dropout_p=0.2,
+                                epochs=10, learning_rate=0.05, seed=5))
+    lost = DegenerateError("non-finite training loss")
+    starts, length = [2000, 2300, 2900, 3100, 3400], 600
+    fits = [dropout_net, other_net, lost, other_net, dropout_net]
+    spec = _mini_spec(n_configs=3, K=K, threshold_range=(0.0, 2.0), seed=K)
+    if K > 1:
+        _variant_raises(monkeypatch, 2, window_ts=series.ts[3100])
+        monkeypatch.setattr(backtest, "_COLUMN_TICKS", 5 * length)
+    got = analysis.sweep_windows(series, fits, spec, starts, length)
+    assert len(got) == len(starts)
+    assert got[2] is lost
+    for start, fit, triples in zip(starts, fits, got):
+        if fit is lost:
+            continue
+        window = series.window(start, start + length)
+        if K > 1 and start == 3100:
+            assert isinstance(triples, DegenerateError)
+            assert str(triples) == "non-finite forecast"
+            with pytest.raises(DegenerateError):
+                sweep(window, fit, spec)
+            continue
+        _assert_same_bytes(triples, sweep(window, fit, spec))
+    assert any(mc.sigma2_mc > 0.0 for _, _, mc in got[0]) == (K > 1)
+
+
+def test_sweep_windows_frees_a_failed_window_with_its_result(monkeypatch):
+    # a window's error is kept without its traceback, whose frames would
+    # hold the call's rows in a cycle until garbage collection
+    series = gen_synthetic(SIGNAL)
+    net = train(series.window(0, 600), TRAIN)
+    unstable = train(series.window(0, 600),
+                     dataclasses.replace(TRAIN, learning_rate=1e2))
+    _variant_raises(monkeypatch, 1, window_ts=series.ts[2400])
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = analysis.sweep_windows(series, [net, unstable, net, net], SWEEP,
+                                     [600, 1200, 1800, 2400], 600)
+        assert [isinstance(r, DegenerateError) for r in out] == \
+            [False, True, False, True]
+        del out
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 50_000, held
+
+
+@pytest.mark.parametrize("forecast", ["variant", "base"])
+def test_sweep_re_raises_a_non_finite_forecast(monkeypatch, forecast):
+    # a variant's forecast that is not finite, or a base forecast that
+    # overflows exp (a finite but unstable fit), ends the sweep instead of
+    # reaching the engine as inf signals
+    series = gen_synthetic(SIGNAL).window(0, 1200)
+    spec = TRAIN
+    if forecast == "variant":
+        _variant_raises(monkeypatch, 1)
+    else:
+        spec = dataclasses.replace(TRAIN, learning_rate=1e2)
+    net = train(series.window(0, 600), spec)
+    assert np.isfinite(net.final_loss)
+    with pytest.raises(DegenerateError, match="^non-finite forecast$"):
+        sweep(series.window(600, 1200), net, SWEEP)
+
+
+@pytest.mark.parametrize("forecast", ["variant", "base"])
+def test_run_on_a_non_finite_forecast_exits_4(tmp_path, capsys, monkeypatch,
+                                              forecast):
+    config = RUN_CONFIG
+    if forecast == "variant":
+        _variant_raises(monkeypatch, 1)
+    else:
+        config = _with_key(RUN_CONFIG, "train", "learning_rate", "100")
+    path = tmp_path / "exp.ini"
+    path.write_text(config, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) \
+        == cli.EXIT_NUMERIC
+    assert "non-finite forecast" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["status"], manifest["error"], manifest["message"],
+            manifest["exit_code"]) == ("failed", "DegenerateError",
+                                       "non-finite forecast", cli.EXIT_NUMERIC)
 
 
 def test_sweep_leaked_beats_noise():

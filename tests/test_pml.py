@@ -425,7 +425,7 @@ def test_rolling_matches_the_windows_trained_one_by_one(
         return run_backtest_columns(*args, **kwargs)
 
     monkeypatch.setattr(pml, "train", spy)
-    monkeypatch.setattr(pml, "run_backtest_columns", engine)
+    monkeypatch.setattr(analysis, "run_backtest_columns", engine)
     # 8 variant columns of 300 ticks a window, 12 columns an engine pass
     monkeypatch.setattr(backtest, "_COLUMN_TICKS", 12 * 300)
     # 293 training rows of 8 units: five arrays' bytes hold a group of 2
@@ -438,7 +438,7 @@ def test_rolling_matches_the_windows_trained_one_by_one(
     # that wraps it counts the training there
     assert calls == [5]
     # one engine call for the variant columns of every window that
-    # trained, through the name `pml.run_backtest_columns`
+    # trained, through the name `analysis.run_backtest_columns`
     assert [list(s) for s in engine_calls] == [
         [start + 300 for start in (0, 1200, 1800, 2400) for _ in range(8)]]
 

@@ -29,7 +29,8 @@ REMOVED = {
           "write_points_csv"),
     capm: ("load_universe", "universe_from_dict"),
     uncertainty: ("MODE_WINDOW", "mc_disentangle"),
-    analysis: ("cluster_tightness",),
+    analysis: ("cluster_tightness", "PreparedSweep", "prepare_sweep",
+               "finish_sweep"),
     risklab.TickSeries: ("tick", "ticks", "is_regular", "resolution_ns",
                          "symbol"),
     risklab.VariantSet: ("remask_per_tick",),
@@ -173,6 +174,104 @@ def test_readme_config_train_then_sweep_writes_the_pinned_bytes(tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in README_SWEEP_SHA256}
     assert got == README_SWEEP_SHA256
+
+
+# sha256 of `decay`'s stdout and rolling.csv on a signal that fades to
+# nothing, so the later windows record NaN, and of the points.csv of a
+# K = 1 `run` with the noise predictor. Rules as for README_RUN_SHA256.
+DECAY_CONFIG = """\
+[experiment]
+seed = 41
+
+[data]
+kind = synthetic
+n_ticks = 6000
+sigma_noise = 0.0003
+phi = 0.9
+sigma_signal = 0.0002
+spread_bps = 1.0
+decay_to = 0.0
+
+[train]
+kind = net
+window = 6
+hidden = 8
+dropout_p = 0.2
+epochs = 40
+learning_rate = 0.05
+
+[sweep]
+n_configs = 4
+threshold_lo = 2
+threshold_hi = 4
+stop_loss_lo = 30
+stop_loss_hi = 40
+take_profit_lo = 30
+take_profit_hi = 40
+fee_bps = 0.2
+k = 4
+period_ticks = 64
+
+[rolling]
+window = 1200
+step = 600
+"""
+NOISE_RUN_CONFIG = """\
+[experiment]
+seed = 7
+
+[data]
+kind = synthetic
+n_ticks = 6000
+sigma_noise = 0.0003
+phi = 0.9
+sigma_signal = 0.0002
+spread_bps = 1.0
+
+[train]
+kind = noise
+scale = 0.0003
+
+[sweep]
+n_configs = 6
+threshold_lo = 4.5
+threshold_hi = 5.5
+stop_loss_lo = 40
+stop_loss_hi = 60
+take_profit_lo = 40
+take_profit_hi = 60
+fee_bps = 0.5
+k = 1
+period_ticks = 256
+"""
+DECAY_AND_NOISE_SHA256 = {
+    "decay stdout":
+        "34e62ca2b335d1b2803b125b2617ab8277a1d9f2f0d1cc21e2d482e2d9629ad4",
+    "decay/rolling.csv":
+        "02b22f2385855a65319dc8eebaf914ffa29d01d7a2d5b91f3a01c139f6a96033",
+    "noise/points.csv":
+        "79a5bb45ce84348407f3bf41bb945793225063783e9ae10fa960872c7da8fc03",
+}
+
+
+def test_decay_and_noise_run_write_the_pinned_bytes(tmp_path, monkeypatch):
+    # relative paths, so that decay's stdout names the same out_dir
+    monkeypatch.chdir(tmp_path)
+    Path("decay.ini").write_text(DECAY_CONFIG, encoding="utf-8")
+    Path("noise.ini").write_text(NOISE_RUN_CONFIG, encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["decay", "--config", "decay.ini",
+                         "--out-dir", "decay"]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "--config", "noise.ini",
+                         "--out-dir", "noise"]) == 0
+    assert "3600,,," in Path("decay/rolling.csv").read_text(encoding="utf-8")
+    got = {"decay stdout":
+           hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()}
+    got.update((name, hashlib.sha256(Path(name).read_bytes()).hexdigest())
+               for name in ("decay/rolling.csv", "noise/points.csv"))
+    assert got == DECAY_AND_NOISE_SHA256
 
 
 def test_readme_names_no_removed_api():
