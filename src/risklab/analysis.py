@@ -23,8 +23,7 @@ from .backtest import (
 from .errors import DegenerateError, ValidationError
 from .market_data import TickSeries
 from .predictor import (Predictor, first_layer, sample_variants,
-                        surprise_series, variant_masks,
-                        variant_surprise_series)
+                        surprise_series, variant_surprise_series)
 from .uncertainty import McEstimate, estimate_from_matrix
 
 # child-stream tags: config draws must not share a stream with mask seeds
@@ -116,10 +115,9 @@ def sweep_windows(series: TickSeries,
 
     Every window draws the same configs and variant seeds. Each window's
     first hidden layer serves its base forecast and all its variants, and
-    is released once its variant rows are read. The variants' keep masks
-    depend only on the spec and on the nets' hidden sizes and dropout_p,
-    which the fits must share (fits of one TrainSpec do): they are drawn
-    once for every window. The n_configs*K variant columns of every window,
+    is released once its variant rows are read. Each window's variants
+    draw their keep rows from its own fit, so fits may differ in hidden
+    sizes and dropout_p. The n_configs*K variant columns of every window,
     in window, config, variant order, go through one `run_backtest_columns`
     call; a window whose variant forecast turns out non-finite there fills
     its remaining columns with NaN rows, which never trade.
@@ -155,17 +153,16 @@ def sweep_windows(series: TickSeries,
     blocks = list(pending)
     if blocks:
         width = spec.n_configs * spec.K
-        masks = [m for vs in pending[blocks[0]][2] for m in variant_masks(vs)]
 
         def rows():
             for w in blocks:
                 window, first, variant_sets = pending.pop(w)
-                variants = [(vs, k) for vs in variant_sets for k in range(vs.K)]
                 made = 0
                 try:
-                    for (vs, k), m in zip(variants, masks, strict=True):
-                        yield variant_surprise_series(vs, k, window, first, m)
-                        made += 1
+                    for vs in variant_sets:
+                        for k in range(vs.K):
+                            yield variant_surprise_series(vs, k, window, first)
+                            made += 1
                 except DegenerateError as e:
                     out[w] = e.with_traceback(None)
                     yield from repeat(np.full(length, np.nan), width - made)

@@ -410,11 +410,11 @@ def _cmd_backtest(args) -> None:
 
 def _cmd_sweep(args) -> None:
     parser, seed = _read_config(args.config, _EXPERIMENT_SECTIONS)
-    spec = _parse_sections(parser, seed)["sweep"]
+    sections = _parse_sections(parser, seed)
     series = load_csv(args.data)
     predictor = load_predictor(args.predictor)
-    triples = sweep(series, predictor, spec)
-    out_dir = _fresh_out_dir(args.out_dir, None)
+    triples = sweep(series, predictor, sections["sweep"])
+    out_dir = _fresh_out_dir(args.out_dir, sections["output"])
     points = write_sweep(triples, _writer(out_dir))
     print(json_text({"n_configs": len(triples),
                      "n_clamped": sum(1 for p in points if p.clamped),

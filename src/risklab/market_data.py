@@ -16,7 +16,7 @@ rounded exactly to 10 decimals (Dekker's TwoProduct, ties to even, as
 zeros. Rows holding a price from 2**52 up fall back to `format_price`.
 
 `load_csv` parses a file in bulk from its bytes when it keeps to a strict
-grammar, which `write_csv`'s output does while no price takes more than 19
+grammar, which `write_csv`'s output does while no price takes more than 26
 digits, and hands any other file to a per-row scan, the reference.
 The bulk parse is exact: each price is read as integer digits M and, below
 2**53, divided once by a power of ten (see `load_csv`).

@@ -18,8 +18,8 @@ variant k is a deterministic function of (base predictor, mask seed k), and
 `variant_surprise_series` gives its series. Every net forecast takes one
 forward path, from `first_layer`'s tanh(x @ W0 + b0): computed once per
 series, that first hidden layer is shared by the base forecast and all
-variants, and each variant's keep masks (`variant_masks`) depend only on
-its mask seed and the net's shape.
+variants, and each variant's keep rows depend only on its mask seed and
+its own net's hidden sizes and dropout_p.
 
 Everything is seed-deterministic: training the same series with the same
 spec twice yields bit-identical weights, and no call touches global random
@@ -141,18 +141,16 @@ def make_noise(scale: float, seed: int = 0) -> Predictor:
 
 def _forward(first: np.ndarray, weights: Sequence[np.ndarray],
              biases: Sequence[np.ndarray],
-             masks: Optional[Sequence[np.ndarray]] = None,
-             keep_scale: float = 1.0) -> np.ndarray:
+             masks: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
     """Batch forward pass from layer 0's output tanh(x @ W0 + b0); masks
-    (if given) multiply hidden activations."""
+    (if given, 0 or 1/(1 - p) per unit) multiply hidden activations."""
     h = first
     last = len(weights) - 1
     for l in range(last):
         if l > 0:
             h = np.tanh(h @ weights[l] + biases[l])
         if masks is not None:
-            # exact reassociation of (h * mask) * keep_scale: mask is 0 or 1
-            h = h * (masks[l] * keep_scale)
+            h = h * masks[l]
     return (h @ weights[last] + biases[last])[:, 0]
 
 
@@ -525,13 +523,12 @@ def surprise_series(p: Predictor, series: TickSeries,
         return np.exp(p.noise_scale * eps(p.noise_seed, series.ts)) - 1.0
     if first is None:
         first = first_layer(p, series)
-    return _net_surprise(p, series, first, None, 1.0)
+    return _net_surprise(p, series, first, None)
 
 
 def _net_surprise(p: Predictor, series: TickSeries,
                   first: Optional[np.ndarray],
-                  masks: Optional[Sequence[np.ndarray]],
-                  keep_scale: float) -> np.ndarray:
+                  masks: Optional[Sequence[np.ndarray]]) -> np.ndarray:
     n = len(series)
     w = p.window
     out = np.full(n, np.nan)
@@ -540,7 +537,7 @@ def _net_surprise(p: Predictor, series: TickSeries,
     if first.shape[0] != n - w:
         raise ValidationError("the shared first layer was computed on a "
                               "series of another length")
-    y = _forward(first, p.weights, p.biases, masks, keep_scale) * p.scale
+    y = _forward(first, p.weights, p.biases, masks) * p.scale
     with np.errstate(over="ignore"):
         out[w:] = np.exp(y) - 1.0
     if not np.isfinite(out[w:]).all():
@@ -590,30 +587,22 @@ def sample_variants(p: Predictor, K: int = 32, seed: int = 0) -> VariantSet:
 
 
 def _variant_masks(p: Predictor, mask_seed: int) -> List[np.ndarray]:
-    """Per-layer keep masks, one entry per hidden unit."""
+    """Per-layer keep rows, one entry per hidden unit: 0 or 1/(1 - p),
+    the scaled keep that training multiplies by."""
+    keep_scale = 1.0 / (1.0 - p.dropout_p)
     masks = []
     for l, width in enumerate(p.train_spec.hidden):
         rng = np.random.default_rng(np.random.SeedSequence([mask_seed, l]))
-        masks.append(rng.random(width) >= p.dropout_p)
+        masks.append((rng.random(width) >= p.dropout_p) * keep_scale)
     return masks
 
 
-def variant_masks(vs: VariantSet) -> List[List[np.ndarray]]:
-    """Each variant's keep masks, one bool array per hidden layer, for a
-    dropout net. They depend only on the net's hidden sizes and dropout_p
-    and on the mask seeds, so variant sets that share these share them."""
-    return [_variant_masks(vs.base, seed) for seed in vs.mask_seeds]
-
-
 def variant_surprise_series(vs: VariantSet, k: int, series: TickSeries,
-                            first: Optional[np.ndarray] = None,
-                            masks: Optional[Sequence[np.ndarray]] = None
-                            ) -> np.ndarray:
+                            first: Optional[np.ndarray] = None) -> np.ndarray:
     """Surprise series of variant k (base series when no dropout applies).
 
     `first`, if given, is `first_layer(vs.base, series)`, shared by every
-    variant so that none recomputes it, and `masks`, if given, is
-    `variant_masks(vs)[k]`; the series is the same either way.
+    variant so that none recomputes it; the series is the same either way.
     """
     if not 0 <= k < vs.K:
         raise ValidationError(f"variant index {k} outside [0, {vs.K})")
@@ -622,10 +611,8 @@ def variant_surprise_series(vs: VariantSet, k: int, series: TickSeries,
         return surprise_series(p, series)
     if first is None:
         first = first_layer(p, series)
-    if masks is None:
-        masks = _variant_masks(p, vs.mask_seeds[k])
-    keep_scale = 1.0 / (1.0 - p.dropout_p)
-    return _net_surprise(p, series, first, masks, keep_scale)
+    return _net_surprise(p, series, first,
+                         _variant_masks(p, vs.mask_seeds[k]))
 
 
 def predictor_to_dict(p: Predictor) -> dict:

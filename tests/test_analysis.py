@@ -181,10 +181,10 @@ def _variant_raises(monkeypatch, bad_k, window_ts=None):
     in the one whose series starts at `window_ts`."""
     variant_row = analysis.variant_surprise_series
 
-    def non_finite(vs, k, s, first=None, masks=None):
+    def non_finite(vs, k, s, first=None):
         if k == bad_k and window_ts in (None, s.ts[0]):
             raise DegenerateError("non-finite forecast")
-        return variant_row(vs, k, s, first, masks)
+        return variant_row(vs, k, s, first)
 
     monkeypatch.setattr(analysis, "variant_surprise_series", non_finite)
 
@@ -234,6 +234,28 @@ def test_sweep_windows_matches_sweep_window_by_window(dropout_net, K,
             continue
         _assert_same_bytes(triples, sweep(window, fit, spec))
     assert any(mc.sigma2_mc > 0.0 for _, _, mc in got[0]) == (K > 1)
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"hidden": (8,)}, {"hidden": (4,)}),
+    ({"dropout_p": 0.2}, {"dropout_p": 0.5}),
+], ids=["hidden", "dropout_p"])
+def test_sweep_windows_of_fits_that_differ_in_shape(first, second):
+    # each window's variants draw their keep rows from its own fit, so
+    # fits of other hidden sizes or dropout_p give each window's own sweep
+    series = gen_synthetic(SIGNAL_SPEC)
+    starts, length = [1000, 2500], 1500
+    base = TrainSpec(window=6, hidden=(8,), dropout_p=0.2, epochs=20,
+                     learning_rate=0.05, seed=3)
+    fits = [train(series.window(start - 1000, start),
+                  dataclasses.replace(base, **kw))
+            for start, kw in zip(starts, (first, second))]
+    spec = _mini_spec(n_configs=3, K=4, threshold_range=(0.0, 2.0))
+    got = analysis.sweep_windows(series, fits, spec, starts, length)
+    for start, fit, triples in zip(starts, fits, got):
+        _assert_same_bytes(triples, sweep(series.window(start, start + length),
+                                          fit, spec))
+        assert any(mc.sigma2_mc > 0.0 for _, _, mc in triples)
 
 
 def test_sweep_windows_frees_a_failed_window_with_its_result(monkeypatch):

@@ -1018,6 +1018,29 @@ def test_out_dir_falls_back_to_environment(tmp_path, capsys, monkeypatch):
     assert (env_dir / "points.csv").is_file()
 
 
+def test_sweep_out_dir_comes_from_the_flag_then_the_config(tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RISKLAB_OUT", raising=False)
+    main(["gen-data", "--spec", _write(tmp_path / "spec.ini", GEN_SPEC),
+          "--out", "ticks.csv"])
+    config = _write(tmp_path / "exp.ini",
+                    "[train]\nkind = leaked\n\n"
+                    "[sweep]\nn_configs = 2\nthreshold_lo = 1\n"
+                    "threshold_hi = 10\nfee_bps = 0.2\nk = 1\n"
+                    "period_ticks = 64\n\n[output]\ndir = from-config\n")
+    main(["train", "--data", "ticks.csv", "--config", config,
+          "--out", "model.json"])
+    sweep = ["sweep", "--data", "ticks.csv", "--predictor", "model.json",
+             "--config", config]
+    assert main(sweep) == EXIT_OK
+    assert (tmp_path / "from-config" / "points.csv").is_file()
+    assert main(sweep + ["--out-dir", "from-flag"]) == EXIT_OK
+    assert (tmp_path / "from-flag" / "points.csv").is_file()
+    assert not (tmp_path / "risklab-out").exists()
+    capsys.readouterr()
+
+
 def test_argparse_surface(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--help"])

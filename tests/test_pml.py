@@ -404,10 +404,10 @@ def test_rolling_matches_the_windows_trained_one_by_one(
         train(series.window(600, 900), spec)
     variant_row = analysis.variant_surprise_series
 
-    def non_finite_in_fourth(vs, k, s, first=None, masks=None):
+    def non_finite_in_fourth(vs, k, s, first=None):
         if k == 1 and s.ts[0] == series.ts[1800 + 300]:
             raise DegenerateError("non-finite forecast")
-        return variant_row(vs, k, s, first, masks)
+        return variant_row(vs, k, s, first)
 
     monkeypatch.setattr(analysis, "variant_surprise_series",
                         non_finite_in_fourth)
@@ -443,10 +443,10 @@ def test_rolling_matches_the_windows_trained_one_by_one(
         [start + 300 for start in (0, 1200, 1800, 2400) for _ in range(8)]]
 
 
-def test_rolling_draws_each_first_layer_and_variant_mask_once(monkeypatch):
+def test_rolling_draws_each_first_layer_once_and_masks_per_window(
+        monkeypatch):
     # a window's first hidden layer serves its base forecast and all its
-    # variants; the variants' keep masks depend only on the specs, so the
-    # first window's serve every window
+    # variants; each window's variants draw their own keep rows
     firsts, masks = [], []
     first_layer, variant_masks = predictor.first_layer, predictor._variant_masks
 
@@ -465,7 +465,7 @@ def test_rolling_draws_each_first_layer_and_variant_mask_once(monkeypatch):
                     step=900)
     assert np.isfinite(r.sr_theta_series).all()
     assert len(firsts) == len(r) == 3
-    assert len(masks) == SWEEP.n_configs * SWEEP.K
+    assert len(masks) == len(r) * SWEEP.n_configs * SWEEP.K == 24
 
 
 def test_rolling_refit_stays_small():

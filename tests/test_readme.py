@@ -24,7 +24,7 @@ REMOVED = {
               "load_universe", "mc_disentangle", "cluster_tightness"),
     market_data: ("BboTick", "mid", "resample"),
     predictor: ("predict", "surprise", "predict_variant", "MaskStream",
-                "draw_masks"),
+                "draw_masks", "variant_masks"),
     pml: ("sr_theta_line", "rolling_to_dict", "pml_fit_to_dict",
           "write_points_csv"),
     capm: ("load_universe", "universe_from_dict"),
@@ -138,6 +138,73 @@ def test_tape_commands_write_the_pinned_bytes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in TAPE_SHA256}
     assert got == TAPE_SHA256
+
+
+# sha256 of `backtest`'s stdout on a 3,000-tick `gen-data` CSV for each
+# baseline predictor (persistence never trades), and of `fit-pml
+# --risk-axis mc`'s stdout on the README run's points.csv. Rules as for
+# README_RUN_SHA256. `fit-pml` on the priced axis is not pinned: with
+# either intercept mode its `sr_theta` changes when OpenBLAS takes
+# another core's kernels.
+BACKTEST_SPEC = """\
+[synthetic]
+n_ticks = 3000
+sigma_noise = 0.0003
+phi = 0.9
+sigma_signal = 0.0002
+spread_bps = 1.0
+seed = 11
+"""
+BACKTEST_TRAIN = {
+    "persistence": "[train]\nkind = persistence\n",
+    "leaked": "[train]\nkind = leaked\nhorizon = 2\n",
+    "noise": "[train]\nkind = noise\nscale = 0.0003\nseed = 3\n",
+}
+STDOUT_SHA256 = {
+    "backtest persistence":
+        "211184a09e5ee85bf0aa52d2db1e8041892dcae2944af278ecb5cecfe326316d",
+    "backtest leaked":
+        "47d500a27d88d545006f21e7a25baf9849672896fd2a45eefc7b222df07413a8",
+    "backtest noise":
+        "276e3e3429852429178d0e40c9196f261fb5d6bba38e41bde05366ece73a196c",
+    "fit-pml mc":
+        "7ebcc26b47676ad16b223cf8c1158ae689b537f1dff9a4dd931e6560ab4036cc",
+}
+
+
+def _stdout_sha256(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0, argv
+    return hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+
+
+def test_backtest_and_fit_pml_print_the_pinned_bytes(tmp_path):
+    (tmp_path / "spec.ini").write_text(BACKTEST_SPEC, encoding="utf-8")
+    (tmp_path / "experiment.ini").write_text(_readme_config(),
+                                             encoding="utf-8")
+    data = str(tmp_path / "ticks.csv")
+    results = tmp_path / "results"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-data", "--spec", str(tmp_path / "spec.ini"),
+                         "--out", data]) == 0
+        assert cli.main(["run", "--config", str(tmp_path / "experiment.ini"),
+                         "--out-dir", str(results)]) == 0
+    got = {}
+    for kind, config in BACKTEST_TRAIN.items():
+        (tmp_path / f"{kind}.ini").write_text(config, encoding="utf-8")
+        model = str(tmp_path / f"{kind}.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["train", "--data", data, "--config",
+                             str(tmp_path / f"{kind}.ini"), "--out",
+                             model]) == 0
+        got[f"backtest {kind}"] = _stdout_sha256(
+            ["backtest", "--data", data, "--predictor", model,
+             "--threshold-bps", "2", "--period-ticks", "128"])
+    got["fit-pml mc"] = _stdout_sha256(
+        ["fit-pml", "--points", str(results / "points.csv"),
+         "--risk-axis", "mc"])
+    assert got == STDOUT_SHA256
 
 
 # sha256 of `sweep`'s points.csv for a net that `train` fitted, both on the
