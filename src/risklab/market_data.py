@@ -16,10 +16,11 @@ rounded exactly to 10 decimals (Dekker's TwoProduct, ties to even, as
 zeros. Rows holding a price from 2**52 up fall back to `format_price`.
 
 `load_csv` parses a file in bulk from its bytes when it keeps to a strict
-grammar, which `write_csv`'s output does while no price takes more than 26
-digits, and hands any other file to a per-row scan, the reference.
-The bulk parse is exact: each price is read as integer digits M and, below
-2**53, divided once by a power of ten (see `load_csv`).
+grammar, and hands any other file to a per-row scan, the reference.
+`write_csv`'s output keeps to it while its timestamps are nonnegative and
+its prices stay below 9e5: below that bound a price's digits, written with
+10 decimals and read as one integer M, stay below 2**53. The bulk parse is
+exact: it divides M once by a power of ten (see `load_csv`).
 """
 
 from __future__ import annotations
@@ -108,18 +109,16 @@ def load_csv(path: Union[str, Path]) -> TickSeries:
     keeps to this grammar:
     - the header line ends in "\\n" or "\\r\\n", and so does every row but
       the last, which may have no line end;
-    - a row is `-?digits,digits.digits,digits.digits` and nothing else: no
-      spaces, `+`, `_`, exponents, `nan`/`inf` text or blank lines;
-    - a timestamp is in int64, and a price has at most 26 digits, as
-      `write_csv`'s longest bulk price (16 integer and 10 fraction digits).
-    Such a price with k decimals, its digits read as one integer M, is
-    M / 10**k. Below 2**53, M and 10**k (k <= 19) are exact doubles, so
-    the one division rounds the exact value once and gives the double
-    `float(text)` gives (Clinger, "How to read floating point numbers
-    accurately", 1990). The fields with M from 2**53 up, and those of 20
-    or more digits, are converted from their text by numpy's
-    `astype(np.float64)`, which also rounds correctly. `TickSeries` then
-    checks the columns as arrays.
+    - a row is `digits,digits.digits,digits.digits` and nothing else: no
+      signs, spaces, `_`, exponents, `nan`/`inf` text or blank lines;
+    - a timestamp has at most 19 digits and is below 2**63;
+    - a price has at most 19 digits, and its digits read as one integer M
+      stay below 2**53.
+    Such a price with k decimals is M / 10**k. M and 10**k (k <= 18) are
+    exact doubles, so the one division rounds the exact value once and
+    gives the double `float(text)` gives (Clinger, "How to read floating
+    point numbers accurately", 1990). `TickSeries` then checks the
+    columns as arrays.
 
     Any other file, and any file whose columns fail a check, goes to the
     per-row scan `_scan_rows`: it is the reference, so it returns the same
@@ -168,16 +167,14 @@ _HEADER_LINES = (f"{CSV_HEADER}\n".encode("ascii"),
 # from 1 MiB on the block's arrays fall out of cache.
 _READ_BYTES = 1 << 18
 # digits per number read as an integer: 10**19 < 2**64, so each is exact
-# in uint64; a price of up to _PRICE_DIGITS digits past that is cast from
-# its text
+# in uint64
 _MAX_DIGITS = 19
-_PRICE_DIGITS = 26
-# the longest row the parser takes: a signed timestamp, two prices with
-# the point and "\r\n"
-_MAX_ROW_BYTES = 1 + _MAX_DIGITS + 2 * (2 + _PRICE_DIGITS) + 2
+# the longest row the parser takes: a timestamp, two prices with their
+# comma and point, and "\r\n"
+_MAX_ROW_BYTES = _MAX_DIGITS + 2 * (2 + _MAX_DIGITS) + 2
 _LANE_BYTES = 8
 _ZERO, _MINUS, _COMMA, _POINT, _NEWLINE, _CR = b"0-,.\n\r"
-# the bytes other than digits in a row, once a sign and a CR are set aside
+# the bytes other than digits in a row, once a CR is set aside
 _ROW_BYTES = np.array([_COMMA, _POINT, _COMMA, _POINT, _NEWLINE], dtype=np.uint8)
 _LANES = -(-_MAX_DIGITS // _LANE_BYTES)
 # _LANE_MASKS[j, w] keeps the low nibbles of the bytes that lane j (the
@@ -191,14 +188,14 @@ _PAD = b"0" * (_LANES * _LANE_BYTES)
 _POW10 = np.array([10**k for k in range(_MAX_DIGITS + 1)], dtype=np.uint64)
 _POW10_F = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
 _MANTISSA_LIMIT = 2**53
-# the longest price text the bulk parse takes: its digits and the point
-_TEXT_BYTES = _PRICE_DIGITS + 1
 _INT64_MAX = np.uint64(_TS_MAX)
 
 
 def _parse_bytes(fh: BinaryIO) -> Optional[Tuple[np.ndarray, ...]]:
     """ts, bid, ask of the file `fh` reads, from its start, in `load_csv`'s
-    bulk grammar, else None.
+    bulk grammar, else None: one field outside it, such as a signed
+    timestamp or a price past 19 digits or 2**53, sends the whole file to
+    the scan.
 
     The file is read `_READ_BYTES` at a time; each read is parsed by
     `_parse_block` up to its last newline into the columns, so memory holds
@@ -259,6 +256,7 @@ def _parse_block(data: bytes, cut: int,
     """Parse the rows in data[len(_PAD):cut] into the ts, bid and ask
     arrays of that many rows that `reserve(rows)` returns.
 
+    Every field is an unsigned digit string read as an exact integer.
     Returns the number of rows, or None unless every row is in the bulk
     grammar. data[cut - 1] is a newline.
     """
@@ -266,11 +264,11 @@ def _parse_block(data: bytes, cut: int,
     # every byte but a digit; uint8 wraps the bytes below "0" past 9
     pos = np.flatnonzero(buf - np.uint8(_ZERO) > 9)
     kind = buf[pos]
-    # a sign leads a row and a CR precedes a newline, or the row is not ours
-    extra = (kind == _MINUS) | (kind == _CR)
-    n_extra = int(np.count_nonzero(extra))
-    if n_extra:
-        pos, kind = pos[~extra], kind[~extra]
+    # a CR precedes a newline, or the row is not ours
+    cr = kind == _CR
+    n_cr = int(np.count_nonzero(cr))
+    if n_cr:
+        pos, kind = pos[~cr], kind[~cr]
     if kind.size % _ROW_BYTES.size or \
             not (kind.reshape(-1, _ROW_BYTES.size) == _ROW_BYTES).all():
         return None
@@ -281,13 +279,10 @@ def _parse_block(data: bytes, cut: int,
     lo[0] = len(_PAD)
     lo[1:] = newline[:-1] + 1
     hi = newline
-    neg = False
-    if n_extra:
-        neg = buf[lo] == _MINUS
+    if n_cr:
         cr = buf[hi - 1] == _CR
-        if np.count_nonzero(neg) + np.count_nonzero(cr) != n_extra:
+        if np.count_nonzero(cr) != n_cr:
             return None
-        lo = lo + neg
         hi = hi - cr
     # lane i holds data[i:i + 8] as a little-endian integer
     lanes = np.ndarray((cut - _LANE_BYTES + 1,), dtype="<u8", buffer=data,
@@ -295,15 +290,12 @@ def _parse_block(data: bytes, cut: int,
     width = comma1 - lo
     if width.min() < 1 or width.max() > _MAX_DIGITS:
         return None
-    mag = _digits(lanes, comma1, width)
-    if (mag > _INT64_MAX + neg).any():  # -2**63 is in range
+    value = _digits(lanes, comma1, width)
+    if (value > _INT64_MAX).any():
         return None
-    signed = mag.view(np.int64)
-    if n_extra:
-        np.negative(signed, out=signed, where=neg)  # 2**63 wraps to -2**63
-    ts[:] = signed
-    if not (_prices(buf, lanes, comma1, dot1, comma2, bid)
-            and _prices(buf, lanes, comma2, dot2, hi, ask)):
+    ts[:] = value.view(np.int64)
+    if not (_prices(lanes, comma1, dot1, comma2, bid)
+            and _prices(lanes, comma2, dot2, hi, ask)):
         return None
     return rows
 
@@ -337,39 +329,25 @@ def _digits(lanes: np.ndarray, end: np.ndarray,
     return value
 
 
-def _prices(buf: np.ndarray, lanes: np.ndarray, comma: np.ndarray,
-            dot: np.ndarray, end: np.ndarray, out: np.ndarray) -> bool:
-    """Write the prices `digits.digits` between each comma and end to `out`.
+def _prices(lanes: np.ndarray, comma: np.ndarray, dot: np.ndarray,
+            end: np.ndarray, out: np.ndarray) -> bool:
+    """Write the prices `digits.digits` between each comma and end to `out`,
+    each M / 10**k as `load_csv` says.
 
-    Each is exact as `load_csv` says: M / 10**k, or for M from 2**53 up and
-    for fields of 20 or more digits the field's text through numpy's cast.
-    False, leaving `out` partly written, when a field is empty or there are
-    more than 26 digits.
+    False, leaving `out` partly written, when a field is empty, has more
+    than 19 digits, or has M from 2**53 up.
     """
     n_int = dot - comma - 1
     n_frac = end - dot - 1
-    if min(n_int.min(), n_frac.min()) < 1:
+    if min(n_int.min(), n_frac.min()) < 1 or \
+            (n_int + n_frac).max() > _MAX_DIGITS:
         return False
-    wide = n_int + n_frac > _MAX_DIGITS
-    if wide.any():
-        if (n_int + n_frac).max() > _PRICE_DIGITS:
-            return False
-        # M of a wide field would wrap in uint64; its text is cast below
-        n_int = np.minimum(n_int, _MAX_DIGITS)
-        n_frac = np.minimum(n_frac, _MAX_DIGITS)
     m = _digits(lanes, dot, n_int)
     m *= _POW10[n_frac]
     m += _digits(lanes, end, n_frac)
+    if m.max() >= _MANTISSA_LIMIT:
+        return False
     np.divide(m, _POW10_F[n_frac], out=out)
-    big = np.flatnonzero((m >= _MANTISSA_LIMIT) | wide)
-    if big.size:
-        # each such field's text after leading ASCII zeros: it has 17 or
-        # more bytes, so its window starts inside the block
-        text = np.lib.stride_tricks.sliding_window_view(buf, _TEXT_BYTES)[
-            end[big] - _TEXT_BYTES]
-        lead = _TEXT_BYTES - (end[big] - comma[big] - 1)
-        text[np.arange(_TEXT_BYTES) < lead[:, None]] = _ZERO
-        out[big] = text.view(f"S{_TEXT_BYTES}")[:, 0].astype(np.float64)
     return True
 
 

@@ -152,14 +152,6 @@ def _fit_slope(x: np.ndarray, y: np.ndarray,
     return slope, stderr, r2, intercept
 
 
-def _one_value(x: np.ndarray) -> bool:
-    """np.unique(x).size < 2, NaNs counting as one value, without np.unique
-    (which imports numpy.ma)."""
-    if x.size == 0:
-        return True
-    return bool(((x == x[0]) | (np.isnan(x) & np.isnan(x[0]))).all())
-
-
 def fit_pml(points: Sequence[RiskReturnPoint],
             r_f_per_period: float = DEFAULT_RF_PER_PERIOD,
             intercept_mode: str = INTERCEPT_FIXED,
@@ -186,7 +178,7 @@ def fit_pml(points: Sequence[RiskReturnPoint],
         raise ValidationError("bootstrap settings must be nonnegative")
     x = _risk_coordinate(points, risk_axis)
     y = np.array([p.mean_return for p in points]) - r_f_per_period
-    if _one_value(x):
+    if (x == x[0]).all():
         raise DegenerateError(
             f"degenerate fit: all {len(points)} points share one "
             f"sigma_{risk_axis} value")
@@ -198,7 +190,7 @@ def fit_pml(points: Sequence[RiskReturnPoint],
         for _ in range(bootstrap):
             idx = rng.integers(0, x.size, x.size)
             xb, yb = x[idx], y[idx]
-            if _one_value(xb):
+            if (xb == xb[0]).all():
                 continue
             slopes.append(_fit_slope(xb, yb, intercept_mode)[0])
         if len(slopes) < 2:

@@ -1,7 +1,8 @@
 """The runtime dependencies that `pyproject.toml` declares are exactly the
 third-party modules that `src/risklab` imports: an unused or undeclared
 dependency fails here. So does an unused import in `src/risklab`, or a
-function or class there that nothing outside the tests calls."""
+function, class or module constant there that nothing outside the tests
+reads."""
 
 import ast
 import re
@@ -75,9 +76,15 @@ NO_CALLER_YET = {("capm", "min_variance_portfolio"),
                  ("capm", "beta")}
 
 
-def _reads(tree, skip=None):
-    """What `tree` reads outside the node `skip`: the bare names, and each
-    attribute read off a name that an import from risklab binds."""
+def _loads(node):
+    """The bare names that `node` reads."""
+    return {sub.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+
+
+def _reads(tree):
+    """What `tree` reads: the bare names, and each attribute read off a name
+    that an import from risklab binds."""
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -87,18 +94,10 @@ def _reads(tree, skip=None):
         elif isinstance(node, ast.ImportFrom) and (
                 node.level or node.module.split(".")[0] == "risklab"):
             modules.update(alias.asname or alias.name for alias in node.names)
-    names, attrs = set(), set()
-    for top in tree.body:
-        if top is skip:
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in modules):
-                attrs.add(node.attr)
-    return names, attrs
+    attrs = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in modules}
+    return _loads(tree), attrs
 
 
 def _imports_of(tree, name):
@@ -109,25 +108,42 @@ def _imports_of(tree, name):
             for alias in node.names if alias.name == name}
 
 
+def _defined(top):
+    """The names a top-level statement defines: a function's or a class's,
+    or each name a module-level assignment binds."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    if isinstance(top, ast.Assign):
+        targets = top.targets
+    elif isinstance(top, ast.AnnAssign):
+        targets = [top.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+
+
 def _without_callers():
-    """(module, name) of each top-level function and class of src/risklab
-    that no code in src/risklab or benchmark reads, outside its own body.
-    A re-export is no read: importing a name is not calling it."""
+    """(module, name) of each top-level function, class and module constant
+    of src/risklab that no code in src/risklab or benchmark reads, outside
+    its own statement; `__all__` is the public surface. A re-export is no
+    read: importing a name is not calling it."""
     src = sorted((ROOT / "src" / "risklab").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in src + sorted((ROOT / "benchmark").glob("*.py"))}
     reads = {path: _reads(tree) for path, tree in trees.items()}
     found = set()
     for path in src:
-        for top in trees[path].body:
-            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if top.name in _reads(trees[path], skip=top)[0] or any(
-                    top.name in reads[other][1]
-                    or _imports_of(trees[other], top.name) & reads[other][0]
-                    for other in trees if other != path):
-                continue
-            found.add((path.stem, top.name))
+        body = trees[path].body
+        loads = [_loads(top) for top in body]
+        for i, top in enumerate(body):
+            names = set(_defined(top)) - {"__all__"}
+            names.difference_update(*loads[:i], *loads[i + 1:])
+            for name in names:
+                if not any(name in reads[other][1]
+                           or _imports_of(trees[other], name) & reads[other][0]
+                           for other in trees if other != path):
+                    found.add((path.stem, name))
     return found
 
 

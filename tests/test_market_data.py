@@ -95,14 +95,17 @@ HEAD = "ts_ns,bid,ask\n"
 # the scan
 EDGE_FILES = (
     # 2**53 = 9007199254740992: the parser divides a price's digits, read
-    # as one integer, below it and casts the text from it up, as it casts
-    # prices of 20 to 26 digits; 27 digits go to the scan
+    # as one integer, below it; from it up, and past 19 digits, the scan
+    # takes the file
     ("mantissa_15", HEAD + "1,99999999.9999999,100000000.0\n"),
     ("mantissa_16_below", HEAD + "1,900719925.4740991,900719925.4740991\n"),
     ("mantissa_16_at", HEAD + "1,900719925.4740992,900719925.4740992\n"),
     ("mantissa_16_above", HEAD + "1,0.9007199254740993,9.999999999999999\n"),
     ("mantissa_19", HEAD + "1,99.99999999999999999,100.0\n"),
     ("mantissa_20", HEAD + "1,99.999999999999999999,100.0\n"),
+    # its digits are 2**64 + 1, which uint64 would wrap to 1
+    ("mantissa_20_wraps", HEAD + "1,1844674407.3709551617,"
+                                 "1844674407.3709551617\n"),
     ("mantissa_26", HEAD + "1,4503599627370495.9999999999,"
                            "4503599627370496.0000000001\n"),
     ("mantissa_27", HEAD + "1,99.9999999999999999999999999,100.0\n"),
@@ -179,14 +182,11 @@ EDGE_FILES = (
 
 # the cases inside the bulk grammar: `_parse_bytes` returns every other
 # file to the scan
-BULK_EDGES = ("mantissa_15", "mantissa_16_below", "mantissa_16_at",
-              "mantissa_16_above", "mantissa_19", "mantissa_20",
-              "mantissa_26", "ts_18_digits",
-              "ts_19_digits", "ts_minus_zero", "price_leading_zeros",
-              "crlf_no_final_newline", "no_final_newline", "crlf",
-              "crlf_body", "cr_final", "ts_negative", "ts_int64_min",
-              "ts_int64_max", "ts_full_span", "one_row", "nonpositive",
-              "crossed", "equal_ts", "two_errors", "ts_wraps")
+BULK_EDGES = ("mantissa_15", "mantissa_16_below", "ts_18_digits",
+              "price_leading_zeros", "crlf_no_final_newline",
+              "no_final_newline", "crlf", "crlf_body", "cr_final",
+              "ts_int64_max", "one_row", "nonpositive", "crossed",
+              "equal_ts", "two_errors")
 
 
 def _write_edge(tmp_path, name):
@@ -244,6 +244,13 @@ def _random_series(rng):
         bid = rng.integers(2**52, 10**18 - 2**20, n).astype(np.float64)
         ask = bid + rng.integers(0, 2**16, n).astype(np.float64)
     return TickSeries(ts, bid, ask)
+
+
+def _in_grammar(series):
+    """Whether `write_csv`'s text of `series` is sure to be in the bulk
+    grammar: no timestamp is negative, and below 9e5 a price's 10-decimal
+    digits, read as one integer, stay below 2**53."""
+    return series.ts[0] >= 0 and series.ask.max() < 9e5
 
 
 def _corrupt(rng, lines):
@@ -359,11 +366,16 @@ class TestBulkMatchesScan:
 
     def test_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(2024)
+        bulk = 0
         for trial in range(40):
             p = tmp_path / f"r{trial}.csv"
-            write_csv(_random_series(rng), p)
-            # the canonical form never needs the scan
-            assert _bulk_outcome(p) == _scan_outcome(p)
+            series = _random_series(rng)
+            write_csv(series, p)
+            if _in_grammar(series):  # then the scan is never needed
+                assert _bulk_outcome(p) == _scan_outcome(p)
+                bulk += 1
+            else:
+                assert _outcome(p) == _scan_outcome(p)
             again = tmp_path / f"r{trial}b.csv"
             write_csv(load_csv(p), again)
             assert again.read_bytes() == p.read_bytes()
@@ -374,13 +386,17 @@ class TestBulkMatchesScan:
                 got = _outcome(p)
                 assert isinstance(got, str), trial
                 assert got == _scan_outcome(p), trial
+        assert bulk >= 10
 
     @pytest.mark.parametrize("read_bytes", [1, 3, 16, 100])
     def test_rows_straddle_reads(self, tmp_path, read_bytes):
         # at 16 bytes a read is shorter than any row of the series
         rng = np.random.default_rng(read_bytes)
+        series = _random_series(rng)
+        while not _in_grammar(series):
+            series = _random_series(rng)
         p = tmp_path / "r.csv"
-        write_csv(_random_series(rng), p)
+        write_csv(series, p)
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(p.read_bytes().replace(b"\n", b"\r\n")[:-2])
         with pytest.MonkeyPatch.context() as m:
@@ -439,16 +455,15 @@ class TestBulkMatchesScan:
             return "".join(map(str, rng.integers(0, 10, k).tolist()))
 
         def price():
-            # M as `total` digits, leading zeros included: read as one
-            # integer below 20 digits, and cast from its text up to 26
-            total = int(rng.integers(2, 27))
-            text = digits(total)
+            # M below 2**53 as `total` digits, leading zeros included
+            total = int(rng.integers(2, 20))
+            text = str(int(rng.integers(0, min(2**53, 10**total))))
+            text = text.zfill(total)
             point = int(rng.integers(1, total))
             return f"{text[:point]}.{text[point:]}"
 
         n = 3000
-        ts = [("-" if rng.random() < 0.3 else "") + digits(int(rng.integers(1, 19)))
-              for _ in range(n)]
+        ts = [digits(int(rng.integers(1, 19))) for _ in range(n)]
         bid = [price() for _ in range(n)]
         ask = [price() for _ in range(n)]
         p = tmp_path / "digits.csv"
@@ -463,10 +478,10 @@ class TestBulkMatchesScan:
 
 
 class TestWidePrices:
-    """Prices of 20 to 26 digits are cast from their text, without the
-    scan; at 27 the scan takes the file."""
+    """A price of 20 or more digits, or whose digits read as one integer
+    reach 2**53, sends the file to the scan."""
 
-    def test_write_csv_prices_from_1e9_stay_bulk(self, tmp_path):
+    def test_write_csv_prices_from_1e9_go_to_the_scan(self, tmp_path):
         # from 1e9 to 2**52 `write_csv` writes a price with a fraction with
         # 20 or more digits, such as 10000000511.8216247559
         rng = np.random.default_rng(20)
@@ -480,7 +495,8 @@ class TestWidePrices:
         assert rows[0].split(b",")[1] == b"10000000511.8216247559"
         digits = [len(field) - 1 for row in rows for field in row.split(b",")[1:]]
         assert min(digits) < 20 and max(digits) >= 20
-        assert _bulk_outcome(p) == _scan_outcome(p)
+        assert _bulk_columns(p) is None
+        assert _outcome(p) == _scan_outcome(p)
 
     @pytest.mark.parametrize("total", [19, 20, 26])
     def test_prices_of_n_digits_equal_the_scan(self, tmp_path, total):
@@ -494,7 +510,8 @@ class TestWidePrices:
                         f"{text[:point]}.{text[point:]}\n")
         p = tmp_path / f"d{total}.csv"
         p.write_text(HEAD + "".join(rows), encoding="utf-8")
-        got = _bulk_outcome(p)
+        assert _bulk_columns(p) is None
+        got = _outcome(p)
         want = _scan_outcome(p)
         assert np.array_equal(np.array(got[1]).view(np.int64),
                               np.array(want[1]).view(np.int64))

@@ -207,6 +207,53 @@ def test_backtest_and_fit_pml_print_the_pinned_bytes(tmp_path):
     assert got == STDOUT_SHA256
 
 
+# sha256 of `backtest`'s stdout (leaked predictor) and `correlate`'s stdout
+# on two `write_csv` tapes outside `load_csv`'s bulk grammar, so the per-row
+# scan reads them: a 3,000-tick series moved before the epoch, and the same
+# series priced 1e4 times higher, whose price digits read as one integer
+# pass 2**53. Rules as for README_RUN_SHA256. `backtest` on the priced
+# tape is not pinned: with numpy's AVX-512 kernels off, `np.log` of its mid
+# gives other last bits, and so do its mean and stdev.
+SCAN_TAPE_SPEC = market_data.SyntheticSpec(
+    n_ticks=3000, sigma_noise=0.0003, phi=0.9, sigma_signal=0.0002,
+    spread_bps=1.0, seed=11)
+SCAN_TAPE_SHA256 = {
+    "backtest before-epoch":
+        "47d500a27d88d545006f21e7a25baf9849672896fd2a45eefc7b222df07413a8",
+    "correlate before-epoch":
+        "25a6a01ce535659e481487242ff331dbe8fb6e6c235a9548165fdaf52f49b432",
+    "correlate priced-1e4":
+        "652d66b66789cad090d45303941c2abde50701f5c1d86cc136d15b14d7941415",
+}
+
+
+def test_tapes_the_scan_reads_print_the_pinned_bytes(tmp_path):
+    s = market_data.gen_synthetic(SCAN_TAPE_SPEC)
+    tapes = {"before-epoch": market_data.TickSeries(s.ts - 10**15, s.bid,
+                                                    s.ask),
+             "priced-1e4": market_data.TickSeries(s.ts, s.bid * 1e4,
+                                                  s.ask * 1e4)}
+    config = tmp_path / "leaked.ini"
+    config.write_text(BACKTEST_TRAIN["leaked"], encoding="utf-8")
+    got = {}
+    for name, series in tapes.items():
+        data = tmp_path / f"{name}.csv"
+        market_data.write_csv(series, data)
+        with open(data, "rb") as fh:
+            assert market_data._parse_bytes(fh) is None, name
+        model = str(tmp_path / f"{name}.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["train", "--data", str(data), "--config",
+                             str(config), "--out", model]) == 0
+        if name == "before-epoch":
+            got[f"backtest {name}"] = _stdout_sha256(
+                ["backtest", "--data", str(data), "--predictor", model,
+                 "--threshold-bps", "2", "--period-ticks", "128"])
+        got[f"correlate {name}"] = _stdout_sha256(
+            ["correlate", "--data", str(data), "--predictor", model])
+    assert got == SCAN_TAPE_SHA256
+
+
 # sha256 of `sweep`'s points.csv for a net that `train` fitted, both on the
 # ticks that `gen-data` writes from the README config's [data] section and
 # [experiment] seed, as the README's stage-by-stage commands run them.
