@@ -13,7 +13,8 @@ file byte for byte.
 `write_csv` formats fixed-size chunks of rows as arrays: each price is
 rounded exactly to 10 decimals (Dekker's TwoProduct, ties to even, as
 `f"{x:.10f}"` does), digits go into a byte matrix, and a mask trims the
-zeros. Rows holding a price from 2**52 up fall back to `format_price`.
+zeros. A chunk with a negative timestamp or a price from 2**52 up is
+written row by row with `format_price`, the reference.
 
 `load_csv` parses a file in bulk from its bytes when it keeps to a strict
 grammar, and hands any other file to a per-row scan, the reference.
@@ -173,7 +174,7 @@ _MAX_DIGITS = 19
 # comma and point, and "\r\n"
 _MAX_ROW_BYTES = _MAX_DIGITS + 2 * (2 + _MAX_DIGITS) + 2
 _LANE_BYTES = 8
-_ZERO, _MINUS, _COMMA, _POINT, _NEWLINE, _CR = b"0-,.\n\r"
+_ZERO, _COMMA, _POINT, _NEWLINE, _CR = b"0,.\n\r"
 # the bytes other than digits in a row, once a CR is set aside
 _ROW_BYTES = np.array([_COMMA, _POINT, _COMMA, _POINT, _NEWLINE], dtype=np.uint8)
 _LANES = -(-_MAX_DIGITS // _LANE_BYTES)
@@ -391,7 +392,7 @@ def _scan_rows(path: Path, body: str) -> Tuple[np.ndarray, ...]:
 _CHUNK_ROWS = 1 << 14
 # Below 2**52 a price's integer part and its carry ip + 1 are exact in
 # float64; from 2**52 up every price is an integer of up to 309 digits, and
-# rows holding one are written by format_price.
+# a chunk holding one is written by format_price.
 _BULK_PRICE_LIMIT = 2.0 ** 52
 _FRAC_DIGITS = 10
 _FRAC_SCALE = 1e10
@@ -403,25 +404,25 @@ def write_csv(series: TickSeries, path: Union[str, Path]) -> None:
     """Write the canonical CSV form (prices beyond 10 fractional digits round).
 
     Each row is the text `f"{ts},{format_price(bid)},{format_price(ask)}"`,
-    byte for byte. Rows are formatted `_CHUNK_ROWS` at a time as arrays by
-    `_format_rows`, so memory stays bounded by the chunk rather than growing
-    with the series; a row holding a price from 2**52 up is the one case
-    written per value, by `format_price`.
+    byte for byte. Rows are written `_CHUNK_ROWS` at a time, so memory stays
+    bounded by the chunk. `_format_rows` formats a chunk as arrays when its
+    timestamps are nonnegative and its prices below 2**52; any other chunk
+    is written as that text one row at a time.
     """
     ts, bid, ask = series.ts, series.bid, series.ask
     with open(path, "wb") as fh:
         fh.write(f"{CSV_HEADER}\n".encode("ascii"))
         for start in range(0, len(series), _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, len(series))
-            # ask >= bid, so a row holds a price from 2**52 up iff its ask does
-            big = np.flatnonzero(ask[start:stop] >= _BULK_PRICE_LIMIT) + start
-            lo = start
-            for i in big.tolist():
-                fh.write(_format_rows(ts[lo:i], bid[lo:i], ask[lo:i]))
-                fh.write(f"{int(ts[i])},{format_price(float(bid[i]))},"
-                         f"{format_price(float(ask[i]))}\n".encode("ascii"))
-                lo = i + 1
-            fh.write(_format_rows(ts[lo:stop], bid[lo:stop], ask[lo:stop]))
+            rows = slice(start, start + _CHUNK_ROWS)
+            # timestamps increase and ask >= bid, so the first timestamp and
+            # the largest ask decide the chunk
+            if ts[start] >= 0 and ask[rows].max() < _BULK_PRICE_LIMIT:
+                fh.write(_format_rows(ts[rows], bid[rows], ask[rows]))
+            else:
+                fh.writelines(
+                    f"{t},{format_price(b)},{format_price(a)}\n".encode("ascii")
+                    for t, b, a in zip(ts[rows].tolist(), bid[rows].tolist(),
+                                       ask[rows].tolist()))
 
 
 def _fixed10(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -478,19 +479,14 @@ def _put_digits(mat: np.ndarray, keep: np.ndarray, col: int, width: int,
 
 
 def _format_rows(ts: np.ndarray, bid: np.ndarray, ask: np.ndarray) -> bytes:
-    """CSV rows for prices below 2**52, built as one byte matrix.
+    """CSV rows for timestamps from 0 and prices below 2**52, as one matrix.
 
-    Each row is laid out at a fixed width: a sign, the timestamp's magnitude,
-    and each price's integer part and 10 fractional digits, with every
-    integer field as wide as its largest value in the chunk. A keep mask then
-    drops the sign of nonnegative timestamps, leading zeros of integers and
-    trailing zeros of fractions, and the kept bytes are the text.
+    Each row is laid out at a fixed width: the timestamp and each price's
+    integer part and 10 fractional digits, every integer field as wide as
+    its largest value in the chunk. A keep mask drops leading zeros of
+    integers and trailing zeros of fractions; the kept bytes are the text.
     """
-    if ts.size == 0:
-        return b""
-    neg = ts < 0
-    u = ts.view(np.uint64)
-    mag = np.where(neg, ~u + np.uint64(1), u)  # |ts|, 2**63 for int64 min
+    mag = ts.view(np.uint64)
     bid_ip, bid_q = _fixed10(bid)
     ask_ip, ask_q = _fixed10(ask)
     # (digits, width, is a fraction, the byte after it)
@@ -499,13 +495,11 @@ def _format_rows(ts: np.ndarray, bid: np.ndarray, ask: np.ndarray) -> bytes:
               (bid_q, _FRAC_DIGITS, True, _COMMA),
               (ask_ip, _width(ask_ip), False, _POINT),
               (ask_q, _FRAC_DIGITS, True, _NEWLINE))
-    shape = (ts.size, 1 + sum(width + 1 for _, width, _, _ in fields))
+    shape = (ts.size, sum(width + 1 for _, width, _, _ in fields))
     # column-major, so each digit column is written contiguously
     mat = np.empty(shape, dtype=np.uint8, order="F")
     keep = np.ones(shape, dtype=bool, order="F")
-    mat[:, 0] = _MINUS
-    keep[:, 0] = neg
-    col = 1
+    col = 0
     for v, width, fraction, after in fields:
         _put_digits(mat, keep, col, width, v, fraction)
         col += width

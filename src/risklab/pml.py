@@ -343,7 +343,11 @@ def points_to_csv(points: Sequence[RiskReturnPoint]) -> str:
 
 
 def load_points_csv(path: Union[str, Path]) -> List[RiskReturnPoint]:
-    text = Path(path).read_text(encoding="utf-8")
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path.name}: not UTF-8 text ({e.reason})") from None
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows or [c.strip() for c in rows[0]] != POINTS_CSV_HEADER.split(","):

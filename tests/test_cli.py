@@ -253,6 +253,19 @@ def test_backtest_non_utf8_data_exits_2(tmp_path, capsys):
     assert "ticks.csv: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_fit_pml_non_utf8_points_exits_2(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_bytes(points_to_csv(
+        [RiskReturnPoint(f"c{i}", 0.3 * x, x, 0.0, x, False)
+         for i, x in enumerate((0.01, 0.02, 0.03))]).encode("utf-8")
+        + b"c3,0.\xff,0.04,0,0.04,false\n")
+    assert main(["fit-pml", "--points", str(points)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "points.csv: not UTF-8 text" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def _break_json(doc):
     return "{" + doc
 

@@ -8,8 +8,9 @@ import re
 
 import numpy as np
 
+from risklab import TickSeries, load_csv, market_data, write_csv
 from risklab.market_data import CSV_HEADER
-from test_market_data import (_bulk_columns, _corrupt, _outcome,
+from test_market_data import (_bulk_columns, _corrupt, _oracle_csv, _outcome,
                               _scan_outcome)
 
 # a row of load_csv's bulk grammar, before the bounds on its numbers
@@ -106,3 +107,77 @@ def test_byte_parser_matches_the_scan(tmp_path):
                 assert tuple(c.tolist() for c in columns) == want, case
     # both sides of the grammar are well drawn
     assert FILES // 4 < bulk < FILES * 3 // 4, bulk
+
+
+I64 = np.iinfo(np.int64)
+# the writer's chunk in the fuzz, so that a series spans several chunks
+CHUNK = 64
+# prices from the bulk formatter's bound up, and one integer just below it
+BIG_PRICES = np.array([2.0**52 - 1, 2.0**52, 2.0**52 + 1, 1e17, 1e300,
+                       float(np.finfo(np.float64).max)])
+
+
+def _write_timestamps(rng, n):
+    """Up to n increasing int64 timestamps: unsigned, signed or crossing 0,
+    from an interval that reaches an end of int64 now and then, whose ends
+    are often drawn themselves."""
+    lo, hi = [(0, 10**12), (0, int(I64.max)), (-10**12, -1),
+              (int(I64.min), -1), (-10**12, 10**12),
+              (int(I64.min), int(I64.max))][int(rng.integers(0, 6))]
+    ts = rng.integers(lo, hi, n, endpoint=True)
+    if rng.random() < 0.5:
+        ts[0], ts[-1] = lo, hi
+    return np.unique(ts)
+
+
+def _write_prices(rng, n):
+    """n (bid, ask) rows, bid <= ask, drawn log-uniformly from 1e-9 to 9e5,
+    some rounded to a few decimals, and in half the series a few taken from
+    `BIG_PRICES`."""
+    prices = np.exp(rng.uniform(np.log(1e-9), np.log(9e5), (2, n)))
+    if rng.random() < 0.3:
+        prices = np.maximum(np.round(prices, int(rng.integers(0, 10))), 1e-9)
+    big = rng.random((2, n)) < rng.choice([0.0, 0.0, 0.002, 0.02])
+    prices[big] = rng.choice(BIG_PRICES, int(big.sum()))
+    prices.sort(axis=0)
+    return prices
+
+
+SERIES = 300
+
+
+def test_writer_matches_the_reference_text(tmp_path, monkeypatch):
+    rng = np.random.default_rng(20261022)
+    path = tmp_path / "ticks.csv"
+    monkeypatch.setattr(market_data, "_CHUNK_ROWS", CHUNK)
+    format_rows = market_data._format_rows
+    formatted = []
+
+    def spy(ts, bid, ask):
+        formatted.append(ts.tolist())
+        return format_rows(ts, bid, ask)
+
+    monkeypatch.setattr(market_data, "_format_rows", spy)
+    chunks = bulk = 0
+    for case in range(SERIES):
+        ts = _write_timestamps(rng, int(rng.integers(1, 6 * CHUNK)))
+        bid, ask = _write_prices(rng, ts.size)
+        series = TickSeries(ts, bid, ask)
+        formatted.clear()
+        write_csv(series, path)
+        want = _oracle_csv(series)
+        assert path.read_bytes() == want, case
+        got = load_csv(path)
+        scan = market_data._scan_rows(
+            path, want.decode("ascii").partition("\n")[2])
+        for a, b in zip((got.ts, got.bid, got.ask), scan):
+            assert a.tobytes() == b.tobytes(), case
+        # the chunks in the bulk formatter's grammar, and only those, go to it
+        starts = range(0, ts.size, CHUNK)
+        assert formatted == [
+            ts[i:i + CHUNK].tolist() for i in starts
+            if ts[i] >= 0 and ask[i:i + CHUNK].max() < 2**52], case
+        chunks += len(starts)
+        bulk += len(formatted)
+    # both sides of the choice are well drawn
+    assert chunks // 4 < bulk < chunks * 3 // 4, (bulk, chunks)

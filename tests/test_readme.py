@@ -208,12 +208,16 @@ def test_backtest_and_fit_pml_print_the_pinned_bytes(tmp_path):
 
 
 # sha256 of `backtest`'s stdout (leaked predictor) and `correlate`'s stdout
-# on two `write_csv` tapes outside `load_csv`'s bulk grammar, so the per-row
+# on `write_csv` tapes outside `load_csv`'s bulk grammar, so the per-row
 # scan reads them: a 3,000-tick series moved before the epoch, and the same
 # series priced 1e4 times higher, whose price digits read as one integer
-# pass 2**53. Rules as for README_RUN_SHA256. `backtest` on the priced
-# tape is not pinned: with numpy's AVX-512 kernels off, `np.log` of its mid
-# gives other last bits, and so do its mean and stdev.
+# pass 2**53. Rules as for README_RUN_SHA256. `correlate` reads the series
+# priced as `gen_synthetic` gave it. That tape's bytes change with numpy's
+# AVX-512 kernels off: `gen_synthetic`'s `np.exp` then gives other last
+# bits, which the 10 decimals keep at mids near 1e6 (near 100 they round
+# away), and `backtest`'s stdout on it changes with them. So `backtest`
+# reads the plain tape as `write_csv` wrote it and `load_csv` read it back,
+# priced 1e4 times higher and written again.
 SCAN_TAPE_SPEC = market_data.SyntheticSpec(
     n_ticks=3000, sigma_noise=0.0003, phi=0.9, sigma_signal=0.0002,
     spread_bps=1.0, seed=11)
@@ -222,6 +226,8 @@ SCAN_TAPE_SHA256 = {
         "47d500a27d88d545006f21e7a25baf9849672896fd2a45eefc7b222df07413a8",
     "correlate before-epoch":
         "25a6a01ce535659e481487242ff331dbe8fb6e6c235a9548165fdaf52f49b432",
+    "backtest priced-1e4":
+        "8d3775e53feb2df7c3f595be2bbd597a6232df509ad1fc1ae778caf238fb6016",
     "correlate priced-1e4":
         "652d66b66789cad090d45303941c2abde50701f5c1d86cc136d15b14d7941415",
 }
@@ -229,28 +235,32 @@ SCAN_TAPE_SHA256 = {
 
 def test_tapes_the_scan_reads_print_the_pinned_bytes(tmp_path):
     s = market_data.gen_synthetic(SCAN_TAPE_SPEC)
-    tapes = {"before-epoch": market_data.TickSeries(s.ts - 10**15, s.bid,
-                                                    s.ask),
-             "priced-1e4": market_data.TickSeries(s.ts, s.bid * 1e4,
-                                                  s.ask * 1e4)}
+    market_data.write_csv(s, tmp_path / "plain.csv")
+    read = market_data.load_csv(tmp_path / "plain.csv")
+    before_epoch = market_data.TickSeries(s.ts - 10**15, s.bid, s.ask)
+    tapes = {"backtest before-epoch": before_epoch,
+             "correlate before-epoch": before_epoch,
+             "backtest priced-1e4": market_data.TickSeries(
+                 read.ts, read.bid * 1e4, read.ask * 1e4),
+             "correlate priced-1e4": market_data.TickSeries(
+                 s.ts, s.bid * 1e4, s.ask * 1e4)}
+    flags = {"backtest": ["--threshold-bps", "2", "--period-ticks", "128"],
+             "correlate": []}
     config = tmp_path / "leaked.ini"
     config.write_text(BACKTEST_TRAIN["leaked"], encoding="utf-8")
     got = {}
-    for name, series in tapes.items():
-        data = tmp_path / f"{name}.csv"
+    for key, series in tapes.items():
+        command = key.split()[0]
+        data = tmp_path / f"{key.replace(' ', '-')}.csv"
         market_data.write_csv(series, data)
         with open(data, "rb") as fh:
-            assert market_data._parse_bytes(fh) is None, name
-        model = str(tmp_path / f"{name}.json")
+            assert market_data._parse_bytes(fh) is None, key
+        model = str(tmp_path / f"{key.replace(' ', '-')}.json")
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["train", "--data", str(data), "--config",
                              str(config), "--out", model]) == 0
-        if name == "before-epoch":
-            got[f"backtest {name}"] = _stdout_sha256(
-                ["backtest", "--data", str(data), "--predictor", model,
-                 "--threshold-bps", "2", "--period-ticks", "128"])
-        got[f"correlate {name}"] = _stdout_sha256(
-            ["correlate", "--data", str(data), "--predictor", model])
+        got[key] = _stdout_sha256([command, "--data", str(data),
+                                   "--predictor", model, *flags[command]])
     assert got == SCAN_TAPE_SHA256
 
 
